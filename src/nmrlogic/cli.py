@@ -263,12 +263,19 @@ def cmd_grid(args: argparse.Namespace) -> int:
     try:
         header_a, header_b = scenario.inputs
         handle.write(f"{header_a},{header_b},Mx,My,Mxy\n")
-        for i in range(grid_a.count):
-            for j in range(grid_b.count):
-                handle.write(
-                    f"{avals[i]:.12g},{bvals[j]:.12g},"
-                    f"{mx[i, j]:.12g},{my[i, j]:.12g},{mxy[i, j]:.12g}\n"
+        b_text = _format_values(bvals)
+        # one write per A row; joining the whole CSV would hold it in memory
+        for i, a in enumerate(_format_values(avals)):
+            handle.write(
+                "".join(
+                    [
+                        f"{a},{b},{x:.12g},{y:.12g},{z:.12g}\n"
+                        for b, x, y, z in zip(
+                            b_text, mx[i].tolist(), my[i].tolist(), mxy[i].tolist()
+                        )
+                    ]
                 )
+            )
     finally:
         if owned:
             handle.close()
@@ -301,8 +308,23 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _format_level_map(assignment: synthesis.GateAssignment) -> str:
-    return " ".join(f"{level:.12g}->{int(bit)}" for level, bit in assignment.level_map)
+_ROW_BLOCK = 4096
+
+
+def _format_values(values) -> list:
+    return [f"{v:.12g}" for v in np.asarray(values).tolist()]
+
+
+def _write_rows(handle, template: str, columns) -> None:
+    """Write one `template` row per index, `_ROW_BLOCK` rows per write.
+
+    Each column is a (strings, index) pair: row k takes strings[index[k]].
+    """
+    total = len(columns[0][1])
+    for start in range(0, total, _ROW_BLOCK):
+        stop = start + _ROW_BLOCK
+        block = [strings[index[start:stop]].tolist() for strings, index in columns]
+        handle.write("".join(map(template.format, *block)))
 
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
@@ -317,14 +339,22 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     scenario = _scenario_from_args(args)
     grid = parse_grid(args.grid) if args.grid else synthesis.DEFAULT_SYNTH_GRID
     tol = float(args.tol) if args.tol else synthesis.DEFAULT_LEVEL_TOL
-    assignments = synthesis.synthesize(scenario, tt, grid, tol)
+    found = synthesis.search(scenario, tt, grid, tol)
+    count = len(found.indices)
 
-    if not assignments:
+    if not count:
         print(
             f"no {tt.name} assignments on grid "
             f"{grid.start:.12g}:{grid.step:.12g}:{grid.count}"
         )
         return EXIT_NO_SOLUTION
+
+    # Each candidate and table value is formatted once; rows index them.
+    cells = synthesis.level_cells(found, tt, tol)
+    candidates = np.array(_format_values(found.candidates), dtype=object)
+    levels = np.array(_format_values(found.table.ravel()), dtype=object)
+    columns = [(candidates, found.indices[:, k]) for k in range(4)]
+    columns += [(levels, cells[bit]) for bit in cells]
 
     if args.out:
         try:
@@ -332,26 +362,15 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         except OSError as exc:
             print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
             return EXIT_IO
+        csv_levels = ",".join("{}" if bit in cells else "nan" for bit in (False, True))
         with handle:
             handle.write("a0,a1,b0,b1,level0,level1\n")
-            for asg in assignments:
-                levels = {int(bit): level for level, bit in asg.level_map}
-                handle.write(
-                    f"{asg.a_values[0]:.12g},{asg.a_values[1]:.12g},"
-                    f"{asg.b_values[0]:.12g},{asg.b_values[1]:.12g},"
-                    f"{levels.get(0, float('nan')):.12g},"
-                    f"{levels.get(1, float('nan')):.12g}\n"
-                )
-    print(
-        f"{len(assignments)} {tt.name} assignment(s), class "
-        f"{gates.gate_class(tt).value}"
+            _write_rows(handle, "{},{},{},{}," + csv_levels + "\n", columns)
+    print(f"{count} {tt.name} assignment(s), class {gates.gate_class(tt).value}")
+    text_levels = " ".join(f"{{}}->{int(bit)}" for bit in cells)
+    _write_rows(
+        sys.stdout, "A=({}, {}) B=({}, {}) levels " + text_levels + "\n", columns
     )
-    for asg in assignments:
-        print(
-            f"A=({asg.a_values[0]:.12g}, {asg.a_values[1]:.12g}) "
-            f"B=({asg.b_values[0]:.12g}, {asg.b_values[1]:.12g}) "
-            f"levels {_format_level_map(asg)}"
-        )
     return EXIT_OK
 
 
@@ -359,12 +378,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     lambda_b = float(args.lambda_b) if args.lambda_b is not None else 1.0
     tol = float(args.tol) if args.tol else 1e-10
     grid = parse_grid(args.grid) if args.grid else synthesis.DEFAULT_SYNTH_GRID
+    checks = synthesis.verify_reference_tables(lambda_b=lambda_b, tol=tol)
+    checks += synthesis.capability_checks(grid=grid, lambda_b=lambda_b)
     print(
         f"verification run: lambda={lambda_b:.12g}, tol={tol:.3g}, "
         f"search grid {grid.start:.12g}:{grid.step:.12g}:{grid.count}"
     )
-    checks = synthesis.verify_reference_tables(lambda_b=lambda_b, tol=tol)
-    checks += synthesis.capability_checks(grid=grid, lambda_b=lambda_b)
     failures = 0
     for check in checks:
         status = "PASS" if check.passed else "FAIL"

@@ -2,17 +2,18 @@
 
 A `Scenario` fixes everything about the experiment except the two pulse
 parameters serving as logic inputs A and B.  A `GateAssignment` picks two
-candidate values per input plus a two-level output map; `synthesize`
-enumerates every assignment over a candidate grid that realizes a target
-truth table.  The search is exhaustive and deterministic (lexicographic
-over grid indices).
+candidate values per input plus a two-level output map.  `search`
+enumerates, as columns of grid indices, every assignment over a candidate
+grid that realizes a target truth table; `synthesize` returns the same
+rows as `GateAssignment` objects.  The search is exhaustive and
+deterministic (lexicographic over grid indices).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -52,6 +53,8 @@ class Scenario:
         fixed = dict(self.fixed)
         validate_binding(self.pulses, self.inputs, fixed)
         object.__setattr__(self, "fixed", tuple(sorted(fixed.items())))
+        if not math.isfinite(self.lambda_b):
+            raise ValueError(f"lambda_b must be finite, got {self.lambda_b!r}")
 
     @property
     def fixed_values(self) -> dict:
@@ -145,29 +148,99 @@ def assignment_realizes(
     return True
 
 
+_CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def level_corners(tt: TruthTable) -> Dict[bool, Tuple[int, int]]:
+    """Corner (a, b) whose observable value is each output bit's level.
+
+    A bit's level is the value at the first corner, in the order 00, 01,
+    10, 11, whose output is that bit.  Keys are the bits `tt` outputs,
+    0 before 1.
+    """
+    first = {}
+    for a, b in _CORNERS:
+        first.setdefault(tt(a, b), (a, b))
+    return dict(sorted(first.items()))
+
+
+class SearchResult(NamedTuple):
+    """Every realizing quadruple of one search, kept as columns.
+
+    Row k of `indices` is (i0, i1, j0, j1): input A takes `candidates[i0]`
+    for logic 0 and `candidates[i1]` for 1, input B likewise with j0, j1.
+    Rows are in lexicographic order.  `table[i, j]` is the observable with
+    A at candidate i and B at candidate j.
+    """
+
+    indices: np.ndarray
+    candidates: np.ndarray
+    table: np.ndarray
+
+
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
+
+
+def search(
+    scenario: Scenario,
+    tt: TruthTable,
+    grid: GridSpec = DEFAULT_SYNTH_GRID,
+    tol: float = DEFAULT_LEVEL_TOL,
+) -> SearchResult:
+    """Every quadruple over the candidate grid that realizes `tt`.
+
+    Both inputs draw candidates from the same grid.  Builds no
+    `GateAssignment`; `synthesize` does, row by row.
+    """
+    _check_tol(tol)
+    cand = grid.values()
+    table = scenario_table(scenario, cand, cand)
+    indices = _kernels.find_gate_quadruples(table, tt.outputs, tol)
+    return SearchResult(indices, cand, table)
+
+
+def level_cells(
+    found: SearchResult, tt: TruthTable, tol: float
+) -> Dict[bool, np.ndarray]:
+    """Flat index into `found.table` of every row's level, per output bit.
+
+    Checks over all rows at once what `GateAssignment` checks per object:
+    a gate's two levels lie more than `tol` apart.
+    """
+    idx = found.indices
+    n_b = found.table.shape[1]
+    cells = {
+        bit: idx[:, a] * n_b + idx[:, 2 + b] for bit, (a, b) in level_corners(tt).items()
+    }
+    if len(cells) == 2:
+        flat = found.table.ravel()
+        gap = np.abs(flat[cells[False]] - flat[cells[True]])
+        too_close = np.flatnonzero(~(gap > tol))
+        if len(too_close):
+            raise ValueError(
+                f"levels must be separated by more than {tol}, "
+                f"gap {float(gap[too_close[0]])}"
+            )
+    return cells
+
+
 def _assignment_from_indices(
     table: np.ndarray,
-    cand_a: np.ndarray,
-    cand_b: np.ndarray,
+    cand: np.ndarray,
     idx: Sequence[int],
-    tt: TruthTable,
+    corners: Dict[bool, Tuple[int, int]],
     tol: float,
 ) -> GateAssignment:
     i0, i1, j0, j1 = idx
-    corners = (
-        (table[i0, j0], tt(0, 0)),
-        (table[i0, j1], tt(0, 1)),
-        (table[i1, j0], tt(1, 0)),
-        (table[i1, j1], tt(1, 1)),
+    rows, cols = (i0, i1), (j0, j1)
+    level_map = tuple(
+        (float(table[rows[a], cols[b]]), bit) for bit, (a, b) in corners.items()
     )
-    levels = {}
-    for value, bit in corners:
-        levels.setdefault(bit, float(value))
-    level_map = tuple(sorted(levels.items(), key=lambda kv: kv[0]))
-    level_map = tuple((value, bit) for bit, value in level_map)
     return GateAssignment(
-        a_values=(float(cand_a[i0]), float(cand_a[i1])),
-        b_values=(float(cand_b[j0]), float(cand_b[j1])),
+        a_values=(float(cand[i0]), float(cand[i1])),
+        b_values=(float(cand[j0]), float(cand[j1])),
         level_map=level_map,
         tolerance=tol,
     )
@@ -181,14 +254,14 @@ def synthesize(
 ) -> List[GateAssignment]:
     """Every assignment over the candidate grid that realizes `tt`.
 
-    Both inputs draw candidates from the same grid.  Returns the empty
+    The rows of `search`, in its order, as objects.  Returns the empty
     list when the scenario cannot express the gate on this grid.
     """
-    cand = grid.values()
-    table = scenario_table(scenario, cand, cand)
-    indices = _kernels.find_gate_quadruples(table, tt.outputs, tol)
+    found = search(scenario, tt, grid, tol)
+    corners = level_corners(tt)
     return [
-        _assignment_from_indices(table, cand, cand, idx, tt, tol) for idx in indices
+        _assignment_from_indices(found.table, found.candidates, idx, corners, tol)
+        for idx in found.indices
     ]
 
 
@@ -199,9 +272,7 @@ def count_assignments(
     tol: float = DEFAULT_LEVEL_TOL,
 ) -> int:
     """Number of realizing assignments, without building them."""
-    cand = grid.values()
-    table = scenario_table(scenario, cand, cand)
-    return int(len(_kernels.find_gate_quadruples(table, tt.outputs, tol)))
+    return len(search(scenario, tt, grid, tol).indices)
 
 
 def achievable_classes(
@@ -210,6 +281,7 @@ def achievable_classes(
     tol: float = DEFAULT_LEVEL_TOL,
 ) -> Set[GateClass]:
     """Gate classes with at least one realizable member on the grid."""
+    _check_tol(tol)
     cand = grid.values()
     table = scenario_table(scenario, cand, cand)
     found: Set[GateClass] = set()
@@ -274,10 +346,10 @@ def reference_single_pulse_scenario(lambda_b: float = 1.0) -> Scenario:
 
 
 def reference_assignment(row: ReferenceGateRow, tol: float = DEFAULT_LEVEL_TOL) -> GateAssignment:
-    levels = {}
-    for value, (a, b) in zip(row.outputs, ((0, 0), (0, 1), (1, 0), (1, 1))):
-        levels.setdefault(row.gate(a, b), value)
-    level_map = tuple((value, bit) for bit, value in sorted(levels.items()))
+    outputs = dict(zip(_CORNERS, row.outputs))
+    level_map = tuple(
+        (outputs[corner], bit) for bit, corner in level_corners(row.gate).items()
+    )
     return GateAssignment(row.a_values, row.b_values, level_map, tol)
 
 
@@ -304,10 +376,11 @@ def verify_reference_tables(
 ) -> List[CheckResult]:
     """Recompute the built-in gate exemplars and pin every two-pulse closed
     form against numeric propagation; one result entry per check."""
+    _check_tol(tol)
     results: List[CheckResult] = []
     scenario = reference_single_pulse_scenario(lambda_b)
     for row in REFERENCE_SINGLE_PULSE_GATES:
-        for (a, b), expected in zip(((0, 0), (0, 1), (1, 0), (1, 1)), row.outputs):
+        for (a, b), expected in zip(_CORNERS, row.outputs):
             value = evaluate_scenario(scenario, row.a_values[a], row.b_values[b])
             err = abs(value - expected)
             results.append(

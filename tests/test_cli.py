@@ -1,8 +1,11 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
 
-from nmrlogic import cli
+from nmrlogic import cli, gates, synthesis
+from nmrlogic.observables import GridSpec, scenario_components
 
 PI = math.pi
 
@@ -293,3 +296,166 @@ def test_usage_error_exit_code(capsys):
 def test_unknown_subcommand(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 1
+
+
+# golden output: the columnar writers against per-row reference formatters -------
+
+
+def _reference_synthesize(scenario, tt, grid, tol=synthesis.DEFAULT_LEVEL_TOL):
+    """stdout and CSV text formatted one row per `GateAssignment`."""
+    assignments = synthesis.synthesize(scenario, tt, grid, tol)
+    text = [
+        f"{len(assignments)} {tt.name} assignment(s), class "
+        f"{gates.gate_class(tt).value}\n"
+    ]
+    csv = ["a0,a1,b0,b1,level0,level1\n"]
+    for asg in assignments:
+        levels = {int(bit): level for level, bit in asg.level_map}
+        csv.append(
+            f"{asg.a_values[0]:.12g},{asg.a_values[1]:.12g},"
+            f"{asg.b_values[0]:.12g},{asg.b_values[1]:.12g},"
+            f"{levels.get(0, float('nan')):.12g},"
+            f"{levels.get(1, float('nan')):.12g}\n"
+        )
+        level_text = " ".join(f"{level:.12g}->{int(bit)}" for level, bit in asg.level_map)
+        text.append(
+            f"A=({asg.a_values[0]:.12g}, {asg.a_values[1]:.12g}) "
+            f"B=({asg.b_values[0]:.12g}, {asg.b_values[1]:.12g}) "
+            f"levels {level_text}\n"
+        )
+    return "".join(text), "".join(csv)
+
+
+def assert_same_text(actual, expected):
+    """Equality that reports the first differing line, not a full diff of
+    outputs that run to megabytes."""
+    if actual == expected:
+        return
+    got, want = actual.splitlines(True), expected.splitlines(True)
+    k = next((k for k, pair in enumerate(zip(got, want)) if pair[0] != pair[1]),
+             min(len(got), len(want)))
+    pytest.fail(
+        f"line {k} differs: {got[k:k + 1]} != {want[k:k + 1]} "
+        f"({len(got)} vs {len(want)} lines)"
+    )
+
+
+THERMAL_FLAGS = ("--initial", "z")
+THERMAL = synthesis.reference_single_pulse_scenario()
+MIXED_FLAGS = (
+    "--initial", "x", "--pulses", "2", "--inputs", "phi2,beta1",
+    "--fix", "phi1=1/2pi", "--fix", "beta2=pi",
+)
+MIXED = synthesis.Scenario(
+    "x", 2, "mx", ("phi2", "beta1"), fixed=(("phi1", PI / 2), ("beta2", PI))
+)
+SYNTH_CASES = [
+    ("T", THERMAL_FLAGS, THERMAL, "0:1/4pi:16"),  # constant: one level, nan column
+    ("F", MIXED_FLAGS, MIXED, "0:1/2pi:8"),
+    ("XOR", THERMAL_FLAGS, THERMAL, "-1/2pi:1/2pi:10"),
+    ("NAND", MIXED_FLAGS, MIXED, "0:1/4pi:16"),
+    ("NOT B", THERMAL_FLAGS, THERMAL, "1/8pi:1/8pi:12"),
+]
+
+
+@pytest.mark.parametrize("block", [cli._ROW_BLOCK, 7])
+@pytest.mark.parametrize("with_out", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize(
+    "gate,flags,scenario,grid", SYNTH_CASES, ids=[c[0] for c in SYNTH_CASES]
+)
+def test_synthesize_bytes_match_reference(
+    tmp_path, capsys, monkeypatch, gate, flags, scenario, grid, with_out, block
+):
+    monkeypatch.setattr(cli, "_ROW_BLOCK", block)
+    out_path = tmp_path / "asg.csv"
+    argv = ["synthesize", gate, *flags, f"--grid={grid}"]
+    if with_out:
+        argv += ["--out", str(out_path)]
+    code, out, err = run(capsys, *argv)
+    text, csv = _reference_synthesize(scenario, gates.parse_gate(gate), cli.parse_grid(grid))
+    assert (code, err) == (0, "")
+    assert_same_text(out, text)
+    assert out_path.exists() == with_out
+    if with_out:
+        assert_same_text(out_path.read_bytes().decode(), csv)
+
+
+def test_synthesize_tolerance_flag_reaches_reference(tmp_path, capsys):
+    out_path = tmp_path / "asg.csv"
+    code, out, _ = run(
+        capsys, "synthesize", "AND", *THERMAL_FLAGS, "--grid=0:1/4pi:16",
+        "--tol", "0.01", "--out", str(out_path),
+    )
+    text, csv = _reference_synthesize(
+        THERMAL, gates.AND, cli.parse_grid("0:1/4pi:16"), 0.01
+    )
+    assert code == 0
+    assert_same_text(out, text)
+    assert_same_text(out_path.read_bytes().decode(), csv)
+
+
+def _reference_grid(scenario, grid_a, grid_b):
+    """Grid CSV formatted one numpy scalar at a time."""
+    avals, bvals = grid_a.values(), grid_b.values()
+    mesh_a, mesh_b = np.meshgrid(avals, bvals, indexing="ij")
+    mx, my, _ = scenario_components(
+        scenario.initial, scenario.pulses, scenario.inputs, scenario.fixed_values,
+        mesh_a, mesh_b, scenario.lambda_b,
+    )
+    mxy = np.hypot(mx, my)
+    lines = [f"{scenario.inputs[0]},{scenario.inputs[1]},Mx,My,Mxy\n"]
+    for i in range(grid_a.count):
+        for j in range(grid_b.count):
+            lines.append(
+                f"{avals[i]:.12g},{bvals[j]:.12g},"
+                f"{mx[i, j]:.12g},{my[i, j]:.12g},{mxy[i, j]:.12g}\n"
+            )
+    return "".join(lines)
+
+
+def test_grid_bytes_match_reference_on_default_axes(tmp_path, capsys):
+    out_path = tmp_path / "grid.csv"
+    code, _, _ = run(capsys, "grid", *MIXED_FLAGS, "--out", str(out_path))
+    assert code == 0
+    phi_axis = GridSpec(0.0, 4 * PI / 101, 101)
+    beta_axis = GridSpec(-2 * PI, 4 * PI / 101, 101)
+    assert_same_text(
+        out_path.read_bytes().decode(), _reference_grid(MIXED, phi_axis, beta_axis)
+    )
+
+
+def test_grid_stdout_matches_reference(capsys):
+    code, out, _ = run(capsys, "grid", "--initial", "x", "--grid=-1/3pi:1/4pi:9")
+    grid = cli.parse_grid("-1/3pi:1/4pi:9")
+    scenario = synthesis.Scenario("x", 1, "mx", ("phi", "beta"))
+    assert code == 0
+    assert_same_text(out, _reference_grid(scenario, grid, grid))
+
+
+# boundary validation -----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("synthesize", "XOR", "--initial", "z", "--tol", "nan"),
+        ("synthesize", "XOR", "--initial", "z", "--tol", "-1"),
+        ("synthesize", "T", "--initial", "z", "--lambda", "nan"),
+        ("synthesize", "T", "--initial", "z", "--lambda", "inf"),
+        ("grid", "--initial", "x", "--grid", "0:1/2pi:4", "--lambda", "nan"),
+        ("grid", "--initial", "x", "--grid", "0:1/2pi:4", "--lambda", "inf"),
+        ("verify", "--lambda", "nan"),
+        ("verify", "--tol", "nan"),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_invalid_numbers_are_usage_errors(tmp_path, capsys, argv):
+    out_path = tmp_path / "out.csv"
+    out_flag = () if argv[0] == "verify" else ("--out", str(out_path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv, *out_flag)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert not out_path.exists()

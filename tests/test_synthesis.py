@@ -346,3 +346,74 @@ def test_capability_checks_all_pass():
     assert len(checks) == 6
     failed = [c for c in checks if not c.passed]
     assert not failed, failed
+
+
+# columnar search ---------------------------------------------------------------
+
+
+MIXED_FIX = syn.Scenario(
+    InitialState.SUPERPOSITION_X, 2, ObservableKind.MX, ("phi2", "beta1"),
+    fixed=(("phi1", PI / 2), ("beta2", PI)),
+)
+
+
+@pytest.mark.parametrize("scenario", [THERMAL_MX, MIXED_FIX], ids=["1-pulse", "2-pulse"])
+@pytest.mark.parametrize("tt", [g.T, g.F, g.B, g.NAND, g.XOR], ids=lambda tt: tt.name)
+def test_search_rows_match_synthesize(scenario, tt):
+    found = syn.search(scenario, tt, HALF_PI_GRID)
+    assignments = syn.synthesize(scenario, tt, HALF_PI_GRID)
+    assert found.indices.shape == (len(assignments), 4)
+    assert syn.count_assignments(scenario, tt, HALF_PI_GRID) == len(assignments)
+    np.testing.assert_array_equal(found.candidates, HALF_PI_GRID.values())
+    cells = syn.level_cells(found, tt, syn.DEFAULT_LEVEL_TOL)
+    flat = found.table.ravel()
+    for k, (i0, i1, j0, j1) in enumerate(found.indices):
+        asg = assignments[k]
+        assert asg.a_values == (found.candidates[i0], found.candidates[i1])
+        assert asg.b_values == (found.candidates[j0], found.candidates[j1])
+        assert asg.level_map == tuple((flat[cells[bit][k]], bit) for bit in cells)
+
+
+def test_level_corners_take_first_corner_per_bit():
+    assert syn.level_corners(g.T) == {True: (0, 0)}
+    assert syn.level_corners(g.F) == {False: (0, 0)}
+    assert syn.level_corners(g.NAND) == {False: (1, 1), True: (0, 0)}
+    assert syn.level_corners(g.AND) == {False: (0, 0), True: (1, 1)}
+    assert list(syn.level_corners(g.XOR)) == [False, True]
+
+
+def test_level_cells_reject_levels_within_tolerance():
+    table = np.array([[0.0, 1.0], [1.0, 0.5]])
+    found = syn.SearchResult(np.array([[0, 1, 0, 1]]), np.array([0.0, 1.0]), table)
+    cells = syn.level_cells(found, g.XOR, 0.4)
+    assert cells[False].tolist() == [0] and cells[True].tolist() == [1]
+    with pytest.raises(ValueError, match="separated"):
+        syn.level_cells(found, g.XOR, 1.0)
+
+
+# boundary validation -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_scenario_rejects_non_finite_lambda(lam):
+    with pytest.raises(ValueError, match="lambda_b"):
+        syn.Scenario(InitialState.THERMAL_Z, 1, ObservableKind.MX, ("phi", "beta"),
+                     lambda_b=lam)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-12, math.inf])
+def test_searches_reject_bad_tolerance(tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        syn.search(THERMAL_MX, g.XOR, HALF_PI_GRID, tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        syn.synthesize(THERMAL_MX, g.XOR, HALF_PI_GRID, tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        syn.count_assignments(THERMAL_MX, g.XOR, HALF_PI_GRID, tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        syn.achievable_classes(THERMAL_MX, HALF_PI_GRID, tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        syn.verify_reference_tables(tol=tol)
+
+
+def test_zero_tolerance_is_accepted():
+    assert syn.count_assignments(THERMAL_MX, g.XOR, HALF_PI_GRID, 0.0) > 0
