@@ -1,50 +1,16 @@
-"""Hot numeric kernels with two interchangeable backends.
+"""Hot numeric kernels, vectorised with numpy.
 
 The two inner loops that dominate runtime are (a) numeric two-pulse
 propagation evaluated over large parameter grids and (b) the exhaustive
 search for gate-realizing parameter quadruples over a candidate grid.
-Both exist as a numba ``@njit`` kernel and as a vectorised pure-numpy
-implementation.  The active backend is chosen at import time:
-
-* default: numba, if importable;
-* set ``NMRLOGIC_NUMBA=0`` (or ``false``/``off``/``numpy``) to force the
-  pure-numpy path.
-
-Both backends of the quadruple search produce identical index arrays for
-identical inputs (the search only compares precomputed float64 tables).
-``benchmarks/bench_kernels.py`` times one backend against the other.
+`observables` and `synthesis` look both up on this module at call time, so a
+wrapper set on the module attribute (as `perfbench/tracing.py` does) sees
+every call.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-
-def numba_requested() -> bool:
-    """True unless the environment flag asks for the numpy fallback."""
-    flag = os.environ.get("NMRLOGIC_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "off", "no", "numpy")
-
-
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):
-        def wrap(func):
-            return func
-
-        if len(args) == 1 and callable(args[0]) and not kwargs:
-            return args[0]
-        return wrap
-
-
-NUMBA_ENABLED = NUMBA_AVAILABLE and numba_requested()
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +37,7 @@ def _rotation_stack(phi: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return out
 
 
-def two_pulse_components_numpy(phi2, beta2, phi1, beta1, lambda_b, from_x):
+def two_pulse_components(phi2, beta2, phi1, beta1, lambda_b, from_x):
     """Vectorised numeric propagation.
 
     Parameters
@@ -112,69 +78,6 @@ def two_pulse_components_numpy(phi2, beta2, phi1, beta1, lambda_b, from_x):
     return mx, my, mz
 
 
-@njit(cache=True)
-def _two_pulse_components_loop(phi2, beta2, phi1, beta1, lambda_b, from_x, mx, my, mz):
-    for k in range(phi2.shape[0]):
-        c2 = np.cos(0.5 * beta2[k])
-        s2 = np.sin(0.5 * beta2[k])
-        e2 = np.exp(-1j * phi2[k])
-        c1 = np.cos(0.5 * beta1[k])
-        s1 = np.sin(0.5 * beta1[k])
-        e1 = np.exp(-1j * phi1[k])
-
-        # u = R(phi2, beta2) @ R(phi1, beta1); e = exp(-i phi), conj(e) = exp(+i phi)
-        u00 = c2 * c1 - s2 * s1 * e2 * np.conj(e1)
-        u01 = -1j * (c2 * s1 * e1 + s2 * c1 * e2)
-        u10 = -1j * (s2 * c1 * np.conj(e2) + c2 * s1 * np.conj(e1))
-        u11 = c2 * c1 - s2 * s1 * e1 * np.conj(e2)
-
-        r00 = 0.5 + 0.0j
-        r11 = 0.5 + 0.0j
-        r01 = 0.0 + 0.0j
-        r10 = 0.0 + 0.0j
-        if from_x:
-            r01 = 0.25 * lambda_b + 0.0j
-            r10 = 0.25 * lambda_b + 0.0j
-        else:
-            r00 += 0.25 * lambda_b
-            r11 -= 0.25 * lambda_b
-
-        # t = u @ rho0 ; rho = t @ u+
-        t00 = u00 * r00 + u01 * r10
-        t01 = u00 * r01 + u01 * r11
-        t10 = u10 * r00 + u11 * r10
-        t11 = u10 * r01 + u11 * r11
-
-        rho00 = t00 * np.conj(u00) + t01 * np.conj(u01)
-        rho01 = t00 * np.conj(u10) + t01 * np.conj(u11)
-        rho10 = t10 * np.conj(u00) + t11 * np.conj(u01)
-        rho11 = t10 * np.conj(u10) + t11 * np.conj(u11)
-
-        mx[k] = (0.5 * (rho01 + rho10)).real
-        my[k] = (0.5j * (rho01 - rho10)).real
-        mz[k] = (0.5 * (rho00 - rho11)).real
-
-
-def two_pulse_components_numba(phi2, beta2, phi1, beta1, lambda_b, from_x):
-    """numba backend with the same contract as the numpy version."""
-    phi2, beta2, phi1, beta1 = np.broadcast_arrays(
-        np.asarray(phi2, dtype=np.float64),
-        np.asarray(beta2, dtype=np.float64),
-        np.asarray(phi1, dtype=np.float64),
-        np.asarray(beta1, dtype=np.float64),
-    )
-    shape = phi2.shape
-    flat = [np.ascontiguousarray(a).ravel() for a in (phi2, beta2, phi1, beta1)]
-    n = flat[0].shape[0]
-    mx = np.empty(n, dtype=np.float64)
-    my = np.empty(n, dtype=np.float64)
-    mz = np.empty(n, dtype=np.float64)
-    _two_pulse_components_loop(
-        flat[0], flat[1], flat[2], flat[3], float(lambda_b), bool(from_x), mx, my, mz
-    )
-    return mx.reshape(shape), my.reshape(shape), mz.reshape(shape)
-
-
 # ---------------------------------------------------------------------------
 # Gate-assignment quadruple search.
 #
@@ -202,12 +105,12 @@ def _quadruple_mask(corners, outputs, tol, shape):
     return ok
 
 
-# full 4-d broadcast above this many quadruples would get memory-hungry;
-# fall back to per-row blocks
+# a full 4-d broadcast above this many quadruples would get memory-hungry;
+# search one i0 row at a time instead
 _FULL_BROADCAST_LIMIT = 1 << 22
 
 
-def find_gate_quadruples_numpy(values, outputs, tol):
+def find_gate_quadruples(values, outputs, tol):
     """All realizing quadruples, in lexicographic (i0, i1, j0, j1) order.
 
     Parameters
@@ -225,122 +128,17 @@ def find_gate_quadruples_numpy(values, outputs, tol):
     """
     values = np.asarray(values, dtype=np.float64)
     na, nb = values.shape
-    if na * na * nb * nb <= _FULL_BROADCAST_LIMIT:
+    rows = na if na * na * nb * nb <= _FULL_BROADCAST_LIMIT else 1
+    blocks = []
+    for i0 in range(0, na, rows):
         corners = (
-            values[:, None, :, None],  # (A=0, B=0)
-            values[:, None, None, :],  # (A=0, B=1)
+            values[i0:i0 + rows, None, :, None],  # (A=0, B=0)
+            values[i0:i0 + rows, None, None, :],  # (A=0, B=1)
             values[None, :, :, None],  # (A=1, B=0)
             values[None, :, None, :],  # (A=1, B=1)
         )
-        ok = _quadruple_mask(corners, outputs, tol, (na, na, nb, nb))
-        return np.argwhere(ok).astype(np.int64)
-
-    blocks = []
-    for i0 in range(na):
-        corners = (
-            values[i0, :, None],  # (A=0, B=0) for fixed i0
-            values[i0, None, :],  # (A=0, B=1)
-            values[:, :, None],  # (A=1, B=0)
-            values[:, None, :],  # (A=1, B=1)
-        )
-        ok = _quadruple_mask(corners, outputs, tol, (na, nb, nb))
+        ok = _quadruple_mask(corners, outputs, tol, (rows, na, nb, nb))
         hits = np.argwhere(ok)
-        if len(hits):
-            block = np.empty((len(hits), 4), dtype=np.int64)
-            block[:, 0] = i0
-            block[:, 1:] = hits
-            blocks.append(block)
-    if not blocks:
-        return np.empty((0, 4), dtype=np.int64)
-    return np.concatenate(blocks, axis=0)
-
-
-@njit(cache=True)
-def _quadruple_ok(values, i0, i1, j0, j1, o00, o01, o10, o11, tol):
-    zmin = np.inf
-    zmax = -np.inf
-    omin = np.inf
-    omax = -np.inf
-    nz = 0
-    no = 0
-    for corner in range(4):
-        if corner == 0:
-            v = values[i0, j0]
-            bit = o00
-        elif corner == 1:
-            v = values[i0, j1]
-            bit = o01
-        elif corner == 2:
-            v = values[i1, j0]
-            bit = o10
-        else:
-            v = values[i1, j1]
-            bit = o11
-        if bit:
-            no += 1
-            if v < omin:
-                omin = v
-            if v > omax:
-                omax = v
-        else:
-            nz += 1
-            if v < zmin:
-                zmin = v
-            if v > zmax:
-                zmax = v
-    if nz > 0 and (zmax - zmin) > tol:
-        return False
-    if no > 0 and (omax - omin) > tol:
-        return False
-    if nz > 0 and no > 0:
-        if not ((omin - zmax) > tol or (zmin - omax) > tol):
-            return False
-    return True
-
-
-@njit(cache=True)
-def _find_quadruples_loop(values, o00, o01, o10, o11, tol):
-    na = values.shape[0]
-    nb = values.shape[1]
-    count = 0
-    for i0 in range(na):
-        for i1 in range(na):
-            for j0 in range(nb):
-                for j1 in range(nb):
-                    if _quadruple_ok(values, i0, i1, j0, j1, o00, o01, o10, o11, tol):
-                        count += 1
-    out = np.empty((count, 4), dtype=np.int64)
-    k = 0
-    for i0 in range(na):
-        for i1 in range(na):
-            for j0 in range(nb):
-                for j1 in range(nb):
-                    if _quadruple_ok(values, i0, i1, j0, j1, o00, o01, o10, o11, tol):
-                        out[k, 0] = i0
-                        out[k, 1] = i1
-                        out[k, 2] = j0
-                        out[k, 3] = j1
-                        k += 1
-    return out
-
-
-def find_gate_quadruples_numba(values, outputs, tol):
-    """numba backend with the same contract as the numpy version."""
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    o = [bool(b) for b in outputs]
-    return _find_quadruples_loop(values, o[0], o[1], o[2], o[3], float(tol))
-
-
-if NUMBA_ENABLED:
-    two_pulse_components = two_pulse_components_numba
-    find_gate_quadruples = find_gate_quadruples_numba
-else:
-    two_pulse_components = two_pulse_components_numpy
-    find_gate_quadruples = find_gate_quadruples_numpy
-
-
-def warm_up() -> None:
-    """Trigger JIT compilation so timed paths run at full speed."""
-    grid = np.array([0.0, 1.0])
-    two_pulse_components(grid, grid, grid, grid, 1.0, False)
-    find_gate_quadruples(np.zeros((2, 2)), (False, False, False, True), 1e-9)
+        hits[:, 0] += i0
+        blocks.append(hits)
+    return np.concatenate(blocks, axis=0, dtype=np.int64)

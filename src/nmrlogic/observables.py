@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Tuple
 
@@ -230,6 +231,10 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         _require_finite(self.start, self.step)
+        try:
+            operator.index(self.count)
+        except TypeError:
+            raise ValueError(f"grid count must be an integer, got {self.count!r}") from None
         if self.count < 2:
             raise ValueError(f"grid needs at least 2 points, got {self.count}")
         if self.step <= 0:

@@ -8,7 +8,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from nmrlogic import _kernels
 from nmrlogic import gates as g
@@ -22,12 +21,6 @@ PI = math.pi
 PHI_AXIS = GridSpec(0.0, 4 * PI / 101, 101)  # [0, 4pi)
 BETA_AXIS = GridSpec(-2 * PI, 4 * PI / 101, 101)  # [-2pi, 2pi)
 QUARTER_GRID = GridSpec(0.0, PI / 4, 16)  # pi/4 multiples over [0, 4pi)
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    # JIT compilation happens once, outside the timed budgets
-    _kernels.warm_up()
 
 
 class Criterion:

@@ -7,32 +7,6 @@ from nmrlogic import _kernels as k
 
 PI = math.pi
 
-needs_numba = pytest.mark.skipif(not k.NUMBA_AVAILABLE, reason="numba not installed")
-
-
-def random_tables(seed=0, count=6, size=9):
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        # quantised values so exact level coincidences actually occur
-        yield np.round(rng.uniform(-0.25, 0.25, size=(size, size)) * 8) / 8
-
-
-@needs_numba
-def test_quadruple_search_backends_identical():
-    outputs_list = [
-        (False, False, False, True),
-        (True, True, True, False),
-        (False, True, True, False),
-        (True, True, True, True),
-        (False, False, False, False),
-        (False, True, False, True),
-    ]
-    for table in random_tables():
-        for outputs in outputs_list:
-            a = k.find_gate_quadruples_numpy(table, outputs, 1e-9)
-            b = k.find_gate_quadruples_numba(table, outputs, 1e-9)
-            assert np.array_equal(a, b)
-
 
 def test_quadruple_search_lexicographic_order():
     table = np.zeros((3, 3))
@@ -73,39 +47,11 @@ def test_chunked_numpy_search_matches_full_broadcast(monkeypatch):
         (True, True, True, True),
         (False, True, True, False),
     ]:
-        full = k.find_gate_quadruples_numpy(table, outputs, 1e-9)
+        full = k.find_gate_quadruples(table, outputs, 1e-9)
         monkeypatch.setattr(k, "_FULL_BROADCAST_LIMIT", 1)
-        chunked = k.find_gate_quadruples_numpy(table, outputs, 1e-9)
+        chunked = k.find_gate_quadruples(table, outputs, 1e-9)
         monkeypatch.undo()
         assert np.array_equal(full, chunked)
-
-
-@needs_numba
-def test_backends_agree_on_scenario_table():
-    from nmrlogic.gates import ALL_GATES
-    from nmrlogic.observables import GridSpec
-    from nmrlogic.synthesis import Scenario, scenario_table
-
-    grid = GridSpec(0.0, np.pi / 4, 16)
-    scenario = Scenario("z", 1, "mx", ("phi", "beta"))
-    cand = grid.values()
-    table = scenario_table(scenario, cand, cand)
-    for tt in ALL_GATES:
-        a = k.find_gate_quadruples_numpy(table, tt.outputs, 1e-9)
-        b = k.find_gate_quadruples_numba(table, tt.outputs, 1e-9)
-        assert np.array_equal(a, b), tt.gate_id
-
-
-@needs_numba
-def test_two_pulse_backends_agree():
-    rng = np.random.default_rng(3)
-    phi2, beta2, phi1, beta1 = rng.uniform(-9, 9, size=(4, 500))
-    for lam in (0.0, 0.4, 1.0):
-        for from_x in (False, True):
-            ref = k.two_pulse_components_numpy(phi2, beta2, phi1, beta1, lam, from_x)
-            jit = k.two_pulse_components_numba(phi2, beta2, phi1, beta1, lam, from_x)
-            for a, b in zip(ref, jit):
-                assert np.max(np.abs(a - b)) <= 1e-13
 
 
 def test_two_pulse_components_broadcast_and_shape():
@@ -121,27 +67,3 @@ def test_two_pulse_components_scalar_input():
     mx, my, mz = k.two_pulse_components(PI / 2, PI / 2, 0.0, 0.0, 1.0, False)
     assert float(mx) == pytest.approx(0.25, abs=1e-15)
     assert float(mz) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_env_flag_parsing(monkeypatch):
-    for raw, expected in [
-        ("1", True), ("on", True), ("", True), ("numba", True),
-        ("0", False), ("false", False), ("OFF", False), ("numpy", False), ("no", False),
-    ]:
-        monkeypatch.setenv("NMRLOGIC_NUMBA", raw)
-        assert k.numba_requested() is expected
-    monkeypatch.delenv("NMRLOGIC_NUMBA")
-    assert k.numba_requested() is True
-
-
-def test_active_backend_matches_flag():
-    if k.NUMBA_ENABLED:
-        assert k.find_gate_quadruples is k.find_gate_quadruples_numba
-        assert k.two_pulse_components is k.two_pulse_components_numba
-    else:
-        assert k.find_gate_quadruples is k.find_gate_quadruples_numpy
-        assert k.two_pulse_components is k.two_pulse_components_numpy
-
-
-def test_warm_up_runs():
-    k.warm_up()

@@ -296,6 +296,10 @@ def test_grid_spec_validation():
         obs.GridSpec(0.0, 0.0, 5)
     with pytest.raises(ValueError):
         obs.GridSpec(math.nan, 1.0, 5)
+    for count in (2.5, 4.0, "4"):
+        with pytest.raises(ValueError):
+            obs.GridSpec(0.0, 1.0, count)
+    assert len(obs.GridSpec(0.0, 1.0, np.int64(3)).values()) == 3
     values = obs.GridSpec(1.0, 0.5, 4).values()
     assert np.allclose(values, [1.0, 1.5, 2.0, 2.5])
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nmrlogic import _kernels
 from nmrlogic import gates as g
 from nmrlogic import synthesis as syn
 from nmrlogic.observables import GridSpec, InitialState, ObservableKind
@@ -214,18 +215,20 @@ def test_symmetry_closure_of_assignments():
 # ---------------------------------------------------------------------------
 
 
-def oracle_realizable(table, tt, tol=1e-9):
-    n = len(table)
-    rng = range(n)
-    for i0 in rng:
-        for i1 in rng:
-            for j0 in rng:
-                for j1 in rng:
+def oracle_quadruples(table, outputs, tol=1e-9):
+    """Yield every realizing (i0, i1, j0, j1), in lexicographic order."""
+    o00, o01, o10, o11 = outputs
+    rows = range(len(table))
+    cols = range(len(table[0]))
+    for i0 in rows:
+        for i1 in rows:
+            for j0 in cols:
+                for j1 in cols:
                     corners = (
-                        (table[i0][j0], tt(0, 0)),
-                        (table[i0][j1], tt(0, 1)),
-                        (table[i1][j0], tt(1, 0)),
-                        (table[i1][j1], tt(1, 1)),
+                        (table[i0][j0], o00),
+                        (table[i0][j1], o01),
+                        (table[i1][j0], o10),
+                        (table[i1][j1], o11),
                     )
                     zeros = [v for v, bit in corners if not bit]
                     ones = [v for v, bit in corners if bit]
@@ -238,8 +241,53 @@ def oracle_realizable(table, tt, tol=1e-9):
                         gap_down = min(zeros) - max(ones)
                         if not (gap_up > tol or gap_down > tol):
                             continue
-                    return True
-    return False
+                    yield (i0, i1, j0, j1)
+
+
+def random_tables(seed=0, count=6, size=9):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        # quantised values so exact level coincidences actually occur
+        yield np.round(rng.uniform(-0.25, 0.25, size=(size, size)) * 8) / 8
+
+
+ORACLE_OUTPUTS = [
+    (False, False, False, True),
+    (True, True, True, False),
+    (False, True, True, False),
+    (True, True, True, True),
+    (False, False, False, False),
+    (False, True, False, True),
+]
+
+# the default limit searches these small tables in one 4-d broadcast,
+# a limit of 1 one i0 row at a time
+SEARCH_LIMITS = pytest.mark.parametrize(
+    "limit", [_kernels._FULL_BROADCAST_LIMIT, 1], ids=["full-broadcast", "row-blocks"]
+)
+
+
+@SEARCH_LIMITS
+def test_kernel_hits_equal_oracle_enumeration(monkeypatch, limit):
+    monkeypatch.setattr(_kernels, "_FULL_BROADCAST_LIMIT", limit)
+    # a tolerance of one quantisation step puts corner gaps exactly at tol
+    for tol in (1e-9, 1 / 8):
+        for table in random_tables():
+            for outputs in ORACLE_OUTPUTS:
+                expected = list(oracle_quadruples(table, outputs, tol))
+                found = _kernels.find_gate_quadruples(table, outputs, tol)
+                assert found.dtype == np.int64
+                assert [tuple(row) for row in found.tolist()] == expected, (tol, outputs)
+
+
+@SEARCH_LIMITS
+def test_kernel_without_hits_returns_empty_int64(monkeypatch, limit):
+    monkeypatch.setattr(_kernels, "_FULL_BROADCAST_LIMIT", limit)
+    # every corner equal: no two output levels can be told apart
+    table = np.zeros((4, 4))
+    found = _kernels.find_gate_quadruples(table, (False, True, True, False), 1e-9)
+    assert found.shape == (0, 4)
+    assert found.dtype == np.int64
 
 
 @pytest.mark.parametrize(
@@ -258,7 +306,8 @@ def test_search_agrees_with_brute_force_oracle(scenario):
         [syn.evaluate_scenario(scenario, a, b) for b in cand] for a in cand
     ]
     for tt in g.ALL_GATES:
-        expected = oracle_realizable(table, tt)
+        outputs = (tt(0, 0), tt(0, 1), tt(1, 0), tt(1, 1))
+        expected = next(oracle_quadruples(table, outputs), None) is not None
         found = syn.count_assignments(scenario, tt, DEFAULT_GRID) > 0
         assert found == expected, tt.name
 
