@@ -30,6 +30,7 @@ from .observables import (
     InitialState,
     ObservableKind,
     ONE_PULSE_PARAMS,
+    default_axis,
     scenario_components,
 )
 
@@ -93,28 +94,36 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--initial", choices=["z", "x"], help="initial state")
-    parser.add_argument("--pulses", type=int, choices=[1, 2], help="pulse count")
-    parser.add_argument(
-        "--observable", choices=["mx", "my", "mxy"], help="detected quantity"
-    )
-    parser.add_argument(
-        "--inputs",
-        help="comma-separated parameters bound to logic inputs A,B "
-        "(phi,beta for 1 pulse; phi1,beta1,phi2,beta2 for 2 pulses)",
-    )
-    parser.add_argument(
-        "--fix",
-        action="append",
-        default=None,
-        metavar="PARAM=ANGLE",
-        help="fix a non-input parameter (repeatable)",
-    )
+def _add_flags(parser: argparse.ArgumentParser, *, scenario: bool, tol: bool) -> None:
+    """Add the option flags a subcommand reads.
+
+    `scenario` adds the flags that define the experiment plus --out, `tol`
+    adds --tol.  Each flag name without "--" is also a --config key.
+    """
+    if scenario:
+        parser.add_argument("--initial", choices=["z", "x"], help="initial state")
+        parser.add_argument("--pulses", type=int, choices=[1, 2], help="pulse count")
+        parser.add_argument(
+            "--observable", choices=["mx", "my", "mxy"], help="detected quantity"
+        )
+        parser.add_argument(
+            "--inputs",
+            help="comma-separated parameters bound to logic inputs A,B "
+            "(phi,beta for 1 pulse; phi1,beta1,phi2,beta2 for 2 pulses)",
+        )
+        parser.add_argument(
+            "--fix",
+            action="append",
+            default=None,
+            metavar="PARAM=ANGLE",
+            help="fix a non-input parameter (repeatable)",
+        )
     parser.add_argument("--lambda", dest="lambda_b", help="polarization scale")
     parser.add_argument("--grid", help="candidate grid start:step:count")
-    parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--tol", help="numeric tolerance override")
+    if scenario:
+        parser.add_argument("--out", help="output path (default: stdout)")
+    if tol:
+        parser.add_argument("--tol", help="numeric tolerance override")
     parser.add_argument("--config", help="key=value config file; flags win")
 
 
@@ -135,7 +144,7 @@ def build_parser() -> _Parser:
     p_grid = sub.add_parser(
         "grid", help="export an observable grid as CSV", epilog=_EPILOG
     )
-    _add_scenario_flags(p_grid)
+    _add_flags(p_grid, scenario=True, tol=False)
 
     p_classify = sub.add_parser(
         "classify", help="classify a boolean gate", epilog=_EPILOG
@@ -146,12 +155,13 @@ def build_parser() -> _Parser:
         "synthesize", help="search gate realizations", epilog=_EPILOG
     )
     p_synth.add_argument("gate", help="gate name or id 0-15")
-    _add_scenario_flags(p_synth)
+    _add_flags(p_synth, scenario=True, tol=True)
 
     p_verify = sub.add_parser(
         "verify", help="recompute built-in reference values", epilog=_EPILOG
     )
-    _add_scenario_flags(p_verify)
+    _add_flags(p_verify, scenario=False, tol=True)
+    parser.commands = sub.choices  # name -> subcommand parser, for --config keys
     return parser
 
 
@@ -174,29 +184,27 @@ def _load_config(path: str) -> dict:
     return values
 
 
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
+def _merge_config(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> argparse.Namespace:
+    """Fill the flags left unset from the --config file; `parser` is the
+    subcommand's, so a key it has no flag for is an error."""
     if not getattr(args, "config", None):
         return args
-    config = _load_config(args.config)
-    mapping = {
-        "initial": "initial",
-        "pulses": "pulses",
-        "observable": "observable",
-        "inputs": "inputs",
-        "lambda": "lambda_b",
-        "grid": "grid",
-        "out": "out",
-        "tol": "tol",
-        "fix": "fix",
+    actions = {
+        action.option_strings[0][2:]: action
+        for action in parser._actions
+        if action.option_strings and action.dest not in ("help", "config")
     }
-    for key, attr in mapping.items():
-        if key not in config:
-            continue
-        if getattr(args, attr, None) is None:
-            value = config[key]
-            if attr == "pulses":
-                value = int(value)
-            setattr(args, attr, value)
+    for key, value in _load_config(args.config).items():
+        if key not in actions:
+            raise ValueError(
+                f"unknown config key {key!r} for {args.command}; "
+                f"valid: {', '.join(actions)}"
+            )
+        action = actions[key]
+        if getattr(args, action.dest) is None:
+            setattr(args, action.dest, action.type(value) if action.type else value)
     return args
 
 
@@ -222,12 +230,6 @@ def _scenario_from_args(args: argparse.Namespace) -> synthesis.Scenario:
     )
 
 
-def _default_axis(param: str, count: int = 101) -> GridSpec:
-    if param.startswith("phi"):
-        return GridSpec(0.0, 4 * math.pi / count, count)
-    return GridSpec(-2 * math.pi, 4 * math.pi / count, count)
-
-
 def _open_out(path: Optional[str]):
     if path is None:
         return sys.stdout, False
@@ -239,8 +241,8 @@ def cmd_grid(args: argparse.Namespace) -> int:
     if args.grid:
         grid_a = grid_b = parse_grid(args.grid)
     else:
-        grid_a = _default_axis(scenario.inputs[0])
-        grid_b = _default_axis(scenario.inputs[1])
+        grid_a = default_axis(scenario.inputs[0])
+        grid_b = default_axis(scenario.inputs[1])
     avals = grid_a.values()
     bvals = grid_b.values()
     mesh_a, mesh_b = np.meshgrid(avals, bvals, indexing="ij")
@@ -282,15 +284,18 @@ def cmd_grid(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
+def _parse_gate(token: str) -> gates.TruthTable:
     try:
-        tt = gates.parse_gate(args.gate)
+        return gates.parse_gate(token)
     except ValueError:
-        print(f"error: unknown gate {args.gate!r}", file=sys.stderr)
-        print(
-            "valid tokens: " + ", ".join(gates.valid_gate_tokens()), file=sys.stderr
-        )
-        return EXIT_USAGE
+        raise ValueError(
+            f"unknown gate {token!r}\nvalid tokens: "
+            + ", ".join(gates.valid_gate_tokens())
+        ) from None
+
+
+def cmd_classify(args: argparse.Namespace) -> int:
+    tt = _parse_gate(args.gate)
     profile = gates.canalising_counts(tt)
     cls = gates.gate_class(tt)
     members = sorted(gates.orbit(tt), key=lambda g: g.gate_id)
@@ -328,14 +333,7 @@ def _write_rows(handle, template: str, columns) -> None:
 
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
-    try:
-        tt = gates.parse_gate(args.gate)
-    except ValueError:
-        print(f"error: unknown gate {args.gate!r}", file=sys.stderr)
-        print(
-            "valid tokens: " + ", ".join(gates.valid_gate_tokens()), file=sys.stderr
-        )
-        return EXIT_USAGE
+    tt = _parse_gate(args.gate)
     scenario = _scenario_from_args(args)
     grid = parse_grid(args.grid) if args.grid else synthesis.DEFAULT_SYNTH_GRID
     tol = float(args.tol) if args.tol else synthesis.DEFAULT_LEVEL_TOL
@@ -401,7 +399,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        args = _merge_config(args)
+        args = _merge_config(args, parser.commands[args.command])
         if args.command == "grid":
             return cmd_grid(args)
         if args.command == "classify":

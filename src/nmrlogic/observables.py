@@ -1,9 +1,10 @@
-"""Analytic observable functions and grid sampling.
+"""Observable evaluation: parameter binding, closed forms and grid axes.
 
-Two routes exist to every observable: the closed-form trigonometric
-expressions implemented here, and numeric matrix propagation (`spincore`
-for scalars, `_kernels` for arrays).  The test suite pins one against the
-other; production code may use whichever is convenient.
+`scenario_components` is the one evaluator: it binds two pulse parameters
+to logic inputs A and B, fixes the rest, and returns (mx, my, mz).  It
+uses the closed-form trigonometric expressions for one pulse and numeric
+matrix propagation (`_kernels`) for two; `spincore` propagates scalars
+independently, and the test suite pins both routes against it.
 
 Single-pulse closed forms, starting state polarised along z:
 
@@ -33,7 +34,7 @@ from typing import Mapping, Tuple
 import numpy as np
 
 from . import _kernels
-from .spincore import Magnetization, _require_finite
+from .spincore import _require_finite
 
 
 class InitialState(enum.Enum):
@@ -55,29 +56,6 @@ ONE_PULSE_PARAMS = ("phi", "beta")
 TWO_PULSE_PARAMS = ("phi2", "beta2", "phi1", "beta1")
 
 
-def single_pulse_from_z(phi_p: float, beta: float, lambda_b: float = 1.0) -> Magnetization:
-    """Magnetization after one pulse on the thermal (z-polarised) state."""
-    _require_finite(phi_p, beta, lambda_b)
-    q = 0.25 * lambda_b
-    return Magnetization(
-        q * math.sin(phi_p) * math.sin(beta),
-        -q * math.cos(phi_p) * math.sin(beta),
-        q * math.cos(beta),
-    )
-
-
-def single_pulse_from_x(phi_p: float, beta: float, lambda_b: float = 1.0) -> Magnetization:
-    """Magnetization after one pulse on the x-polarised state."""
-    _require_finite(phi_p, beta, lambda_b)
-    q = 0.25 * lambda_b
-    sh = math.sin(0.5 * beta)
-    return Magnetization(
-        q * (1.0 - 2.0 * math.sin(phi_p) ** 2 * sh**2),
-        q * math.sin(2.0 * phi_p) * sh**2,
-        -q * math.sin(phi_p) * math.sin(beta),
-    )
-
-
 def _single_pulse_components(phis, betas, lambda_b, from_x):
     """Vectorised closed forms; arrays broadcast. Returns (mx, my, mz)."""
     phis = np.asarray(phis, dtype=np.float64)
@@ -93,23 +71,6 @@ def _single_pulse_components(phis, betas, lambda_b, from_x):
         my = -q * np.cos(phis) * np.sin(betas)
         mz = q * np.cos(betas)
     return mx, my, mz
-
-
-def two_pulse_observable(
-    phi_p2: float,
-    beta2: float,
-    phi_p1: float,
-    beta1: float,
-    lambda_b: float,
-    kind: ObservableKind,
-    initial: InitialState,
-) -> float:
-    """Observable after two pulses, by numeric propagation (pulse 1 first)."""
-    _require_finite(phi_p2, beta2, phi_p1, beta1, lambda_b)
-    mx, my, _ = _kernels.two_pulse_components(
-        phi_p2, beta2, phi_p1, beta1, lambda_b, initial is InitialState.SUPERPOSITION_X
-    )
-    return float(_select_component(kind, mx, my))
 
 
 def _select_component(kind: ObservableKind, mx, my):
@@ -217,7 +178,7 @@ def two_pulse_mixed_fix_closed_form(
 
 
 # ---------------------------------------------------------------------------
-# Parameter binding and grid sampling.
+# Grid axes and parameter binding.
 # ---------------------------------------------------------------------------
 
 
@@ -242,6 +203,12 @@ class GridSpec:
 
     def values(self) -> np.ndarray:
         return self.start + self.step * np.arange(self.count, dtype=np.float64)
+
+
+def default_axis(param: str, count: int = 101) -> GridSpec:
+    """Axis of `count` points spanning 4pi: phases from 0, flip angles from -2pi."""
+    start = 0.0 if param.startswith("phi") else -2 * math.pi
+    return GridSpec(start, 4 * math.pi / count, count)
 
 
 def validate_binding(pulses: int, inputs, fixed: Mapping[str, float]) -> None:
@@ -294,21 +261,3 @@ def scenario_components(
     return _kernels.two_pulse_components(
         bound["phi2"], bound["beta2"], bound["phi1"], bound["beta1"], lambda_b, from_x
     )
-
-
-def observable_grid(
-    initial: InitialState,
-    kind: ObservableKind,
-    pulses: int,
-    inputs,
-    fixed: Mapping[str, float],
-    grid_a: GridSpec,
-    grid_b: GridSpec,
-    lambda_b: float = 1.0,
-) -> np.ndarray:
-    """Observable sampled over the Cartesian grid, input A on the row axis."""
-    avals, bvals = np.meshgrid(grid_a.values(), grid_b.values(), indexing="ij")
-    mx, my, _ = scenario_components(
-        initial, pulses, inputs, fixed, avals, bvals, lambda_b
-    )
-    return np.asarray(_select_component(kind, mx, my))

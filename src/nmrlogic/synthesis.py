@@ -26,10 +26,12 @@ from .observables import (
     TWO_PULSE_MIXED_FIX_FORMS,
     TWO_PULSE_PARAMS,
     TWO_PULSE_PI_HALF_FORMS,
+    default_axis,
     scenario_components,
     validate_binding,
     _select_component,
 )
+from .spincore import _require_finite
 
 DEFAULT_LEVEL_TOL = 1e-9
 DEFAULT_SYNTH_GRID = GridSpec(start=0.0, step=math.pi / 4, count=16)
@@ -63,6 +65,7 @@ class Scenario:
 
 def evaluate_scenario(scenario: Scenario, a_value: float, b_value: float) -> float:
     """Observable with input A bound to `a_value` and B to `b_value`."""
+    _require_finite(a_value, b_value)
     mx, my, _ = scenario_components(
         scenario.initial,
         scenario.pulses,
@@ -94,6 +97,11 @@ def scenario_table(scenario: Scenario, a_values, b_values) -> np.ndarray:
     return np.asarray(_select_component(scenario.observable, mx, my), dtype=np.float64)
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
+
+
 @dataclass(frozen=True)
 class GateAssignment:
     """Concrete gate realization: input values plus the output level map.
@@ -109,6 +117,7 @@ class GateAssignment:
     tolerance: float = DEFAULT_LEVEL_TOL
 
     def __post_init__(self) -> None:
+        _check_tol(self.tolerance)
         if not 1 <= len(self.level_map) <= 2:
             raise ValueError("level map needs one or two levels")
         bits = [bit for _, bit in self.level_map]
@@ -116,7 +125,7 @@ class GateAssignment:
             raise ValueError("level map must be injective on bits")
         if len(self.level_map) == 2:
             gap = abs(self.level_map[0][0] - self.level_map[1][0])
-            if gap <= self.tolerance:
+            if not gap > self.tolerance:
                 raise ValueError(
                     f"levels must be separated by more than {self.tolerance}, gap {gap}"
                 )
@@ -176,11 +185,6 @@ class SearchResult(NamedTuple):
     indices: np.ndarray
     candidates: np.ndarray
     table: np.ndarray
-
-
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
 
 
 def search(
@@ -359,18 +363,6 @@ class CheckResult(NamedTuple):
     detail: str
 
 
-def _phase_axis(count: int) -> GridSpec:
-    return GridSpec(0.0, 4 * _PI / count, count)
-
-
-def _flip_axis(count: int) -> GridSpec:
-    return GridSpec(-2 * _PI, 4 * _PI / count, count)
-
-
-def _axis_for(param: str, count: int) -> GridSpec:
-    return _phase_axis(count) if param.startswith("phi") else _flip_axis(count)
-
-
 def verify_reference_tables(
     lambda_b: float = 1.0, tol: float = 1e-10, grid_points: int = 101
 ) -> List[CheckResult]:
@@ -401,21 +393,16 @@ def verify_reference_tables(
             )
         )
 
+    forms = []
     for pair, (free, formula) in TWO_PULSE_PI_HALF_FORMS.items():
-        fixed = {p: _PI / 2 for p in TWO_PULSE_PARAMS if p not in free}
+        others = {p: _PI / 2 for p in TWO_PULSE_PARAMS if p not in free}
+        forms.append((f"{pair}; others pi/2", free, others, formula))
+    forms += [(case, *form) for case, form in TWO_PULSE_MIXED_FIX_FORMS.items()]
+    for label, free, fixed, formula in forms:
         err = _closed_form_max_error(free, fixed, formula, lambda_b, grid_points)
         results.append(
             CheckResult(
-                f"two-pulse closed form ({pair}; others pi/2)",
-                err <= tol,
-                f"max |closed - numeric| = {err:.3e}",
-            )
-        )
-    for case, (free, fixed, formula) in TWO_PULSE_MIXED_FIX_FORMS.items():
-        err = _closed_form_max_error(free, fixed, formula, lambda_b, grid_points)
-        results.append(
-            CheckResult(
-                f"two-pulse closed form ({case})",
+                f"two-pulse closed form ({label})",
                 err <= tol,
                 f"max |closed - numeric| = {err:.3e}",
             )
@@ -424,14 +411,20 @@ def verify_reference_tables(
 
 
 def _closed_form_max_error(free, fixed, formula, lambda_b, grid_points) -> float:
-    grid_a = _axis_for(free[0], grid_points)
-    grid_b = _axis_for(free[1], grid_points)
-    avals, bvals = np.meshgrid(grid_a.values(), grid_b.values(), indexing="ij")
-    mx, _, _ = scenario_components(
-        InitialState.SUPERPOSITION_X, 2, free, fixed, avals, bvals, lambda_b
+    """Largest |closed form - propagated x-state mx| over the default axes."""
+    a_values = default_axis(free[0], grid_points).values()
+    b_values = default_axis(free[1], grid_points).values()
+    scenario = Scenario(
+        InitialState.SUPERPOSITION_X,
+        2,
+        ObservableKind.MX,
+        free,
+        fixed=tuple(fixed.items()),
+        lambda_b=lambda_b,
     )
-    analytic = formula(avals, bvals, 0.25 * lambda_b)
-    return float(np.max(np.abs(np.asarray(analytic) - mx)))
+    numeric = scenario_table(scenario, a_values, b_values)
+    analytic = formula(a_values[:, None], b_values[None, :], 0.25 * lambda_b)
+    return float(np.max(np.abs(analytic - numeric)))
 
 
 # Coarsest grid containing every exemplar parameter value (all multiples of

@@ -1,5 +1,7 @@
 import math
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,6 +250,58 @@ def test_verify_fails_with_wrong_scale(capsys):
     assert "FAIL" in out
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "argv,golden",
+    [
+        ((), "verify_default.txt"),
+        (("--grid", "0:1/8pi:24"), "verify_grid_eighth_pi_24.txt"),
+    ],
+)
+def test_verify_stdout_matches_golden(capsys, argv, golden):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 0
+    assert err == ""
+    assert_same_text(out, (GOLDEN / golden).read_text(encoding="utf-8"))
+
+
+# flags each subcommand does not read -----------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--initial", "x"),
+        ("verify", "--pulses", "2"),
+        ("verify", "--fix", "phi=1"),
+        ("verify", "--out", "OUT"),
+        ("verify", "--observable", "my"),
+        ("verify", "--inputs", "phi,beta"),
+        ("grid", "--tol", "nan"),
+        ("grid", "--tol", "1e-9", "--out", "OUT"),
+        ("classify", "XOR", "--tol", "1"),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_unread_flags_are_usage_errors(tmp_path, capsys, argv):
+    out_path = tmp_path / "out.txt"
+    code, out, err = run(capsys, *(str(out_path) if a == "OUT" else a for a in argv))
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments" in err
+    assert not out_path.exists()
+
+
+def test_entry_point_exits_with_main_code(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["nmrlogic", "classify", "XOR"])
+    with pytest.raises(SystemExit) as excinfo:
+        cli.entry_point()
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out.startswith("gate XOR (id 6)")
+
+
 # config files ----------------------------------------------------------------
 
 
@@ -278,6 +332,36 @@ def test_config_flags_override_file(tmp_path, capsys):
     row = [line for line in out.splitlines() if line.startswith("1.57079632679,1.57079632679")]
     assert code == 0
     assert row and float(row[0].split(",")[2]) == pytest.approx(0.25, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv,text,key",
+    [
+        (("grid",), "grdi=0:1/2pi:4\n", "grdi"),
+        (("grid",), "initial=x\ntol=1e-9\n", "tol"),
+        (("verify",), "initial=x\n", "initial"),
+        (("verify",), "out=v.txt\n", "out"),
+        (("synthesize", "XOR"), "config=other.cfg\n", "config"),
+    ],
+    ids=["grid-typo", "grid-tol", "verify-initial", "verify-out", "synthesize-config"],
+)
+def test_config_unknown_key_is_usage_error(tmp_path, capsys, argv, text, key):
+    config = tmp_path / "run.cfg"
+    config.write_text(text)
+    code, out, err = run(capsys, *argv, "--config", str(config))
+    assert code == 1
+    assert out == ""
+    assert f"unknown config key {key!r}" in err
+
+
+def test_config_keys_follow_the_flags(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("lambda=0.5\ntol=1e-12\ngrid=0:1/2pi:8\n")
+    code, out, _ = run(capsys, "verify", "--config", str(config))
+    assert code == 4  # lambda reaches the checks: the scale is wrong
+    assert out.splitlines()[0] == (
+        "verification run: lambda=0.5, tol=1e-12, search grid 0:1.57079632679:8"
+    )
 
 
 def test_config_bad_line(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from nmrlogic import _kernels
 from nmrlogic import observables as obs
 from nmrlogic import spincore as sc
+from nmrlogic import synthesis as syn
 
 PI = math.pi
 
@@ -16,74 +17,103 @@ def numeric_single_pulse(phi, beta, lam, from_x):
     return sc.magnetization(sc.propagate(rho0, sc.rot_phi(phi, beta)))
 
 
+def numeric_two_pulse(phi2, beta2, phi1, beta1, lam, from_x):
+    """Oracle: pulse 1 first, then pulse 2, through spincore."""
+    rho0 = sc.superposition_x_state(lam) if from_x else sc.thermal_state(lam)
+    u = sc.rot_phi(phi2, beta2) @ sc.rot_phi(phi1, beta1)
+    return sc.magnetization(sc.propagate(rho0, u))
+
+
+def closed_single_pulse(phi, beta, lam, from_x):
+    """One point of the vectorised closed forms, checked against the oracle."""
+    closed = sc.Magnetization(
+        *(float(c) for c in obs._single_pulse_components(phi, beta, lam, from_x))
+    )
+    oracle = numeric_single_pulse(phi, beta, lam, from_x)
+    for got, want in ((closed.mx, oracle.mx), (closed.my, oracle.my), (closed.mz, oracle.mz)):
+        assert got == pytest.approx(want, abs=1e-12)
+    return closed
+
+
 def test_single_pulse_from_z_examples():
-    assert obs.single_pulse_from_z(PI / 2, PI / 2, 1.0).mx == pytest.approx(0.25, abs=1e-15)
-    assert obs.single_pulse_from_z(PI / 2, -PI / 2, 1.0).mx == pytest.approx(-0.25, abs=1e-15)
+    assert closed_single_pulse(PI / 2, PI / 2, 1.0, False).mx == pytest.approx(0.25, abs=1e-15)
+    assert closed_single_pulse(PI / 2, -PI / 2, 1.0, False).mx == pytest.approx(-0.25, abs=1e-15)
     for phi in (0.0, 1.3, -2.0):
-        m = obs.single_pulse_from_z(phi, 0.0, 0.8)
+        m = closed_single_pulse(phi, 0.0, 0.8, False)
         assert (m.mx, m.my, m.mz) == pytest.approx((0.0, 0.0, 0.2), abs=1e-15)
 
 
 def test_single_pulse_from_z_transverse_magnitude():
     for phi in (0.0, 0.7, 2.0):
         for beta in (-1.0, 0.4, PI / 2, 3.0):
-            m = obs.single_pulse_from_z(phi, beta, 1.0)
+            m = closed_single_pulse(phi, beta, 1.0, False)
             assert m.mxy == pytest.approx(0.25 * abs(math.sin(beta)), abs=1e-15)
 
 
 def test_single_pulse_from_x_examples():
     for beta in (0.0, 0.5, PI, -2.5):
-        assert obs.single_pulse_from_x(0.0, beta, 1.0).mx == pytest.approx(0.25, abs=1e-15)
-    assert obs.single_pulse_from_x(PI / 2, PI, 1.0).mx == pytest.approx(-0.25, abs=1e-15)
-    assert obs.single_pulse_from_x(PI / 2, PI / 2, 1.0).mz == pytest.approx(-0.25, abs=1e-15)
+        assert closed_single_pulse(0.0, beta, 1.0, True).mx == pytest.approx(0.25, abs=1e-15)
+    assert closed_single_pulse(PI / 2, PI, 1.0, True).mx == pytest.approx(-0.25, abs=1e-15)
+    assert closed_single_pulse(PI / 2, PI / 2, 1.0, True).mz == pytest.approx(-0.25, abs=1e-15)
 
 
 def test_single_pulse_from_x_transverse_magnitude():
     for phi in (0.0, 0.9, PI / 2):
         for beta in (-0.3, 1.1, PI):
-            m = obs.single_pulse_from_x(phi, beta, 1.0)
+            m = closed_single_pulse(phi, beta, 1.0, True)
             expected = 0.25 * math.sqrt(1 - math.sin(phi) ** 2 * math.sin(beta) ** 2)
             assert m.mxy == pytest.approx(expected, abs=1e-14)
 
 
 @pytest.mark.parametrize("from_x", [False, True])
 def test_closed_forms_match_scalar_propagation(from_x):
-    closed = obs.single_pulse_from_x if from_x else obs.single_pulse_from_z
-    for phi in np.linspace(0, 4 * PI, 17):
-        for beta in np.linspace(-2 * PI, 2 * PI, 17):
-            for lam in (0.3, 1.0):
-                cf = closed(phi, beta, lam)
+    phis = np.linspace(0, 4 * PI, 17)
+    betas = np.linspace(-2 * PI, 2 * PI, 17)
+    for lam in (0.3, 1.0):
+        mx, my, mz = np.broadcast_arrays(
+            *obs._single_pulse_components(phis[:, None], betas[None, :], lam, from_x)
+        )
+        for i, phi in enumerate(phis):
+            for j, beta in enumerate(betas):
                 nm = numeric_single_pulse(phi, beta, lam, from_x)
-                assert abs(cf.mx - nm.mx) <= 1e-12
-                assert abs(cf.my - nm.my) <= 1e-12
-                assert abs(cf.mz - nm.mz) <= 1e-12
-                assert abs(cf.mxy - nm.mxy) <= 1e-12
+                assert abs(mx[i, j] - nm.mx) <= 1e-12
+                assert abs(my[i, j] - nm.my) <= 1e-12
+                assert abs(mz[i, j] - nm.mz) <= 1e-12
+                assert abs(math.hypot(mx[i, j], my[i, j]) - nm.mxy) <= 1e-12
+
+
+def x_state_two_pulse(inputs, fixed, kind=obs.ObservableKind.MX, lambda_b=1.0):
+    return syn.Scenario(
+        obs.InitialState.SUPERPOSITION_X, 2, kind, inputs, tuple(fixed.items()), lambda_b
+    )
 
 
 def test_two_pulse_examples():
-    val = obs.two_pulse_observable(
-        PI / 2, PI / 2, PI / 2, PI / 2, 1.0,
-        obs.ObservableKind.MX, obs.InitialState.SUPERPOSITION_X,
+    flips_half_pi = x_state_two_pulse(("phi2", "phi1"), {"beta2": PI / 2, "beta1": PI / 2})
+    assert syn.evaluate_scenario(flips_half_pi, PI / 2, PI / 2) == pytest.approx(-0.25, abs=1e-14)
+    assert numeric_two_pulse(PI / 2, PI / 2, PI / 2, PI / 2, 1.0, True).mx == pytest.approx(
+        -0.25, abs=1e-14
     )
-    assert val == pytest.approx(-0.25, abs=1e-14)
+    no_flips = x_state_two_pulse(("phi2", "phi1"), {"beta2": 0.0, "beta1": 0.0}, lambda_b=0.6)
     for phi2, phi1 in ((0.3, 1.0), (2.0, -1.0)):
-        val = obs.two_pulse_observable(
-            phi2, 0.0, phi1, 0.0, 0.6,
-            obs.ObservableKind.MX, obs.InitialState.SUPERPOSITION_X,
+        assert syn.evaluate_scenario(no_flips, phi2, phi1) == pytest.approx(0.15, abs=1e-14)
+        assert numeric_two_pulse(phi2, 0.0, phi1, 0.0, 0.6, True).mx == pytest.approx(
+            0.15, abs=1e-14
         )
-        assert val == pytest.approx(0.15, abs=1e-14)
 
 
 def test_two_pulse_undo_pulse_reduces_to_thermal_case():
     # a first (pi/2, -pi/2) pulse maps the x state back onto the thermal state
-    for phi2 in np.linspace(0, 4 * PI, 9):
-        for beta2 in np.linspace(-2 * PI, 2 * PI, 9):
-            val = obs.two_pulse_observable(
-                phi2, beta2, PI / 2, -PI / 2, 1.0,
-                obs.ObservableKind.MX, obs.InitialState.SUPERPOSITION_X,
-            )
-            assert val == pytest.approx(
-                obs.single_pulse_from_z(phi2, beta2, 1.0).mx, abs=1e-13
+    phis = np.linspace(0, 4 * PI, 9)
+    betas = np.linspace(-2 * PI, 2 * PI, 9)
+    undo = x_state_two_pulse(("phi2", "beta2"), {"phi1": PI / 2, "beta1": -PI / 2})
+    table = syn.scenario_table(undo, phis, betas)
+    for i, phi2 in enumerate(phis):
+        for j, beta2 in enumerate(betas):
+            thermal = closed_single_pulse(phi2, beta2, 1.0, False).mx
+            assert table[i, j] == pytest.approx(thermal, abs=1e-13)
+            assert numeric_two_pulse(phi2, beta2, PI / 2, -PI / 2, 1.0, True).mx == pytest.approx(
+                thermal, abs=1e-13
             )
 
 
@@ -117,7 +147,7 @@ def test_last_pulse_free_pair_is_negated_single_pulse():
     # -mx of the single-pulse thermal case; same for the mirrored binding
     for phi in np.linspace(0, 4 * PI, 15):
         for beta in np.linspace(-2 * PI, 2 * PI, 15):
-            base = obs.single_pulse_from_z(phi, beta, 0.7).mx
+            base = closed_single_pulse(phi, beta, 0.7, False).mx
             assert obs.two_pulse_pi_half_closed_form("phi2,beta2", phi, beta, 0.7) == pytest.approx(
                 -base, abs=1e-14
             )
@@ -235,58 +265,51 @@ def test_observable_values_bounded_by_quarter_lambda():
 def test_observable_grid_shape_and_convention():
     grid_a = obs.GridSpec(0.0, PI / 2, 5)
     grid_b = obs.GridSpec(-PI, PI / 4, 3)
-    out = obs.observable_grid(
-        obs.InitialState.THERMAL_Z, obs.ObservableKind.MX, 1,
-        ("phi", "beta"), {}, grid_a, grid_b, 1.0,
-    )
+    scenario = syn.Scenario("z", 1, "mx", ("phi", "beta"))
+    out = syn.scenario_table(scenario, grid_a.values(), grid_b.values())
     assert out.shape == (5, 3)
     # row-major, first (row) axis is input A = phi
     for i, phi in enumerate(grid_a.values()):
         for j, beta in enumerate(grid_b.values()):
             assert out[i, j] == pytest.approx(
-                obs.single_pulse_from_z(phi, beta).mx, abs=1e-15
+                numeric_single_pulse(phi, beta, 1.0, False).mx, abs=1e-15
             )
+            assert out[i, j] == syn.evaluate_scenario(scenario, phi, beta)
 
 
 def test_observable_grid_known_point():
-    grid = obs.GridSpec(0.0, PI / 2, 4)
-    out = obs.observable_grid(
-        obs.InitialState.THERMAL_Z, obs.ObservableKind.MX, 1,
-        ("phi", "beta"), {}, grid, grid, 1.0,
-    )
+    grid = obs.GridSpec(0.0, PI / 2, 4).values()
+    out = syn.scenario_table(syn.Scenario("z", 1, "mx", ("phi", "beta")), grid, grid)
     assert out[1, 1] == pytest.approx(0.25, abs=1e-15)  # (pi/2, pi/2)
 
 
 def test_observable_grid_thermal_mxy_rows_identical():
-    grid = obs.GridSpec(0.0, PI / 8, 16)
-    out = obs.observable_grid(
-        obs.InitialState.THERMAL_Z, obs.ObservableKind.MXY, 1,
-        ("phi", "beta"), {}, grid, grid, 1.0,
-    )
+    grid = obs.GridSpec(0.0, PI / 8, 16).values()
+    out = syn.scenario_table(syn.Scenario("z", 1, "mxy", ("phi", "beta")), grid, grid)
     assert np.max(np.abs(out - out[0:1, :])) <= 1e-15
 
 
 def test_observable_grid_xstate_pi_periodic_rows():
-    grid_a = obs.GridSpec(0.0, PI / 4, 16)
-    grid_b = obs.GridSpec(-PI, PI / 5, 10)
+    grid_a = obs.GridSpec(0.0, PI / 4, 16).values()
+    grid_b = obs.GridSpec(-PI, PI / 5, 10).values()
     for kind in obs.ObservableKind:
-        out = obs.observable_grid(
-            obs.InitialState.SUPERPOSITION_X, kind, 1,
-            ("phi", "beta"), {}, grid_a, grid_b, 1.0,
-        )
+        scenario = syn.Scenario("x", 1, kind, ("phi", "beta"))
+        out = syn.scenario_table(scenario, grid_a, grid_b)
         assert np.max(np.abs(out - np.roll(out, -4, axis=0))) <= 1e-12
 
 
 def test_observable_grid_two_pulse_binding():
-    grid = obs.GridSpec(0.0, PI / 2, 4)
-    out = obs.observable_grid(
-        obs.InitialState.SUPERPOSITION_X, obs.ObservableKind.MX, 2,
-        ("beta2", "beta1"), {"phi2": PI / 2, "phi1": PI / 2}, grid, grid, 1.0,
-    )
+    grid = obs.GridSpec(0.0, PI / 2, 4).values()
+    scenario = x_state_two_pulse(("beta2", "beta1"), {"phi2": PI / 2, "phi1": PI / 2})
+    out = syn.scenario_table(scenario, grid, grid)
     expected = obs.two_pulse_pi_half_closed_form(
-        "beta2,beta1", grid.values()[:, None], grid.values()[None, :], 1.0
+        "beta2,beta1", grid[:, None], grid[None, :], 1.0
     )
     assert np.max(np.abs(out - expected)) <= 1e-13
+    for i, beta2 in enumerate(grid):
+        for j, beta1 in enumerate(grid):
+            oracle = numeric_two_pulse(PI / 2, beta2, PI / 2, beta1, 1.0, True).mx
+            assert out[i, j] == pytest.approx(oracle, abs=1e-13)
 
 
 def test_grid_spec_validation():

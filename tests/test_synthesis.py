@@ -5,6 +5,7 @@ import pytest
 
 from nmrlogic import _kernels
 from nmrlogic import gates as g
+from nmrlogic import spincore as sc
 from nmrlogic import synthesis as syn
 from nmrlogic.observables import GridSpec, InitialState, ObservableKind
 
@@ -59,17 +60,27 @@ def test_scenario_table_matches_scalar_evaluation():
 
 
 def test_two_pulse_scenario_matches_direct_observable():
-    from nmrlogic.observables import two_pulse_observable
-
     scenario = syn.Scenario(
         InitialState.SUPERPOSITION_X, 2, ObservableKind.MY, ("beta2", "phi1"),
         fixed=(("phi2", 0.4), ("beta1", -1.1)), lambda_b=0.8,
     )
     value = syn.evaluate_scenario(scenario, 2.0, -0.5)
-    direct = two_pulse_observable(
-        0.4, 2.0, -0.5, -1.1, 0.8, ObservableKind.MY, InitialState.SUPERPOSITION_X
-    )
+    # pulse 1 (phi1, beta1) first, then pulse 2 (phi2, beta2)
+    u = sc.rot_phi(0.4, 2.0) @ sc.rot_phi(-0.5, -1.1)
+    direct = sc.magnetization(sc.propagate(sc.superposition_x_state(0.8), u)).my
     assert value == pytest.approx(direct, abs=1e-15)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_evaluate_scenario_rejects_non_finite_inputs(bad):
+    two_pulse = syn.Scenario(
+        "x", 2, "mx", ("phi2", "beta1"), fixed=(("phi1", PI / 2), ("beta2", PI))
+    )
+    for scenario in (THERMAL_MX, two_pulse):
+        with pytest.raises(ValueError):
+            syn.evaluate_scenario(scenario, bad, 0.0)
+        with pytest.raises(ValueError):
+            syn.evaluate_scenario(scenario, 0.0, bad)
 
 
 def test_reference_rows_realize_their_gates():
@@ -98,6 +109,12 @@ def test_assignment_validation():
         syn.GateAssignment((0.0, 1.0), (0.0, 1.0), ((0.25, True), (0.25, False)))
     with pytest.raises(ValueError):
         syn.GateAssignment((0.0, 1.0), (0.0, 1.0), ((0.25, True), (0.1, True)))
+    # a negative or NaN tolerance would let two equal levels pass the gap test
+    for tol in (math.nan, -1.0, math.inf):
+        with pytest.raises(ValueError, match="tolerance"):
+            syn.GateAssignment((0.0, 1.0), (0.0, 1.0), ((0.25, True), (0.25, False)), tol)
+    with pytest.raises(ValueError, match="separated"):
+        syn.GateAssignment((0.0, 1.0), (0.0, 1.0), ((math.nan, True), (0.0, False)))
 
 
 def test_classify_level_unreachable_value():
