@@ -105,13 +105,27 @@ def _quadruple_mask(corners, outputs, tol, shape):
     return ok
 
 
-# a full 4-d broadcast above this many quadruples would get memory-hungry;
-# search one i0 row at a time instead
-_FULL_BROADCAST_LIMIT = 1 << 22
+# Stage 2 takes row pairs (i0, i1) in blocks of about this many
+# quadruples, so a block's masks and gathered corners stay in cache; a
+# block is never smaller than one row pair.
+_BLOCK_QUADRUPLES = 1 << 16
+
+
+def _pair_test(gaps, same_level, tol):
+    """Where two corners `gaps` apart can share one level (`same_level`) or
+    lie on two different ones."""
+    return gaps <= tol if same_level else gaps > tol
 
 
 def find_gate_quadruples(values, outputs, tol):
     """All realizing quadruples, in lexicographic (i0, i1, j0, j1) order.
+
+    A two-stage search.  Stage 1 rules quadruples out pair by pair: two
+    corners of one output level lie within `tol`, two of different levels
+    more than `tol` apart.  Float subtraction is monotone, so every
+    quadruple that passes the exact test passes these pair tests too.
+    Stage 2 runs the exact test on the survivors only, over blocks of
+    row pairs (i0, i1) of about `_BLOCK_QUADRUPLES` quadruples each.
 
     Parameters
     ----------
@@ -127,18 +141,37 @@ def find_gate_quadruples(values, outputs, tol):
     (N, 4) int64 ndarray of candidate indices.
     """
     values = np.asarray(values, dtype=np.float64)
-    na, nb = values.shape
-    rows = na if na * na * nb * nb <= _FULL_BROADCAST_LIMIT else 1
-    blocks = []
-    for i0 in range(0, na, rows):
-        corners = (
-            values[i0:i0 + rows, None, :, None],  # (A=0, B=0)
-            values[i0:i0 + rows, None, None, :],  # (A=0, B=1)
-            values[None, :, :, None],  # (A=1, B=0)
-            values[None, :, None, :],  # (A=1, B=1)
-        )
-        ok = _quadruple_mask(corners, outputs, tol, (rows, na, nb, nb))
-        hits = np.argwhere(ok)
-        hits[:, 0] += i0
-        blocks.append(hits)
+    nb = values.shape[1]
+    o00, o01, o10, o11 = outputs
+    # The pairs in one row or one column depend on three indices each.
+    row_gaps = np.abs(values[:, :, None] - values[:, None, :])  # [i, j0, j1]
+    col_gaps = np.abs(values[:, None, :] - values[None, :, :])  # [i0, i1, j]
+    top = _pair_test(row_gaps, o00 == o01, tol)  # row i0
+    bottom = _pair_test(row_gaps, o10 == o11, tol)  # row i1
+    left = _pair_test(col_gaps, o00 == o10, tol)  # column j0
+    right = _pair_test(col_gaps, o01 == o11, tol)  # column j1
+    # XOR and XNOR put equal levels on the diagonals only
+    diagonal = o00 == o11 and o00 != o01
+
+    # a row pair with no passing column j0, or none for j1, holds no hit
+    pairs = np.argwhere(left.any(axis=2) & right.any(axis=2))
+    step = max(1, _BLOCK_QUADRUPLES // (nb * nb))
+    blocks = [np.empty((0, 4), dtype=np.int64)]
+    for start in range(0, len(pairs), step):
+        a0, a1 = pairs[start:start + step].T
+        ok = left[a0, a1, :, None] & right[a0, a1, None, :]
+        ok &= top[a0]
+        ok &= bottom[a1]
+        if diagonal:
+            gaps = values[a0, :, None] - values[a1, None, :]
+            ok &= np.abs(gaps, out=gaps) <= tol
+        survivors = np.flatnonzero(ok)
+        if not len(survivors):
+            continue
+        k, cell = np.divmod(survivors, nb * nb)
+        j0, j1 = np.divmod(cell, nb)
+        i0, i1 = a0[k], a1[k]
+        corners = (values[i0, j0], values[i0, j1], values[i1, j0], values[i1, j1])
+        keep = _quadruple_mask(corners, outputs, tol, len(k))
+        blocks.append(np.stack((i0, i1, j0, j1), axis=1).compress(keep, axis=0))
     return np.concatenate(blocks, axis=0, dtype=np.int64)

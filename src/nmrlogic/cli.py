@@ -94,18 +94,22 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_flags(parser: argparse.ArgumentParser, *, scenario: bool, tol: bool) -> None:
+def _add_flags(
+    parser: argparse.ArgumentParser,
+    *,
+    scenario: bool,
+    observable: bool = False,
+    tol_help: Optional[str] = None,
+) -> None:
     """Add the option flags a subcommand reads.
 
-    `scenario` adds the flags that define the experiment plus --out, `tol`
-    adds --tol.  Each flag name without "--" is also a --config key.
+    `scenario` adds the flags that define the experiment plus --out,
+    `observable` adds --observable, and `tol_help` adds --tol with that
+    help text.  Each flag name without "--" is also a --config key.
     """
     if scenario:
         parser.add_argument("--initial", choices=["z", "x"], help="initial state")
         parser.add_argument("--pulses", type=int, choices=[1, 2], help="pulse count")
-        parser.add_argument(
-            "--observable", choices=["mx", "my", "mxy"], help="detected quantity"
-        )
         parser.add_argument(
             "--inputs",
             help="comma-separated parameters bound to logic inputs A,B "
@@ -118,12 +122,16 @@ def _add_flags(parser: argparse.ArgumentParser, *, scenario: bool, tol: bool) ->
             metavar="PARAM=ANGLE",
             help="fix a non-input parameter (repeatable)",
         )
+    if observable:
+        parser.add_argument(
+            "--observable", choices=["mx", "my", "mxy"], help="detected quantity"
+        )
     parser.add_argument("--lambda", dest="lambda_b", help="polarization scale")
     parser.add_argument("--grid", help="candidate grid start:step:count")
     if scenario:
         parser.add_argument("--out", help="output path (default: stdout)")
-    if tol:
-        parser.add_argument("--tol", help="numeric tolerance override")
+    if tol_help:
+        parser.add_argument("--tol", help=tol_help)
     parser.add_argument("--config", help="key=value config file; flags win")
 
 
@@ -144,7 +152,8 @@ def build_parser() -> _Parser:
     p_grid = sub.add_parser(
         "grid", help="export an observable grid as CSV", epilog=_EPILOG
     )
-    _add_flags(p_grid, scenario=True, tol=False)
+    # grid writes the Mx, My and Mxy columns, so it takes no --observable
+    _add_flags(p_grid, scenario=True)
 
     p_classify = sub.add_parser(
         "classify", help="classify a boolean gate", epilog=_EPILOG
@@ -155,12 +164,20 @@ def build_parser() -> _Parser:
         "synthesize", help="search gate realizations", epilog=_EPILOG
     )
     p_synth.add_argument("gate", help="gate name or id 0-15")
-    _add_flags(p_synth, scenario=True, tol=True)
+    _add_flags(
+        p_synth, scenario=True, observable=True, tol_help="numeric tolerance override"
+    )
 
     p_verify = sub.add_parser(
         "verify", help="recompute built-in reference values", epilog=_EPILOG
     )
-    _add_flags(p_verify, scenario=False, tol=True)
+    _add_flags(
+        p_verify,
+        scenario=False,
+        tol_help="tolerance of the reference-table checks only (default 1e-10); "
+        "the capability claims always run at the search tolerance "
+        f"DEFAULT_LEVEL_TOL = {synthesis.DEFAULT_LEVEL_TOL:g}",
+    )
     parser.commands = sub.choices  # name -> subcommand parser, for --config keys
     return parser
 
@@ -204,14 +221,31 @@ def _merge_config(
             )
         action = actions[key]
         if getattr(args, action.dest) is None:
-            setattr(args, action.dest, action.type(value) if action.type else value)
+            setattr(args, action.dest, _config_value(key, action, value))
     return args
+
+
+def _config_value(key: str, action: argparse.Action, value):
+    """`value` converted and checked as the flag behind `key` would be."""
+    where = f"config key {key!r} (--{key})"
+    if action.type is not None:
+        try:
+            value = action.type(value)
+        except ValueError:
+            raise ValueError(
+                f"{where}: invalid {action.type.__name__} value: {value!r}"
+            ) from None
+    if action.choices is not None and value not in action.choices:
+        choices = ", ".join(map(str, action.choices))
+        raise ValueError(f"{where}: invalid choice: {value!r} (choose from {choices})")
+    return value
 
 
 def _scenario_from_args(args: argparse.Namespace) -> synthesis.Scenario:
     initial = InitialState(args.initial or "z")
     pulses = args.pulses or 1
-    observable = ObservableKind(args.observable or "mx")
+    # grid reads all three readouts and has no --observable
+    observable = ObservableKind(getattr(args, "observable", None) or "mx")
     if args.inputs:
         inputs = tuple(p.strip() for p in args.inputs.split(","))
     elif pulses == 1:

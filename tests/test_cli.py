@@ -279,6 +279,7 @@ def test_verify_stdout_matches_golden(capsys, argv, golden):
         ("verify", "--out", "OUT"),
         ("verify", "--observable", "my"),
         ("verify", "--inputs", "phi,beta"),
+        ("grid", "--observable", "mx"),
         ("grid", "--tol", "nan"),
         ("grid", "--tol", "1e-9", "--out", "OUT"),
         ("classify", "XOR", "--tol", "1"),
@@ -339,11 +340,19 @@ def test_config_flags_override_file(tmp_path, capsys):
     [
         (("grid",), "grdi=0:1/2pi:4\n", "grdi"),
         (("grid",), "initial=x\ntol=1e-9\n", "tol"),
+        (("grid",), "observable=my\n", "observable"),
         (("verify",), "initial=x\n", "initial"),
         (("verify",), "out=v.txt\n", "out"),
         (("synthesize", "XOR"), "config=other.cfg\n", "config"),
     ],
-    ids=["grid-typo", "grid-tol", "verify-initial", "verify-out", "synthesize-config"],
+    ids=[
+        "grid-typo",
+        "grid-tol",
+        "grid-observable",
+        "verify-initial",
+        "verify-out",
+        "synthesize-config",
+    ],
 )
 def test_config_unknown_key_is_usage_error(tmp_path, capsys, argv, text, key):
     config = tmp_path / "run.cfg"
@@ -352,6 +361,29 @@ def test_config_unknown_key_is_usage_error(tmp_path, capsys, argv, text, key):
     assert code == 1
     assert out == ""
     assert f"unknown config key {key!r}" in err
+
+
+@pytest.mark.parametrize(
+    "argv,text,message",
+    [
+        (("grid",), "pulses=3\n", "config key 'pulses' (--pulses): invalid choice: 3"),
+        (("grid",), "pulses=abc\n", "config key 'pulses' (--pulses): invalid int value: 'abc'"),
+        (("grid",), "initial=q\n", "config key 'initial' (--initial): invalid choice: 'q'"),
+        (
+            ("synthesize", "XOR"),
+            "observable=z\n",
+            "config key 'observable' (--observable): invalid choice: 'z'",
+        ),
+    ],
+    ids=["pulses-choice", "pulses-type", "initial-choice", "observable-choice"],
+)
+def test_config_values_get_the_flag_checks(tmp_path, capsys, argv, text, message):
+    config = tmp_path / "run.cfg"
+    config.write_text(text)
+    code, out, err = run(capsys, *argv, "--config", str(config))
+    assert code == 1
+    assert out == ""
+    assert message in err
 
 
 def test_config_keys_follow_the_flags(tmp_path, capsys):

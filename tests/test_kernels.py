@@ -47,11 +47,14 @@ def test_chunked_numpy_search_matches_full_broadcast(monkeypatch):
         (True, True, True, True),
         (False, True, True, False),
     ]:
+        monkeypatch.setattr(k, "_BLOCK_QUADRUPLES", 1 << 40)
         full = k.find_gate_quadruples(table, outputs, 1e-9)
-        monkeypatch.setattr(k, "_FULL_BROADCAST_LIMIT", 1)
-        chunked = k.find_gate_quadruples(table, outputs, 1e-9)
+        # one row pair per block, then 6 per block with a shorter last one
+        for budget in (1, 6 * 12 * 12):
+            monkeypatch.setattr(k, "_BLOCK_QUADRUPLES", budget)
+            chunked = k.find_gate_quadruples(table, outputs, 1e-9)
+            assert np.array_equal(full, chunked), budget
         monkeypatch.undo()
-        assert np.array_equal(full, chunked)
 
 
 def test_two_pulse_components_broadcast_and_shape():

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -234,6 +235,7 @@ def test_symmetry_closure_of_assignments():
 
 def oracle_quadruples(table, outputs, tol=1e-9):
     """Yield every realizing (i0, i1, j0, j1), in lexicographic order."""
+    table = np.asarray(table).tolist()  # python floats: the same doubles, faster
     o00, o01, o10, o11 = outputs
     rows = range(len(table))
     cols = range(len(table[0]))
@@ -261,45 +263,73 @@ def oracle_quadruples(table, outputs, tol=1e-9):
                     yield (i0, i1, j0, j1)
 
 
-def random_tables(seed=0, count=6, size=9):
+def random_tables(seed=0, count=6, shape=(9, 9)):
     rng = np.random.default_rng(seed)
     for _ in range(count):
         # quantised values so exact level coincidences actually occur
-        yield np.round(rng.uniform(-0.25, 0.25, size=(size, size)) * 8) / 8
+        yield np.round(rng.uniform(-0.25, 0.25, size=shape) * 8) / 8
 
 
-ORACLE_OUTPUTS = [
-    (False, False, False, True),
-    (True, True, True, False),
-    (False, True, True, False),
-    (True, True, True, True),
-    (False, False, False, False),
-    (False, True, False, True),
-]
+def jittered_table(tol, seed=1, shape=(8, 8)):
+    """Levels 4 tol apart, each value moved by up to 0.75 tol.
 
-# the default limit searches these small tables in one 4-d broadcast,
-# a limit of 1 one i0 row at a time
+    Two values of one level can then lie more than tol apart while both
+    lie within tol of a third, so closeness is not transitive.
+    """
+    rng = np.random.default_rng(seed)
+    levels = rng.integers(-1, 2, size=shape) * 4 * tol
+    return levels + rng.uniform(-0.75, 0.75, size=shape) * tol
+
+
+def _oracle_cases():
+    # a tolerance of one quantisation step puts corner gaps exactly at tol
+    for tol in (1e-9, 1 / 8):
+        for table in random_tables():
+            yield table, tol
+    yield next(random_tables(seed=2, count=1, shape=(7, 10))), 1 / 8
+    yield jittered_table(1e-2), 1e-2
+
+
+# (table, tol) pairs the kernel is compared with the oracle on
+ORACLE_CASES = list(_oracle_cases())
+
+
+@functools.cache
+def oracle_hits(case, outputs):
+    """The oracle's hits for one case and truth table, enumerated once."""
+    table, tol = ORACLE_CASES[case]
+    return list(oracle_quadruples(table, outputs, tol))
+
+
+def test_jittered_table_closeness_is_not_transitive():
+    tol = 1e-2
+    flat = jittered_table(tol).ravel()
+    close = (np.abs(flat[:, None] - flat[None, :]) <= tol).astype(int)
+    # some a ~ b and b ~ c with a !~ c
+    assert ((close @ close) > 0)[close == 0].any()
+
+
+# A budget of 2^40 holds each of these tables in one block; a budget of
+# 1 gives every (i0, i1) row pair a block of its own.
 SEARCH_LIMITS = pytest.mark.parametrize(
-    "limit", [_kernels._FULL_BROADCAST_LIMIT, 1], ids=["full-broadcast", "row-blocks"]
+    "limit", [1 << 40, 1], ids=["full-broadcast", "row-blocks"]
 )
 
 
 @SEARCH_LIMITS
 def test_kernel_hits_equal_oracle_enumeration(monkeypatch, limit):
-    monkeypatch.setattr(_kernels, "_FULL_BROADCAST_LIMIT", limit)
-    # a tolerance of one quantisation step puts corner gaps exactly at tol
-    for tol in (1e-9, 1 / 8):
-        for table in random_tables():
-            for outputs in ORACLE_OUTPUTS:
-                expected = list(oracle_quadruples(table, outputs, tol))
-                found = _kernels.find_gate_quadruples(table, outputs, tol)
-                assert found.dtype == np.int64
-                assert [tuple(row) for row in found.tolist()] == expected, (tol, outputs)
+    monkeypatch.setattr(_kernels, "_BLOCK_QUADRUPLES", limit)
+    for case, (table, tol) in enumerate(ORACLE_CASES):
+        for tt in g.ALL_GATES:
+            found = _kernels.find_gate_quadruples(table, tt.outputs, tol)
+            assert found.dtype == np.int64
+            assert [tuple(row) for row in found.tolist()] == oracle_hits(case, tt.outputs), (
+                case, tt.name)
 
 
 @SEARCH_LIMITS
 def test_kernel_without_hits_returns_empty_int64(monkeypatch, limit):
-    monkeypatch.setattr(_kernels, "_FULL_BROADCAST_LIMIT", limit)
+    monkeypatch.setattr(_kernels, "_BLOCK_QUADRUPLES", limit)
     # every corner equal: no two output levels can be told apart
     table = np.zeros((4, 4))
     found = _kernels.find_gate_quadruples(table, (False, True, True, False), 1e-9)
