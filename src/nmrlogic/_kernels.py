@@ -83,26 +83,11 @@ def two_pulse_components(phi2, beta2, phi1, beta1, lambda_b, from_x):
 #
 # `values[i, j]` is the observable with logic input A bound to candidate i
 # and input B bound to candidate j.  A quadruple (i0, i1, j0, j1) realizes a
-# truth table when the four corner values cluster into one level per output
-# bit (spread <= tol within a bit, gap > tol between bits).
+# truth table when all six corner pairs (two rows, two columns, two
+# diagonals) pass `_pair_test`: corners of one output bit lie within tol,
+# corners of different bits more than tol apart.  That is one level per bit:
+# a spread is one pairwise gap, and interleaved levels put a cross gap within tol.
 # ---------------------------------------------------------------------------
-
-
-def _quadruple_mask(corners, outputs, tol, shape):
-    zeros = [c for c, o in zip(corners, outputs) if not o]
-    ones = [c for c, o in zip(corners, outputs) if o]
-    ok = np.ones(shape, dtype=bool)
-    if zeros:
-        zmin = np.minimum.reduce([np.broadcast_to(c, shape) for c in zeros])
-        zmax = np.maximum.reduce([np.broadcast_to(c, shape) for c in zeros])
-        ok &= (zmax - zmin) <= tol
-    if ones:
-        omin = np.minimum.reduce([np.broadcast_to(c, shape) for c in ones])
-        omax = np.maximum.reduce([np.broadcast_to(c, shape) for c in ones])
-        ok &= (omax - omin) <= tol
-    if zeros and ones:
-        ok &= ((omin - zmax) > tol) | ((zmin - omax) > tol)
-    return ok
 
 
 # Stage 2 takes row pairs (i0, i1) in blocks of about this many
@@ -117,15 +102,13 @@ def _pair_test(gaps, same_level, tol):
     return gaps <= tol if same_level else gaps > tol
 
 
-def find_gate_quadruples(values, outputs, tol):
-    """All realizing quadruples, in lexicographic (i0, i1, j0, j1) order.
+def iter_gate_quadruples(values, outputs, tol):
+    """Yield every realizing quadruple, in non-empty (k, 4) int64 blocks.
 
-    A two-stage search.  Stage 1 rules quadruples out pair by pair: two
-    corners of one output level lie within `tol`, two of different levels
-    more than `tol` apart.  Float subtraction is monotone, so every
-    quadruple that passes the exact test passes these pair tests too.
-    Stage 2 runs the exact test on the survivors only, over blocks of
-    row pairs (i0, i1) of about `_BLOCK_QUADRUPLES` quadruples each.
+    Blocks follow lexicographic (i0, i1, j0, j1) order.  Stage 1 tests the
+    row and column pairs once per call as n^3 arrays.  Stage 2 takes row
+    pairs (i0, i1) in blocks of about `_BLOCK_QUADRUPLES` quadruples and
+    tests the two diagonals of the survivors.
 
     Parameters
     ----------
@@ -135,10 +118,6 @@ def find_gate_quadruples(values, outputs, tol):
     outputs : sequence of 4 bools for inputs (0,0), (0,1), (1,0), (1,1)
     tol : float
         Level clustering/separation tolerance.
-
-    Returns
-    -------
-    (N, 4) int64 ndarray of candidate indices.
     """
     values = np.asarray(values, dtype=np.float64)
     nb = values.shape[1]
@@ -150,13 +129,12 @@ def find_gate_quadruples(values, outputs, tol):
     bottom = _pair_test(row_gaps, o10 == o11, tol)  # row i1
     left = _pair_test(col_gaps, o00 == o10, tol)  # column j0
     right = _pair_test(col_gaps, o01 == o11, tol)  # column j1
-    # XOR and XNOR put equal levels on the diagonals only
+    # XOR and XNOR put equal levels on the diagonals only: test one densely
     diagonal = o00 == o11 and o00 != o01
 
     # a row pair with no passing column j0, or none for j1, holds no hit
     pairs = np.argwhere(left.any(axis=2) & right.any(axis=2))
     step = max(1, _BLOCK_QUADRUPLES // (nb * nb))
-    blocks = [np.empty((0, 4), dtype=np.int64)]
     for start in range(0, len(pairs), step):
         a0, a1 = pairs[start:start + step].T
         ok = left[a0, a1, :, None] & right[a0, a1, None, :]
@@ -165,13 +143,18 @@ def find_gate_quadruples(values, outputs, tol):
         if diagonal:
             gaps = values[a0, :, None] - values[a1, None, :]
             ok &= np.abs(gaps, out=gaps) <= tol
-        survivors = np.flatnonzero(ok)
-        if not len(survivors):
-            continue
-        k, cell = np.divmod(survivors, nb * nb)
+        k, cell = np.divmod(np.flatnonzero(ok), nb * nb)
         j0, j1 = np.divmod(cell, nb)
         i0, i1 = a0[k], a1[k]
-        corners = (values[i0, j0], values[i0, j1], values[i1, j0], values[i1, j1])
-        keep = _quadruple_mask(corners, outputs, tol, len(k))
-        blocks.append(np.stack((i0, i1, j0, j1), axis=1).compress(keep, axis=0))
-    return np.concatenate(blocks, axis=0, dtype=np.int64)
+        keep = _pair_test(np.abs(values[i0, j0] - values[i1, j1]), o00 == o11, tol)
+        keep &= _pair_test(np.abs(values[i0, j1] - values[i1, j0]), o01 == o10, tol)
+        hits = np.stack((i0, i1, j0, j1), axis=1, dtype=np.int64).compress(keep, axis=0)
+        if len(hits):
+            yield hits
+
+
+def find_gate_quadruples(values, outputs, tol):
+    """All realizing quadruples, in lexicographic (i0, i1, j0, j1) order:
+    the blocks of `iter_gate_quadruples` as one (N, 4) int64 array."""
+    empty = np.empty((0, 4), dtype=np.int64)
+    return np.concatenate([empty, *iter_gate_quadruples(values, outputs, tol)], axis=0)

@@ -272,7 +272,7 @@ def _open_out(path: Optional[str]):
 
 def cmd_grid(args: argparse.Namespace) -> int:
     scenario = _scenario_from_args(args)
-    if args.grid:
+    if args.grid is not None:
         grid_a = grid_b = parse_grid(args.grid)
     else:
         grid_a = default_axis(scenario.inputs[0])
@@ -369,8 +369,8 @@ def _write_rows(handle, template: str, columns) -> None:
 def cmd_synthesize(args: argparse.Namespace) -> int:
     tt = _parse_gate(args.gate)
     scenario = _scenario_from_args(args)
-    grid = parse_grid(args.grid) if args.grid else synthesis.DEFAULT_SYNTH_GRID
-    tol = float(args.tol) if args.tol else synthesis.DEFAULT_LEVEL_TOL
+    grid = parse_grid(args.grid) if args.grid is not None else synthesis.DEFAULT_SYNTH_GRID
+    tol = float(args.tol) if args.tol is not None else synthesis.DEFAULT_LEVEL_TOL
     found = synthesis.search(scenario, tt, grid, tol)
     count = len(found.indices)
 
@@ -408,8 +408,8 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     lambda_b = float(args.lambda_b) if args.lambda_b is not None else 1.0
-    tol = float(args.tol) if args.tol else 1e-10
-    grid = parse_grid(args.grid) if args.grid else synthesis.DEFAULT_SYNTH_GRID
+    tol = float(args.tol) if args.tol is not None else 1e-10
+    grid = parse_grid(args.grid) if args.grid is not None else synthesis.DEFAULT_SYNTH_GRID
     checks = synthesis.verify_reference_tables(lambda_b=lambda_b, tol=tol)
     checks += synthesis.capability_checks(grid=grid, lambda_b=lambda_b)
     print(

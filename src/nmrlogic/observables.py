@@ -200,6 +200,9 @@ class GridSpec:
             raise ValueError(f"grid needs at least 2 points, got {self.count}")
         if self.step <= 0:
             raise ValueError(f"grid step must be positive, got {self.step}")
+        last = float(self.start) + float(self.step) * (operator.index(self.count) - 1)
+        if not math.isfinite(last):
+            raise ValueError(f"grid overflows: last value {last!r} is not finite")
 
     def values(self) -> np.ndarray:
         return self.start + self.step * np.arange(self.count, dtype=np.float64)

@@ -102,6 +102,18 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
 
 
+def _candidate_table(scenario: Scenario, grid: GridSpec, tol: float):
+    """The grid's candidates and the observable over them, for a search at `tol`."""
+    _check_tol(tol)
+    cand = grid.values()
+    return cand, scenario_table(scenario, cand, cand)
+
+
+def _realizable(table: np.ndarray, tt: TruthTable, tol: float) -> bool:
+    """Does any quadruple over `table` realize `tt`?  Stops at the first hit."""
+    return next(_kernels.iter_gate_quadruples(table, tt.outputs, tol), None) is not None
+
+
 @dataclass(frozen=True)
 class GateAssignment:
     """Concrete gate realization: input values plus the output level map.
@@ -198,9 +210,7 @@ def search(
     Both inputs draw candidates from the same grid.  Builds no
     `GateAssignment`; `synthesize` does, row by row.
     """
-    _check_tol(tol)
-    cand = grid.values()
-    table = scenario_table(scenario, cand, cand)
+    cand, table = _candidate_table(scenario, grid, tol)
     indices = _kernels.find_gate_quadruples(table, tt.outputs, tol)
     return SearchResult(indices, cand, table)
 
@@ -275,8 +285,10 @@ def count_assignments(
     grid: GridSpec = DEFAULT_SYNTH_GRID,
     tol: float = DEFAULT_LEVEL_TOL,
 ) -> int:
-    """Number of realizing assignments, without building them."""
-    return len(search(scenario, tt, grid, tol).indices)
+    """Number of realizing assignments, holding one block of hits at a time."""
+    _, table = _candidate_table(scenario, grid, tol)
+    blocks = _kernels.iter_gate_quadruples(table, tt.outputs, tol)
+    return sum(len(hits) for hits in blocks)
 
 
 def achievable_classes(
@@ -285,15 +297,11 @@ def achievable_classes(
     tol: float = DEFAULT_LEVEL_TOL,
 ) -> Set[GateClass]:
     """Gate classes with at least one realizable member on the grid."""
-    _check_tol(tol)
-    cand = grid.values()
-    table = scenario_table(scenario, cand, cand)
+    _, table = _candidate_table(scenario, grid, tol)
     found: Set[GateClass] = set()
     for tt in ALL_GATES:
         cls = gate_class(tt)
-        if cls in found:
-            continue
-        if len(_kernels.find_gate_quadruples(table, tt.outputs, tol)):
+        if cls not in found and _realizable(table, tt, tol):
             found.add(cls)
     return found
 
@@ -450,10 +458,8 @@ def capability_checks(
     def _grid_tag(g: GridSpec) -> str:
         return f"grid {g.start:.6g}:{g.step:.6g}:{g.count}"
 
-    thermal = reference_single_pulse_scenario(lambda_b)
-    missing = [
-        tt.name for tt in ALL_GATES if count_assignments(thermal, tt, grid, tol) == 0
-    ]
+    _, thermal = _candidate_table(reference_single_pulse_scenario(lambda_b), grid, tol)
+    missing = [tt.name for tt in ALL_GATES if not _realizable(thermal, tt, tol)]
     results.append(
         CheckResult(
             f"thermal 1-pulse mx realizes all 16 gates [{_grid_tag(grid)}]",

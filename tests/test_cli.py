@@ -374,8 +374,17 @@ def test_config_unknown_key_is_usage_error(tmp_path, capsys, argv, text, key):
             "observable=z\n",
             "config key 'observable' (--observable): invalid choice: 'z'",
         ),
+        (("verify",), "tol=\n", "could not convert string to float: ''"),
+        (("synthesize", "XOR"), "grid=\n", "grid must be start:step:count, got ''"),
     ],
-    ids=["pulses-choice", "pulses-type", "initial-choice", "observable-choice"],
+    ids=[
+        "pulses-choice",
+        "pulses-type",
+        "initial-choice",
+        "observable-choice",
+        "empty-tol",
+        "empty-grid",
+    ],
 )
 def test_config_values_get_the_flag_checks(tmp_path, capsys, argv, text, message):
     config = tmp_path / "run.cfg"
@@ -562,6 +571,16 @@ def test_grid_stdout_matches_reference(capsys):
         ("grid", "--initial", "x", "--grid", "0:1/2pi:4", "--lambda", "inf"),
         ("verify", "--lambda", "nan"),
         ("verify", "--tol", "nan"),
+        # empty values are errors, not the defaults
+        ("synthesize", "XOR", "--tol="),
+        ("synthesize", "XOR", "--grid="),
+        ("grid", "--grid="),
+        ("verify", "--tol="),
+        ("verify", "--grid="),
+        # finite start and step, but the last grid value overflows
+        ("grid", "--grid", "1e308:1e308:2"),
+        ("synthesize", "AND", "--grid", "1e308:1e308:3"),
+        ("verify", "--grid", "1e308:1e308:2"),
     ],
     ids=lambda argv: " ".join(argv),
 )

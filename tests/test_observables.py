@@ -319,6 +319,10 @@ def test_grid_spec_validation():
         obs.GridSpec(0.0, 0.0, 5)
     with pytest.raises(ValueError):
         obs.GridSpec(math.nan, 1.0, 5)
+    # finite start and step whose last value overflows
+    for start, step, count in ((1e308, 1e308, 2), (np.float64(1e308), 1e308, np.int64(3))):
+        with pytest.raises(ValueError, match="overflows"):
+            obs.GridSpec(start, step, count)
     for count in (2.5, 4.0, "4"):
         with pytest.raises(ValueError):
             obs.GridSpec(0.0, 1.0, count)

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -321,10 +322,15 @@ def test_kernel_hits_equal_oracle_enumeration(monkeypatch, limit):
     monkeypatch.setattr(_kernels, "_BLOCK_QUADRUPLES", limit)
     for case, (table, tol) in enumerate(ORACLE_CASES):
         for tt in g.ALL_GATES:
+            expected = oracle_hits(case, tt.outputs)
             found = _kernels.find_gate_quadruples(table, tt.outputs, tol)
             assert found.dtype == np.int64
-            assert [tuple(row) for row in found.tolist()] == oracle_hits(case, tt.outputs), (
-                case, tt.name)
+            assert [tuple(row) for row in found.tolist()] == expected, (case, tt.name)
+            blocks = list(_kernels.iter_gate_quadruples(table, tt.outputs, tol))
+            assert all(len(hits) and hits.dtype == np.int64 for hits in blocks)
+            streamed = [tuple(row) for hits in blocks for row in hits.tolist()]
+            assert streamed == expected, (case, tt.name)
+            assert syn._realizable(table, tt, tol) == bool(expected), (case, tt.name)
 
 
 @SEARCH_LIMITS
@@ -355,8 +361,9 @@ def test_search_agrees_with_brute_force_oracle(scenario):
     for tt in g.ALL_GATES:
         outputs = (tt(0, 0), tt(0, 1), tt(1, 0), tt(1, 1))
         expected = next(oracle_quadruples(table, outputs), None) is not None
-        found = syn.count_assignments(scenario, tt, DEFAULT_GRID) > 0
-        assert found == expected, tt.name
+        count = syn.count_assignments(scenario, tt, DEFAULT_GRID)
+        assert count == len(syn.search(scenario, tt, DEFAULT_GRID).indices), tt.name
+        assert (count > 0) == expected, tt.name
 
 
 def test_realizable_set_closed_under_orbit_moves():
@@ -442,6 +449,37 @@ def test_capability_checks_all_pass():
     assert len(checks) == 6
     failed = [c for c in checks if not c.passed]
     assert not failed, failed
+
+
+def test_capability_checks_build_one_table_per_scenario(monkeypatch):
+    original = syn.scenario_table
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(syn, "scenario_table", counted)
+    syn.capability_checks()
+    assert len(calls) == 6  # thermal, three x-state readouts, two 2-pulse
+
+
+def test_count_assignments_holds_one_block_of_hits(monkeypatch):
+    # lambda_b = 0 makes every table value 0: all n^4 quadruples realize T
+    flat = syn.Scenario(
+        InitialState.THERMAL_Z, 1, ObservableKind.MX, ("phi", "beta"), lambda_b=0.0
+    )
+    grid = GridSpec(0.0, PI / 8, 16)
+    monkeypatch.setattr(_kernels, "_BLOCK_QUADRUPLES", 256)
+    tracemalloc.start()
+    try:
+        count = syn.count_assignments(flat, g.T, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 16**4
+    # the 65,536 hits alone take 2 MiB as one int64 array
+    assert peak < 1 << 20, peak
 
 
 # columnar search ---------------------------------------------------------------
