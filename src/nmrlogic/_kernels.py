@@ -92,7 +92,8 @@ def two_pulse_components(phi2, beta2, phi1, beta1, lambda_b, from_x):
 
 # Stage 2 takes row pairs (i0, i1) in blocks of about this many
 # quadruples, so a block's masks and gathered corners stay in cache; a
-# block is never smaller than one row pair.
+# block is never smaller than one row pair.  The level-label pass takes
+# row pairs in blocks of about this many cells.
 _BLOCK_QUADRUPLES = 1 << 16
 
 
@@ -102,13 +103,137 @@ def _pair_test(gaps, same_level, tol):
     return gaps <= tol if same_level else gaps > tol
 
 
+# ---------------------------------------------------------------------------
+# Level labels.
+#
+# Sorted, a table splits into levels wherever consecutive values lie more
+# than tol apart, so values of different levels lie more than tol apart.
+# When every level also spans at most tol, "within tol" is "same label",
+# tested exactly on ints.  A quadruple then realizes a gate when its
+# corners of one bit share a label and its corners of different bits do
+# not, and the hits of row pair (i0, i1) follow from h(x, y): the number
+# of columns j with labels x in row i0 and y in row i1.
+#
+# Negating input A swaps i0 and i1, negating input B swaps j0 and j1, and
+# negating the output swaps the bits.  These moves keep hit counts, so five
+# orbit representatives give the counts of all 16 gates.  Swapping the
+# inputs transposes the table, which changes the counts.
+# ---------------------------------------------------------------------------
+
+
+def level_labels(values, tol):
+    """Int level label per cell, or None when some level spans more than `tol`."""
+    values = np.asarray(values, dtype=np.float64)
+    flat = values.ravel()
+    order = np.argsort(flat, kind="stable")
+    ordered = flat[order]
+    if not np.isfinite(ordered).all():
+        return None
+    new_level = np.diff(ordered) > tol
+    first = np.flatnonzero(np.concatenate(([True], new_level)))
+    last = np.append(first[1:] - 1, flat.size - 1)
+    if (ordered[last] - ordered[first] > tol).any():
+        return None
+    labels = np.empty(flat.size, dtype=np.int64)
+    labels[order] = np.concatenate(([0], np.cumsum(new_level)))
+    return labels.reshape(values.shape)
+
+
+def orbit_representative(outputs):
+    """(slot, transposed) of a truth table's orbit representative.
+
+    `slot` indexes T, A, B, XOR, AND, the order in which
+    `level_pair_counts` stacks them.  A gate's hits in row pair (i0, i1)
+    are its representative's hits in (i1, i0) when `transposed`, else in
+    (i0, i1).
+    """
+    o00, o01, o10, o11 = outputs
+    ones = o00 + o01 + o10 + o11
+    if ones in (0, 4):
+        return 0, False
+    if ones in (1, 3):
+        # AND has its odd corner in row i1; one in row i0 swaps the rows
+        return 4, o10 == o11
+    if o00 == o01:
+        return 1, False
+    if o00 == o10:
+        return 2, False
+    return 3, False
+
+
+def level_pair_counts(labels):
+    """(5, nA, nA) int64 hits per row pair (i0, i1) of each representative.
+
+    With h(x, y) the row pair's histogram of column label pairs and r(x)
+    the count of label x in row i0:
+      T:   sum h(x, x)^2
+      A:   sum over x != y of h(x, y)^2
+      B:   (sum h(x, x))^2 - sum h(x, x)^2
+      XOR: sum over x != y of h(x, y) h(y, x)
+      AND: sum h(x, x) (r(x) - h(x, x))
+    Row pairs go in blocks of about `_BLOCK_QUADRUPLES` cells.
+    """
+    na, nb = labels.shape
+    m = int(labels.max()) + 1
+    counts = np.empty((5, na * na), dtype=np.int64)
+    step = max(1, _BLOCK_QUADRUPLES // (na * nb))
+    for start in range(0, na, step):
+        i0 = np.arange(start, min(start + step, na))
+        # one sorted row of column label pairs x*m + y per row pair; each
+        # run of one key is one histogram entry, so a row pair has at least one
+        keys = (labels[i0, None, :] * m + labels[None, :, :]).reshape(-1, nb)
+        keys.sort(axis=1)
+        new = np.empty(keys.shape, dtype=bool)
+        new[:, 0] = True
+        np.not_equal(keys[:, 1:], keys[:, :-1], out=new[:, 1:])
+        runs = np.flatnonzero(new)
+        h = np.diff(runs, append=keys.size)
+        cell = keys.ravel()[runs]
+        x, y = np.divmod(cell, m)
+        on = np.where(x == y, h, 0)  # h on the diagonal x == y, else 0
+        off = h - on
+        # entry keys pair*m*m + x*m + y ascend, and (y, x) has key
+        # key + (y - x)(m - 1): look up h(y, x), 0 where it is absent
+        key = runs // nb * (m * m) + cell
+        mirror_key = key + (y - x) * (m - 1)
+        where = np.minimum(np.searchsorted(key, mirror_key), len(key) - 1)
+        mirror = np.where(key[where] == mirror_key, h[where], 0)
+        # r(x): the entries of one row pair and one x are contiguous
+        groups = np.flatnonzero(np.diff(key // m, prepend=-1))
+        row = np.repeat(np.add.reduceat(h, groups), np.diff(groups, append=len(h)))
+        # sum the entries of each row pair
+        firsts = np.flatnonzero(runs % nb == 0)
+        sums = counts[:, start * na:(start + len(i0)) * na]
+        np.add.reduceat(on * h, firsts, out=sums[0])
+        np.add.reduceat(off * h, firsts, out=sums[1])
+        np.add.reduceat(on, firsts, out=sums[2])
+        np.add.reduceat(off * mirror, firsts, out=sums[3])
+        np.add.reduceat(on * (row - h), firsts, out=sums[4])
+        sums[2] = sums[2] * sums[2] - sums[0]
+    return counts.reshape(5, na, na)
+
+
+def _level_hit_pairs(values, outputs, tol):
+    """The row pairs (i0, i1) holding hits, in lexicographic order, or None
+    when the table has no levels."""
+    labels = level_labels(values, tol)
+    if labels is None:
+        return None
+    slot, transposed = orbit_representative(outputs)
+    counts = level_pair_counts(labels)[slot]
+    return np.argwhere(counts.T if transposed else counts)
+
+
 def iter_gate_quadruples(values, outputs, tol):
     """Yield every realizing quadruple, in non-empty (k, 4) int64 blocks.
 
-    Blocks follow lexicographic (i0, i1, j0, j1) order.  Stage 1 tests the
-    row and column pairs once per call as n^3 arrays.  Stage 2 takes row
-    pairs (i0, i1) in blocks of about `_BLOCK_QUADRUPLES` quadruples and
-    tests the two diagonals of the survivors.
+    Blocks follow lexicographic (i0, i1, j0, j1) order.  When the table
+    has levels (`level_labels`), stage 2 takes exactly the row pairs that
+    hold hits, and none at all returns before stage 1.  Stage 1 tests the
+    row and column pairs once per call as n^3 arrays; without levels, it
+    also picks the row pairs.  Stage 2 takes row pairs (i0, i1) in blocks
+    of about `_BLOCK_QUADRUPLES` quadruples and tests the two diagonals of
+    the survivors.
 
     Parameters
     ----------
@@ -121,6 +246,9 @@ def iter_gate_quadruples(values, outputs, tol):
     """
     values = np.asarray(values, dtype=np.float64)
     nb = values.shape[1]
+    pairs = _level_hit_pairs(values, outputs, tol)
+    if pairs is not None and not len(pairs):
+        return
     o00, o01, o10, o11 = outputs
     # The pairs in one row or one column depend on three indices each.
     row_gaps = np.abs(values[:, :, None] - values[:, None, :])  # [i, j0, j1]
@@ -132,8 +260,9 @@ def iter_gate_quadruples(values, outputs, tol):
     # XOR and XNOR put equal levels on the diagonals only: test one densely
     diagonal = o00 == o11 and o00 != o01
 
-    # a row pair with no passing column j0, or none for j1, holds no hit
-    pairs = np.argwhere(left.any(axis=2) & right.any(axis=2))
+    if pairs is None:
+        # a row pair with no passing column j0, or none for j1, holds no hit
+        pairs = np.argwhere(left.any(axis=2) & right.any(axis=2))
     step = max(1, _BLOCK_QUADRUPLES // (nb * nb))
     for start in range(0, len(pairs), step):
         a0, a1 = pairs[start:start + step].T

@@ -126,12 +126,14 @@ def _add_flags(
         parser.add_argument(
             "--observable", choices=["mx", "my", "mxy"], help="detected quantity"
         )
-    parser.add_argument("--lambda", dest="lambda_b", help="polarization scale")
+    parser.add_argument(
+        "--lambda", dest="lambda_b", type=float, help="polarization scale"
+    )
     parser.add_argument("--grid", help="candidate grid start:step:count")
     if scenario:
         parser.add_argument("--out", help="output path (default: stdout)")
     if tol_help:
-        parser.add_argument("--tol", help=tol_help)
+        parser.add_argument("--tol", type=float, help=tol_help)
     parser.add_argument("--config", help="key=value config file; flags win")
 
 
@@ -253,7 +255,7 @@ def _scenario_from_args(args: argparse.Namespace) -> synthesis.Scenario:
     else:
         raise ValueError("--inputs is required for two-pulse scenarios")
     fixed = tuple(parse_fix(item) for item in (args.fix or []))
-    lambda_b = float(args.lambda_b) if args.lambda_b is not None else 1.0
+    lambda_b = args.lambda_b if args.lambda_b is not None else 1.0
     return synthesis.Scenario(
         initial=initial,
         pulses=pulses,
@@ -370,7 +372,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     tt = _parse_gate(args.gate)
     scenario = _scenario_from_args(args)
     grid = parse_grid(args.grid) if args.grid is not None else synthesis.DEFAULT_SYNTH_GRID
-    tol = float(args.tol) if args.tol is not None else synthesis.DEFAULT_LEVEL_TOL
+    tol = args.tol if args.tol is not None else synthesis.DEFAULT_LEVEL_TOL
     found = synthesis.search(scenario, tt, grid, tol)
     count = len(found.indices)
 
@@ -407,8 +409,8 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    lambda_b = float(args.lambda_b) if args.lambda_b is not None else 1.0
-    tol = float(args.tol) if args.tol is not None else 1e-10
+    lambda_b = args.lambda_b if args.lambda_b is not None else 1.0
+    tol = args.tol if args.tol is not None else 1e-10
     grid = parse_grid(args.grid) if args.grid is not None else synthesis.DEFAULT_SYNTH_GRID
     checks = synthesis.verify_reference_tables(lambda_b=lambda_b, tol=tol)
     checks += synthesis.capability_checks(grid=grid, lambda_b=lambda_b)

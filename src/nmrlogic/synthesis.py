@@ -109,9 +109,22 @@ def _candidate_table(scenario: Scenario, grid: GridSpec, tol: float):
     return cand, scenario_table(scenario, cand, cand)
 
 
-def _realizable(table: np.ndarray, tt: TruthTable, tol: float) -> bool:
-    """Does any quadruple over `table` realize `tt`?  Stops at the first hit."""
-    return next(_kernels.iter_gate_quadruples(table, tt.outputs, tol), None) is not None
+def _gate_counts(
+    table: np.ndarray, tts: Sequence[TruthTable], tol: float
+) -> List[int]:
+    """Realizing quadruples over `table` for each of `tts`.
+
+    A table with levels (`_kernels.level_labels`) takes one counting pass
+    for all of them; any other sums the hit blocks of each search.
+    """
+    labels = _kernels.level_labels(table, tol)
+    if labels is None:
+        return [
+            sum(len(hits) for hits in _kernels.iter_gate_quadruples(table, tt.outputs, tol))
+            for tt in tts
+        ]
+    totals = _kernels.level_pair_counts(labels).sum(axis=(1, 2)).tolist()
+    return [totals[_kernels.orbit_representative(tt.outputs)[0]] for tt in tts]
 
 
 @dataclass(frozen=True)
@@ -285,10 +298,9 @@ def count_assignments(
     grid: GridSpec = DEFAULT_SYNTH_GRID,
     tol: float = DEFAULT_LEVEL_TOL,
 ) -> int:
-    """Number of realizing assignments, holding one block of hits at a time."""
+    """Number of realizing assignments, without holding them."""
     _, table = _candidate_table(scenario, grid, tol)
-    blocks = _kernels.iter_gate_quadruples(table, tt.outputs, tol)
-    return sum(len(hits) for hits in blocks)
+    return _gate_counts(table, [tt], tol)[0]
 
 
 def achievable_classes(
@@ -298,12 +310,8 @@ def achievable_classes(
 ) -> Set[GateClass]:
     """Gate classes with at least one realizable member on the grid."""
     _, table = _candidate_table(scenario, grid, tol)
-    found: Set[GateClass] = set()
-    for tt in ALL_GATES:
-        cls = gate_class(tt)
-        if cls not in found and _realizable(table, tt, tol):
-            found.add(cls)
-    return found
+    counts = _gate_counts(table, ALL_GATES, tol)
+    return {gate_class(tt) for tt, count in zip(ALL_GATES, counts) if count}
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +467,8 @@ def capability_checks(
         return f"grid {g.start:.6g}:{g.step:.6g}:{g.count}"
 
     _, thermal = _candidate_table(reference_single_pulse_scenario(lambda_b), grid, tol)
-    missing = [tt.name for tt in ALL_GATES if not _realizable(thermal, tt, tol)]
+    counts = _gate_counts(thermal, ALL_GATES, tol)
+    missing = [tt.name for tt, count in zip(ALL_GATES, counts) if not count]
     results.append(
         CheckResult(
             f"thermal 1-pulse mx realizes all 16 gates [{_grid_tag(grid)}]",

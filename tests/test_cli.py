@@ -374,7 +374,8 @@ def test_config_unknown_key_is_usage_error(tmp_path, capsys, argv, text, key):
             "observable=z\n",
             "config key 'observable' (--observable): invalid choice: 'z'",
         ),
-        (("verify",), "tol=\n", "could not convert string to float: ''"),
+        (("verify",), "tol=\n", "config key 'tol' (--tol): invalid float value: ''"),
+        (("grid",), "lambda=abc\n", "config key 'lambda' (--lambda): invalid float value: 'abc'"),
         (("synthesize", "XOR"), "grid=\n", "grid must be start:step:count, got ''"),
     ],
     ids=[
@@ -383,6 +384,7 @@ def test_config_unknown_key_is_usage_error(tmp_path, capsys, argv, text, key):
         "initial-choice",
         "observable-choice",
         "empty-tol",
+        "lambda-type",
         "empty-grid",
     ],
 )
@@ -390,6 +392,22 @@ def test_config_values_get_the_flag_checks(tmp_path, capsys, argv, text, message
     config = tmp_path / "run.cfg"
     config.write_text(text)
     code, out, err = run(capsys, *argv, "--config", str(config))
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("verify", "--tol="), "argument --tol: invalid float value: ''"),
+        (("synthesize", "XOR", "--tol=abc"), "argument --tol: invalid float value: 'abc'"),
+        (("grid", "--lambda", "x"), "argument --lambda: invalid float value: 'x'"),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, tuple) else None,
+)
+def test_bad_float_names_its_flag(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
     assert message in err

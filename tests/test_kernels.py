@@ -39,6 +39,15 @@ def test_quadruple_search_within_level_spread():
         assert max(zeros) - min(zeros) <= 1e-9
 
 
+def test_level_labels_need_finite_values_and_tight_levels():
+    table = np.array([[0.3, 0.0], [0.3 + 1e-10, 1.0]])
+    assert k.level_labels(table, 1e-9).tolist() == [[1, 0], [1, 2]]
+    assert k.level_labels(np.array([[0.0, np.nan]]), 1e-9) is None
+    assert k.level_labels(np.array([[0.0, np.inf]]), 1e-9) is None
+    # 0 ~ 0.6 ~ 1.2 chain into one level that spans more than tol
+    assert k.level_labels(np.array([[0.0, 0.6, 1.2]]), 1.0) is None
+
+
 def test_chunked_numpy_search_matches_full_broadcast(monkeypatch):
     rng = np.random.default_rng(11)
     table = np.round(rng.uniform(-0.25, 0.25, size=(12, 12)) * 8) / 8

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nmrlogic import _kernels
 from nmrlogic import gates as g
@@ -330,7 +331,96 @@ def test_kernel_hits_equal_oracle_enumeration(monkeypatch, limit):
             assert all(len(hits) and hits.dtype == np.int64 for hits in blocks)
             streamed = [tuple(row) for hits in blocks for row in hits.tolist()]
             assert streamed == expected, (case, tt.name)
-            assert syn._realizable(table, tt, tol) == bool(expected), (case, tt.name)
+            assert syn._gate_counts(table, [tt], tol) == [len(expected)], (case, tt.name)
+
+
+def _gate_pair_counts(labels, outputs):
+    """(nA, nA) label-route hits per row pair (i0, i1) for one truth table."""
+    slot, transposed = _kernels.orbit_representative(outputs)
+    counts = _kernels.level_pair_counts(labels)[slot]
+    return counts.T if transposed else counts
+
+
+def test_level_pair_counts_equal_oracle_hits_per_row_pair():
+    transitive = 0
+    for case, (table, tol) in enumerate(ORACLE_CASES):
+        labels = _kernels.level_labels(table, tol)
+        if labels is None:
+            continue
+        transitive += 1
+        for tt in g.ALL_GATES:
+            expected = np.zeros((len(table),) * 2, dtype=np.int64)
+            for i0, i1, _, _ in oracle_hits(case, tt.outputs):
+                expected[i0, i1] += 1
+            counts = _gate_pair_counts(labels, tt.outputs)
+            assert counts.dtype == np.int64
+            assert np.array_equal(counts, expected), (case, tt.name)
+    assert transitive == 6  # the tol=1e-9 tables; the others chain gaps at tol
+
+
+def test_jittered_table_takes_the_pairwise_fallback():
+    case = len(ORACLE_CASES) - 1
+    table, tol = ORACLE_CASES[case]
+    assert _kernels.level_labels(table, tol) is None
+    counts = syn._gate_counts(table, g.ALL_GATES, tol)
+    assert counts == [len(oracle_hits(case, tt.outputs)) for tt in g.ALL_GATES]
+    assert any(counts)
+
+
+@settings(max_examples=40)
+@given(
+    levels=st.lists(
+        st.lists(st.integers(-3, 3), min_size=5, max_size=5), min_size=2, max_size=5
+    ),
+    width=st.integers(2, 5),
+    scale=st.sampled_from([1 / 8, 0.3, 1.0]),
+    tol=st.sampled_from([0.0, 1e-9, 0.04]),
+)
+def test_label_counts_equal_kernel_and_oracle(levels, width, scale, tol):
+    # integer levels times a scale: distinct values lie at least 1/8 apart
+    table = np.array(levels, dtype=np.float64)[:, :width] * scale
+    labels = _kernels.level_labels(table, tol)
+    assert labels is not None
+    counts = syn._gate_counts(table, g.ALL_GATES, tol)
+    for tt, count in zip(g.ALL_GATES, counts):
+        assert _gate_pair_counts(labels, tt.outputs).sum() == count, tt.name
+        assert len(_kernels.find_gate_quadruples(table, tt.outputs, tol)) == count
+        assert sum(1 for _ in oracle_quadruples(table, tt.outputs, tol)) == count
+
+
+def test_counts_keep_the_negations_but_not_the_input_swap():
+    # x-state mx on a pi/8 grid; at n = 48 A has 469,800 hits and B 951,912
+    scenario = x_scenario(ObservableKind.MX)
+    grid = GridSpec(0.0, PI / 8, 12)
+    counts = {
+        tt: len(syn.search(scenario, tt, grid).indices) for tt in g.ALL_GATES
+    }
+    for tt in g.ALL_GATES:
+        assert syn.count_assignments(scenario, tt, grid) == counts[tt], tt.name
+        for image in (
+            g.negate_input(tt, "A"), g.negate_input(tt, "B"), g.negate_output(tt)
+        ):
+            assert counts[image] == counts[tt], (tt.name, image.name)
+    # input swap maps A to B, one orbit under `gates.orbit`, with other counts
+    assert g.swap_inputs(g.A) == g.B and g.B in g.orbit(g.A)
+    assert (counts[g.A], counts[g.B]) == (1904, 3528)
+
+
+def test_level_pair_counts_hold_one_block(monkeypatch):
+    rng = np.random.default_rng(3)
+    table = np.round(rng.uniform(-1, 1, size=(64, 64)) * 32) / 32
+    labels = _kernels.level_labels(table, 1e-9)
+    assert labels is not None
+    monkeypatch.setattr(_kernels, "_BLOCK_QUADRUPLES", 64 * 64)  # one row i0
+    tracemalloc.start()
+    try:
+        counts = _kernels.level_pair_counts(labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.shape == (5, 64, 64)
+    # unblocked, the 64^3 column label pairs alone take 2 MiB as one int64 array
+    assert peak < 1 << 20, peak
 
 
 @SEARCH_LIMITS
