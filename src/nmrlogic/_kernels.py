@@ -3,12 +3,26 @@
 The two inner loops that dominate runtime are (a) numeric two-pulse
 propagation evaluated over large parameter grids and (b) the exhaustive
 search for gate-realizing parameter quadruples over a candidate grid.
+
+Propagation builds each pulse's rotations on that pulse's own broadcast
+shape, so a grid passed as `a[:, None]` and `b[None, :]` takes O(n)
+trigonometry per pulse.  Where points share a right-hand matrix, a product
+runs as one row-stacked gemm per distinct matrix, which gives the bits of
+the stacked per-point `np.matmul` (`_product`).
+
+The search labels the levels of a table once, counts the hits of every row
+pair from histograms of column label pairs (`level_pair_counts`), and
+streams the hits of the row pairs that hold any in cache-sized blocks
+(`iter_gate_quadruples`).
+
 `observables` and `synthesis` look both up on this module at call time, so a
 wrapper set on the module attribute (as `perfbench/tracing.py` does) sees
 every call.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -24,16 +38,46 @@ import numpy as np
 
 
 def _rotation_stack(phi: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """(N, 2, 2) complex rotation matrices for flat angle arrays."""
+    """(..., 2, 2) complex rotation matrices over the broadcast angle shape."""
     half = 0.5 * beta
     c = np.cos(half)
     s = np.sin(half)
     ph = np.exp(-1j * phi)
-    out = np.empty(phi.shape + (2, 2), dtype=np.complex128)
+    shape = np.broadcast_shapes(phi.shape, beta.shape)
+    out = np.empty(shape + (2, 2), dtype=np.complex128)
     out[..., 0, 0] = c
     out[..., 0, 1] = -1j * s * ph
     out[..., 1, 0] = -1j * s * np.conj(ph)
     out[..., 1, 1] = c
+    return out
+
+
+def _product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """`left @ right` over broadcast stacks of 2x2 matrices, bit for bit.
+
+    A stacked `np.matmul` makes one BLAS call per matrix.  Where several
+    points share a right-hand matrix, their left matrices go through one
+    row-stacked gemm, `(rows, 2) @ (2, 2)`, which rounds each row as the
+    per-matrix call does.  Other forms (a shared left factor, elementwise
+    products) round differently, so they keep the stacked `@`.
+    """
+    shape = np.broadcast_shapes(left.shape, right.shape)
+    batch = shape[:-2]
+    right = right.reshape((1,) * (len(shape) - right.ndim) + right.shape)
+    distinct = right.shape[:-2]
+    if math.prod(distinct) == math.prod(batch):
+        return left @ right
+    if math.prod(distinct) == 1:
+        return (left.reshape(-1, 2) @ right.reshape(2, 2)).reshape(shape)
+    left = np.broadcast_to(left, shape)
+    out = np.empty(shape, dtype=np.result_type(left, right))
+    rows = None
+    for index in np.ndindex(distinct):
+        # the points of one right-hand matrix: its index where it varies
+        at = tuple(i if n > 1 else slice(None) for i, n in zip(index, distinct))
+        block = left[at]
+        rows = np.matmul(block.reshape(-1, 2), right[index], out=rows)
+        out[at] = rows.reshape(block.shape)
     return out
 
 
@@ -44,7 +88,9 @@ def two_pulse_components(phi2, beta2, phi1, beta1, lambda_b, from_x):
     ----------
     phi2, beta2, phi1, beta1 : array_like
         Pulse parameters in radians, broadcast against each other.
-        Pulse 1 acts first.
+        Pulse 1 acts first.  Each pulse's rotations are built on its own
+        broadcast shape, so axes such as `a[:, None]` and `b[None, :]`
+        keep the trigonometry at O(n) per pulse.
     lambda_b : float
         Polarization scale of the initial state.
     from_x : bool
@@ -55,13 +101,10 @@ def two_pulse_components(phi2, beta2, phi1, beta1, lambda_b, from_x):
     -------
     (mx, my, mz) : tuple of float64 ndarrays
     """
-    phi2, beta2, phi1, beta1 = np.broadcast_arrays(
-        np.asarray(phi2, dtype=np.float64),
-        np.asarray(beta2, dtype=np.float64),
-        np.asarray(phi1, dtype=np.float64),
-        np.asarray(beta1, dtype=np.float64),
+    phi2, beta2, phi1, beta1 = (
+        np.asarray(v, dtype=np.float64) for v in (phi2, beta2, phi1, beta1)
     )
-    u = _rotation_stack(phi2, beta2) @ _rotation_stack(phi1, beta1)
+    u = _product(_rotation_stack(phi2, beta2), _rotation_stack(phi1, beta1))
 
     rho0 = np.zeros((2, 2), dtype=np.complex128)
     rho0[0, 0] = rho0[1, 1] = 0.5
@@ -71,7 +114,7 @@ def two_pulse_components(phi2, beta2, phi1, beta1, lambda_b, from_x):
         rho0[0, 0] += 0.25 * lambda_b
         rho0[1, 1] -= 0.25 * lambda_b
 
-    rho = u @ rho0 @ u.conj().swapaxes(-1, -2)
+    rho = _product(u, rho0) @ u.conj().swapaxes(-1, -2)
     mx = 0.5 * (rho[..., 0, 1] + rho[..., 1, 0]).real
     my = (0.5j * (rho[..., 0, 1] - rho[..., 1, 0])).real
     mz = 0.5 * (rho[..., 0, 0] - rho[..., 1, 1]).real
@@ -175,42 +218,83 @@ def level_pair_counts(labels):
     """
     na, nb = labels.shape
     m = int(labels.max()) + 1
+    # r[i, j]: the count of columns in row i with the label of column j
+    flat = labels + m * np.arange(na)[:, None]
+    r = np.bincount(flat.ravel(), minlength=na * m)[flat]
     counts = np.empty((5, na * na), dtype=np.int64)
     step = max(1, _BLOCK_QUADRUPLES // (na * nb))
     for start in range(0, na, step):
-        i0 = np.arange(start, min(start + step, na))
-        # one sorted row of column label pairs x*m + y per row pair; each
-        # run of one key is one histogram entry, so a row pair has at least one
-        keys = (labels[i0, None, :] * m + labels[None, :, :]).reshape(-1, nb)
-        keys.sort(axis=1)
-        new = np.empty(keys.shape, dtype=bool)
-        new[:, 0] = True
-        np.not_equal(keys[:, 1:], keys[:, :-1], out=new[:, 1:])
-        runs = np.flatnonzero(new)
-        h = np.diff(runs, append=keys.size)
-        cell = keys.ravel()[runs]
-        x, y = np.divmod(cell, m)
-        on = np.where(x == y, h, 0)  # h on the diagonal x == y, else 0
-        off = h - on
-        # entry keys pair*m*m + x*m + y ascend, and (y, x) has key
-        # key + (y - x)(m - 1): look up h(y, x), 0 where it is absent
-        key = runs // nb * (m * m) + cell
-        mirror_key = key + (y - x) * (m - 1)
-        where = np.minimum(np.searchsorted(key, mirror_key), len(key) - 1)
-        mirror = np.where(key[where] == mirror_key, h[where], 0)
-        # r(x): the entries of one row pair and one x are contiguous
-        groups = np.flatnonzero(np.diff(key // m, prepend=-1))
-        row = np.repeat(np.add.reduceat(h, groups), np.diff(groups, append=len(h)))
-        # sum the entries of each row pair
-        firsts = np.flatnonzero(runs % nb == 0)
-        sums = counts[:, start * na:(start + len(i0)) * na]
-        np.add.reduceat(on * h, firsts, out=sums[0])
-        np.add.reduceat(off * h, firsts, out=sums[1])
-        np.add.reduceat(on, firsts, out=sums[2])
-        np.add.reduceat(off * mirror, firsts, out=sums[3])
-        np.add.reduceat(on * (row - h), firsts, out=sums[4])
-        sums[2] = sums[2] * sums[2] - sums[0]
+        stop = min(start + step, na)
+        sums = counts[:, start * na:stop * na]
+        _block_pair_counts(labels[start:stop], labels, r[start:stop], m, sums)
     return counts.reshape(5, na, na)
+
+
+def _block_pair_counts(top, labels, r, m, sums):
+    """Fill `sums`, (5, len(top) * nA), with `level_pair_counts` for the row
+    pairs (i0, i1) with i0 in `top`; `r` is r(x) at each cell of `top`.
+
+    Entry-sized arrays are freed or overwritten once read, so the peak is a
+    few of them.
+    """
+    b, nb = top.shape
+    na = len(labels)
+    keys = np.empty((b, na, nb), dtype=np.int64)
+    # the columns whose two labels agree give sum h(x, x) and, each
+    # weighted by r(x), sum h(x, x) r(x)
+    same = top[:, None, :] == labels[None, :, :]
+    np.sum(same, axis=2, out=sums[2].reshape(b, na))
+    np.multiply(same, r[:, None, :], out=keys)
+    np.sum(keys, axis=2, out=sums[4].reshape(b, na))
+    del same
+    # one sorted row of column label pairs x*m + y per row pair; each run
+    # of one key is one histogram entry, so a row pair has at least one
+    np.multiply(top[:, None, :], m, out=keys)
+    keys += labels[None, :, :]
+    keys = keys.reshape(-1, nb)
+    keys.sort(axis=1)
+    new = np.empty(keys.shape, dtype=bool)
+    new[:, 0] = True
+    np.not_equal(keys[:, 1:], keys[:, :-1], out=new[:, 1:])
+    runs = np.flatnonzero(new)
+    del new
+    cell = keys.ravel()[runs]
+    del keys
+    firsts = np.searchsorted(runs, np.arange(0, b * na * nb, nb))
+    h = np.empty_like(runs)
+    np.subtract(runs[1:], runs[:-1], out=h[:-1])
+    h[-1] = b * na * nb - runs[-1]
+    # entry keys pair*m*m + x*m + y ascend, and (y, x) has key
+    # key + (y - x)(m - 1): look up h(y, x), 0 where it is absent
+    key = runs
+    key //= nb
+    key *= m * m
+    key += cell
+    x = cell // m
+    mirror_key = np.remainder(cell, m, out=cell)  # y
+    on = x == mirror_key  # the diagonal x == y
+    mirror_key -= x
+    del x
+    mirror_key *= m - 1
+    mirror_key += key
+    where = np.searchsorted(key, mirror_key)
+    np.minimum(where, len(key) - 1, out=where)
+    found = key[where] == mirror_key
+    del runs, key, cell, mirror_key  # two buffers under two names each
+    mirror = h[where]
+    del where
+    mirror *= found
+    del found
+    # sum the entries of each row pair.  T is sum h(x, x)^2, and the sums
+    # over all x, y (A, XOR), the square of sum h(x, x) (B) and
+    # sum h(x, x) r(x) (AND) each hold it once, so it comes off all four
+    np.add.reduceat(np.multiply(mirror, h, out=mirror), firsts, out=sums[3])
+    del mirror
+    on = h * on
+    np.add.reduceat(np.square(h, out=h), firsts, out=sums[1])
+    np.add.reduceat(np.square(on, out=on), firsts, out=sums[0])
+    sums[2] *= sums[2]
+    sums[1:] -= sums[0]
 
 
 def _level_hit_pairs(values, outputs, tol):

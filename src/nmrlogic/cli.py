@@ -272,6 +272,16 @@ def _open_out(path: Optional[str]):
     return open(path, "w", encoding="utf-8", newline=""), True
 
 
+def _grid_rows(a_text: str, b_text, mx, my, mxy) -> str:
+    """The CSV rows of one A value, one per B value.
+
+    A `%` template gives the bytes of f"{a},{b},{x:.12g},{y:.12g},{z:.12g}"
+    per row, and is faster; `a_text` is a formatted number, so holds no `%`.
+    """
+    row = (a_text + ",%s,%.12g,%.12g,%.12g\n").__mod__
+    return "".join(map(row, zip(b_text, mx, my, mxy)))
+
+
 def cmd_grid(args: argparse.Namespace) -> int:
     scenario = _scenario_from_args(args)
     if args.grid is not None:
@@ -281,14 +291,13 @@ def cmd_grid(args: argparse.Namespace) -> int:
         grid_b = default_axis(scenario.inputs[1])
     avals = grid_a.values()
     bvals = grid_b.values()
-    mesh_a, mesh_b = np.meshgrid(avals, bvals, indexing="ij")
     mx, my, _ = scenario_components(
         scenario.initial,
         scenario.pulses,
         scenario.inputs,
         scenario.fixed_values,
-        mesh_a,
-        mesh_b,
+        avals[:, None],
+        bvals[None, :],
         scenario.lambda_b,
     )
     mxy = np.hypot(mx, my)
@@ -305,14 +314,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
         # one write per A row; joining the whole CSV would hold it in memory
         for i, a in enumerate(_format_values(avals)):
             handle.write(
-                "".join(
-                    [
-                        f"{a},{b},{x:.12g},{y:.12g},{z:.12g}\n"
-                        for b, x, y, z in zip(
-                            b_text, mx[i].tolist(), my[i].tolist(), mxy[i].tolist()
-                        )
-                    ]
-                )
+                _grid_rows(a, b_text, mx[i].tolist(), my[i].tolist(), mxy[i].tolist())
             )
     finally:
         if owned:
@@ -357,7 +359,8 @@ def _format_values(values) -> list:
 
 
 def _write_rows(handle, template: str, columns) -> None:
-    """Write one `template` row per index, `_ROW_BLOCK` rows per write.
+    """Write one row per index through the `%s` `template`, `_ROW_BLOCK`
+    rows per write.
 
     Each column is a (strings, index) pair: row k takes strings[index[k]].
     """
@@ -365,7 +368,7 @@ def _write_rows(handle, template: str, columns) -> None:
     for start in range(0, total, _ROW_BLOCK):
         stop = start + _ROW_BLOCK
         block = [strings[index[start:stop]].tolist() for strings, index in columns]
-        handle.write("".join(map(template.format, *block)))
+        handle.write("".join(map(template.__mod__, zip(*block))))
 
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
@@ -396,14 +399,14 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         except OSError as exc:
             print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
             return EXIT_IO
-        csv_levels = ",".join("{}" if bit in cells else "nan" for bit in (False, True))
+        csv_levels = ",".join("%s" if bit in cells else "nan" for bit in (False, True))
         with handle:
             handle.write("a0,a1,b0,b1,level0,level1\n")
-            _write_rows(handle, "{},{},{},{}," + csv_levels + "\n", columns)
+            _write_rows(handle, "%s,%s,%s,%s," + csv_levels + "\n", columns)
     print(f"{count} {tt.name} assignment(s), class {gates.gate_class(tt).value}")
-    text_levels = " ".join(f"{{}}->{int(bit)}" for bit in cells)
+    text_levels = " ".join(f"%s->{int(bit)}" for bit in cells)
     _write_rows(
-        sys.stdout, "A=({}, {}) B=({}, {}) levels " + text_levels + "\n", columns
+        sys.stdout, "A=(%s, %s) B=(%s, %s) levels " + text_levels + "\n", columns
     )
     return EXIT_OK
 

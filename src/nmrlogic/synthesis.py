@@ -53,6 +53,10 @@ class Scenario:
         object.__setattr__(self, "observable", ObservableKind(self.observable))
         object.__setattr__(self, "inputs", tuple(self.inputs))
         fixed = dict(self.fixed)
+        if len(fixed) < len(self.fixed):
+            names = [name for name, _ in self.fixed]
+            twice = next(name for name in names if names.count(name) > 1)
+            raise ValueError(f"parameter {twice!r} is fixed more than once")
         validate_binding(self.pulses, self.inputs, fixed)
         object.__setattr__(self, "fixed", tuple(sorted(fixed.items())))
         if not math.isfinite(self.lambda_b):
@@ -80,18 +84,13 @@ def evaluate_scenario(scenario: Scenario, a_value: float, b_value: float) -> flo
 
 def scenario_table(scenario: Scenario, a_values, b_values) -> np.ndarray:
     """Observable over the Cartesian product of candidate values, A on rows."""
-    avals, bvals = np.meshgrid(
-        np.asarray(a_values, dtype=np.float64),
-        np.asarray(b_values, dtype=np.float64),
-        indexing="ij",
-    )
     mx, my, _ = scenario_components(
         scenario.initial,
         scenario.pulses,
         scenario.inputs,
         scenario.fixed_values,
-        avals,
-        bvals,
+        np.asarray(a_values, dtype=np.float64).reshape(-1, 1),
+        np.asarray(b_values, dtype=np.float64).reshape(1, -1),
         scenario.lambda_b,
     )
     return np.asarray(_select_component(scenario.observable, mx, my), dtype=np.float64)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from nmrlogic import cli, gates, synthesis
 from nmrlogic.observables import GridSpec, scenario_components
@@ -303,6 +304,18 @@ def test_entry_point_exits_with_main_code(monkeypatch, capsys):
     assert capsys.readouterr().out.startswith("gate XOR (id 6)")
 
 
+def test_grid_rejects_a_parameter_fixed_twice(tmp_path, capsys):
+    out_path = tmp_path / "grid.csv"
+    code, out, err = run(
+        capsys, "grid", "--pulses", "2", "--inputs", "phi2,phi1",
+        "--fix", "beta1=1", "--fix", "beta1=2", "--fix", "beta2=1",
+        "--out", str(out_path),
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: parameter 'beta1' is fixed more than once\n"
+    assert not out_path.exists()
+
+
 # config files ----------------------------------------------------------------
 
 
@@ -323,6 +336,17 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
     )
     assert code == 0
     assert out_path.read_text().splitlines()[0] == "beta2,beta1,Mx,My,Mxy"
+
+
+def test_config_rejects_a_parameter_fixed_twice(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("fix=beta1=1\nfix=beta1=2\nfix=beta2=1\n")
+    code, out, err = run(
+        capsys, "synthesize", "AND", "--pulses", "2", "--inputs", "phi2,phi1",
+        "--config", str(config),
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: parameter 'beta1' is fixed more than once\n"
 
 
 def test_config_flags_override_file(tmp_path, capsys):
@@ -554,6 +578,24 @@ def _reference_grid(scenario, grid_a, grid_b):
                 f"{mx[i, j]:.12g},{my[i, j]:.12g},{mxy[i, j]:.12g}\n"
             )
     return "".join(lines)
+
+
+any_float = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@given(
+    a=any_float,
+    cells=st.lists(st.tuples(any_float, any_float, any_float, any_float)),
+)
+def test_grid_row_template_equals_the_f_string_rows(a, cells):
+    a_text = f"{a:.12g}"
+    b_text = [f"{b:.12g}" for b, _, _, _ in cells]
+    mx, my, mxy = ([cell[k] for cell in cells] for k in (1, 2, 3))
+    expected = "".join(
+        f"{a_text},{b},{x:.12g},{y:.12g},{z:.12g}\n"
+        for b, x, y, z in zip(b_text, mx, my, mxy)
+    )
+    assert cli._grid_rows(a_text, b_text, mx, my, mxy) == expected
 
 
 def test_grid_bytes_match_reference_on_default_axes(tmp_path, capsys):

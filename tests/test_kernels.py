@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -79,3 +80,68 @@ def test_two_pulse_components_scalar_input():
     mx, my, mz = k.two_pulse_components(PI / 2, PI / 2, 0.0, 0.0, 1.0, False)
     assert float(mx) == pytest.approx(0.25, abs=1e-15)
     assert float(mz) == pytest.approx(0.0, abs=1e-15)
+
+
+# The propagation chain as it stood before the per-pulse shapes and the
+# row-stacked products: every angle broadcast to the full shape first, then
+# stacked `@` throughout.  The kernel must match it bit for bit.
+
+
+def _stacked_rotations(phi, beta):
+    half = 0.5 * beta
+    c = np.cos(half)
+    s = np.sin(half)
+    ph = np.exp(-1j * phi)
+    out = np.empty(phi.shape + (2, 2), dtype=np.complex128)
+    out[..., 0, 0] = c
+    out[..., 0, 1] = -1j * s * ph
+    out[..., 1, 0] = -1j * s * np.conj(ph)
+    out[..., 1, 1] = c
+    return out
+
+
+def _stacked_components(phi2, beta2, phi1, beta1, lambda_b, from_x):
+    phi2, beta2, phi1, beta1 = np.broadcast_arrays(
+        *(np.asarray(v, dtype=np.float64) for v in (phi2, beta2, phi1, beta1))
+    )
+    u = _stacked_rotations(phi2, beta2) @ _stacked_rotations(phi1, beta1)
+    rho0 = np.zeros((2, 2), dtype=np.complex128)
+    rho0[0, 0] = rho0[1, 1] = 0.5
+    if from_x:
+        rho0[0, 1] = rho0[1, 0] = 0.25 * lambda_b
+    else:
+        rho0[0, 0] += 0.25 * lambda_b
+        rho0[1, 1] -= 0.25 * lambda_b
+    rho = u @ rho0 @ u.conj().swapaxes(-1, -2)
+    mx = 0.5 * (rho[..., 0, 1] + rho[..., 1, 0]).real
+    my = (0.5j * (rho[..., 0, 1] - rho[..., 1, 0])).real
+    mz = 0.5 * (rho[..., 0, 0] - rho[..., 1, 1]).real
+    return mx, my, mz
+
+
+TWO_PULSE = ("phi2", "beta2", "phi1", "beta1")
+AXIS_A = PI / 100 * np.arange(41) - 1.3  # pi/100 steps, as grid exports use
+AXIS_B = np.random.default_rng(5).uniform(-7.0, 7.0, 29)
+INPUT_FORMS = {
+    "column-row": (AXIS_A[:, None], AXIS_B[None, :]),
+    "row-column": (AXIS_A[None, :], AXIS_B[:, None]),
+    "meshgrid": tuple(np.meshgrid(AXIS_A, AXIS_B, indexing="ij")),
+    "1-d": (AXIS_A[:29], AXIS_B),
+    "scalar": (AXIS_A[7], AXIS_B[3]),
+}
+
+
+@pytest.mark.parametrize("form", INPUT_FORMS)
+@pytest.mark.parametrize("from_x", [False, True], ids=["z", "x"])
+@pytest.mark.parametrize(
+    "inputs", list(itertools.permutations(TWO_PULSE, 2)), ids="-".join
+)
+def test_two_pulse_components_match_the_stacked_chain_bit_for_bit(inputs, from_x, form):
+    bound = dict(zip(TWO_PULSE, (PI / 2, PI, 0.3, -1.1)))
+    bound.update(zip(inputs, INPUT_FORMS[form]))
+    args = [bound[p] for p in TWO_PULSE]
+    for new, old in zip(
+        k.two_pulse_components(*args, 0.8, from_x), _stacked_components(*args, 0.8, from_x)
+    ):
+        assert np.shape(new) == np.shape(old)
+        assert np.array_equal(new, old)

@@ -52,6 +52,15 @@ def test_scenario_validation():
         )
 
 
+@pytest.mark.parametrize("twice", [1.0, 2.0], ids=["same-value", "new-value"])
+def test_scenario_rejects_a_parameter_fixed_twice(twice):
+    with pytest.raises(ValueError, match="parameter 'beta1' is fixed more than once"):
+        syn.Scenario(
+            "x", 2, "mx", ("phi2", "phi1"),
+            fixed=(("beta1", 1.0), ("beta1", twice), ("beta2", 1.0)),
+        )
+
+
 def test_scenario_table_matches_scalar_evaluation():
     cand = DEFAULT_GRID.values()[:6]
     table = syn.scenario_table(THERMAL_MX, cand, cand)
@@ -421,6 +430,48 @@ def test_level_pair_counts_hold_one_block(monkeypatch):
     assert counts.shape == (5, 64, 64)
     # unblocked, the 64^3 column label pairs alone take 2 MiB as one int64 array
     assert peak < 1 << 20, peak
+
+
+def _formula_pair_counts(labels):
+    """`level_pair_counts` from a dense h(x, y) per row pair, the formulas
+    of its docstring written out one row i0 at a time."""
+    na, nb = labels.shape
+    m = int(labels.max()) + 1
+    counts = np.zeros((5, na, na), dtype=np.int64)
+    for i0 in range(na):
+        h = np.zeros((na, m, m), dtype=np.int64)
+        np.add.at(h, (np.arange(na)[:, None], labels[i0][None, :], labels), 1)
+        diag = np.einsum("ixx->ix", h)
+        r = h[0].sum(axis=1)
+        t = (diag * diag).sum(axis=1)
+        counts[:, i0] = (
+            t,
+            (h * h).sum(axis=(1, 2)) - t,
+            diag.sum(axis=1) ** 2 - t,
+            (h * h.transpose(0, 2, 1)).sum(axis=(1, 2)) - t,
+            (diag * (r - diag)).sum(axis=1),
+        )
+    return counts
+
+
+def test_level_pair_counts_peak_is_a_few_blocks():
+    # 65 levels over 64 columns: nearly every column label pair of a row
+    # pair is its own histogram entry, so entry arrays are block-sized
+    rng = np.random.default_rng(3)
+    table = np.round(rng.uniform(-1, 1, size=(64, 64)) * 32) / 32
+    labels = _kernels.level_labels(table, 1e-9)
+    assert labels.max() + 1 == 65
+    tracemalloc.start()
+    try:
+        counts = _kernels.level_pair_counts(labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(counts, _formula_pair_counts(labels))
+    # one block of 2^16 int64 cells is 0.5 MiB; keeping every temporary of
+    # a block alive took about 8.9 MB
+    block = _kernels._BLOCK_QUADRUPLES * 8
+    assert peak < 8 * block, peak
 
 
 @SEARCH_LIMITS
