@@ -13,7 +13,8 @@ the stacked per-point `np.matmul` (`_product`).
 The search labels the levels of a table once, counts the hits of every row
 pair from histograms of column label pairs (`level_pair_counts`), and
 streams the hits of the row pairs that hold any in cache-sized blocks
-(`iter_gate_quadruples`).
+(`iter_gate_quadruples`).  `gate_counts` counts hits per truth table from
+either, holding none.
 
 `observables` and `synthesis` look both up on this module at call time, so a
 wrapper set on the module attribute (as `perfbench/tracing.py` does) sees
@@ -306,6 +307,22 @@ def _level_hit_pairs(values, outputs, tol):
     slot, transposed = orbit_representative(outputs)
     counts = level_pair_counts(labels)[slot]
     return np.argwhere(counts.T if transposed else counts)
+
+
+def gate_counts(values, outputs_seq, tol):
+    """Realizing quadruples over `values` for each truth table in `outputs_seq`.
+
+    A table with levels (`level_labels`) takes one counting pass for all of
+    them; any other sums the hit blocks of each search, one at a time.
+    """
+    labels = level_labels(values, tol)
+    if labels is None:
+        return [
+            sum(len(hits) for hits in iter_gate_quadruples(values, outputs, tol))
+            for outputs in outputs_seq
+        ]
+    totals = level_pair_counts(labels).sum(axis=(1, 2)).tolist()
+    return [totals[orbit_representative(outputs)[0]] for outputs in outputs_seq]
 
 
 def iter_gate_quadruples(values, outputs, tol):

@@ -20,7 +20,8 @@ and starting polarised along x:
 
 Two-pulse observables are evaluated numerically; closed forms for the
 special fixed-parameter families are kept as independent regression
-formulas (see `TWO_PULSE_PI_HALF_FORMS` and `TWO_PULSE_MIXED_FIX_FORMS`).
+formulas in one registry, `TWO_PULSE_FORMS`, read through
+`two_pulse_closed_form`.
 """
 
 from __future__ import annotations
@@ -86,9 +87,9 @@ def _select_component(kind: ObservableKind, mx, my):
 # ---------------------------------------------------------------------------
 # Closed forms for the x-state two-pulse mx with two parameters fixed.
 #
-# First family: the remaining two parameters both fixed at pi/2, one entry
-# per choice of free pair (keyed "<param of input A>,<param of input B>").
-# Second family: unequal fixed values (flip angle pi on pulse 2).
+# Each entry binds a free pair (input A first) and the two fixed values.
+# Six entries fix the remaining pair at pi/2; two fix flip angle pi on
+# pulse 2 and pi/2 on one parameter of pulse 1.
 # ---------------------------------------------------------------------------
 
 
@@ -108,73 +109,50 @@ def _form_beta2_phi1(a, b, q):
     return q * (np.cos(b) ** 2 * np.cos(a) - np.sin(b) * np.sin(a))
 
 
-def _form_phi2_beta2(a, b, q):
+def _form_one_pulse_free(a, b, q):
+    # free (phase, flip) of one pulse, the other pulse fixed at (pi/2, pi/2)
     return -q * np.sin(a) * np.sin(b)
-
-
-def _form_phi1_beta1(a, b, q):
-    return -q * np.sin(a) * np.sin(b)
-
-
-TWO_PULSE_PI_HALF_FORMS: Mapping[str, Tuple[Tuple[str, str], object]] = {
-    # key: free pair (A first); value: ((param of A, param of B), formula)
-    "phi2,phi1": (("phi2", "phi1"), _form_phi2_phi1),
-    "phi2,beta1": (("phi2", "beta1"), _form_phi2_beta1),
-    "beta2,beta1": (("beta2", "beta1"), _form_beta2_beta1),
-    "beta2,phi1": (("beta2", "phi1"), _form_beta2_phi1),
-    "phi2,beta2": (("phi2", "beta2"), _form_phi2_beta2),
-    "phi1,beta1": (("phi1", "beta1"), _form_phi1_beta1),
-}
-
-
-def two_pulse_pi_half_closed_form(
-    free_pair: str, var_a: float, var_b: float, lambda_b: float = 1.0
-):
-    """x-state two-pulse mx with the two non-free parameters fixed at pi/2.
-
-    `free_pair` names the parameters bound to logic inputs A and B, e.g.
-    "beta2,beta1".  Unknown pairs raise ValueError.
-    """
-    if free_pair not in TWO_PULSE_PI_HALF_FORMS:
-        raise ValueError(
-            f"unknown free pair {free_pair!r}; expected one of "
-            f"{sorted(TWO_PULSE_PI_HALF_FORMS)}"
-        )
-    _, formula = TWO_PULSE_PI_HALF_FORMS[free_pair]
-    return formula(np.asarray(var_a), np.asarray(var_b), 0.25 * lambda_b)
 
 
 def _form_both_phis_beta2_pi(a, b, q):
-    # fixed beta1 = pi/2, beta2 = pi; free (phi2, phi1)
     return q * np.cos(2.0 * a - b) * np.cos(b)
 
 
 def _form_phi2_beta1_beta2_pi(a, b, q):
-    # fixed phi1 = pi/2, beta2 = pi; free (phi2, beta1)
     return q * np.cos(2.0 * a) * np.cos(b)
 
 
-TWO_PULSE_MIXED_FIX_FORMS = {
-    "beta1_half_pi,beta2_pi": (("phi2", "phi1"), {"beta1": math.pi / 2, "beta2": math.pi}, _form_both_phis_beta2_pi),
-    "phi1_half_pi,beta2_pi": (("phi2", "beta1"), {"phi1": math.pi / 2, "beta2": math.pi}, _form_phi2_beta1_beta2_pi),
+_HALF_PI = math.pi / 2
+
+TWO_PULSE_FORMS: Mapping[str, Tuple[Tuple[str, str], Mapping[str, float], object]] = {
+    # label: ((param of A, param of B), fixed values, formula)
+    "phi2,phi1; others pi/2": (("phi2", "phi1"), {"beta2": _HALF_PI, "beta1": _HALF_PI}, _form_phi2_phi1),
+    "phi2,beta1; others pi/2": (("phi2", "beta1"), {"beta2": _HALF_PI, "phi1": _HALF_PI}, _form_phi2_beta1),
+    "beta2,beta1; others pi/2": (("beta2", "beta1"), {"phi2": _HALF_PI, "phi1": _HALF_PI}, _form_beta2_beta1),
+    "beta2,phi1; others pi/2": (("beta2", "phi1"), {"phi2": _HALF_PI, "beta1": _HALF_PI}, _form_beta2_phi1),
+    "phi2,beta2; others pi/2": (("phi2", "beta2"), {"phi1": _HALF_PI, "beta1": _HALF_PI}, _form_one_pulse_free),
+    "phi1,beta1; others pi/2": (("phi1", "beta1"), {"phi2": _HALF_PI, "beta2": _HALF_PI}, _form_one_pulse_free),
+    # only horizontal zero-valued traces exist
+    "beta1_half_pi,beta2_pi": (("phi2", "phi1"), {"beta1": _HALF_PI, "beta2": math.pi}, _form_both_phis_beta2_pi),
+    # horizontal and vertical zero traces both exist
+    "phi1_half_pi,beta2_pi": (("phi2", "beta1"), {"phi1": _HALF_PI, "beta2": math.pi}, _form_phi2_beta1_beta2_pi),
 }
 
 
-def two_pulse_mixed_fix_closed_form(
-    case: str, var_a: float, var_b: float, lambda_b: float = 1.0
-):
-    """x-state two-pulse mx with unequal fixed parameters.
+def two_pulse_closed_form(label: str, a, b, lambda_b: float = 1.0):
+    """x-state two-pulse mx of the `TWO_PULSE_FORMS` entry `label`.
 
-    Case "beta1_half_pi,beta2_pi": free (phi2, phi1); only horizontal
-    zero-valued traces exist.  Case "phi1_half_pi,beta2_pi": free
-    (phi2, beta1); horizontal and vertical zero traces both exist.
+    `a` and `b` are the values of the entry's free pair; arrays broadcast.
+    Unknown labels and a non-finite `lambda_b` raise ValueError.
     """
-    if case not in TWO_PULSE_MIXED_FIX_FORMS:
+    if label not in TWO_PULSE_FORMS:
         raise ValueError(
-            f"unknown case {case!r}; expected one of {sorted(TWO_PULSE_MIXED_FIX_FORMS)}"
+            f"unknown closed form {label!r}; expected one of {sorted(TWO_PULSE_FORMS)}"
         )
-    _, _, formula = TWO_PULSE_MIXED_FIX_FORMS[case]
-    return formula(np.asarray(var_a), np.asarray(var_b), 0.25 * lambda_b)
+    if not math.isfinite(lambda_b):
+        raise ValueError(f"lambda_b must be finite, got {lambda_b!r}")
+    _, _, formula = TWO_PULSE_FORMS[label]
+    return formula(np.asarray(a), np.asarray(b), 0.25 * lambda_b)
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,7 @@ from .observables import (
     GridSpec,
     InitialState,
     ObservableKind,
-    TWO_PULSE_MIXED_FIX_FORMS,
-    TWO_PULSE_PARAMS,
-    TWO_PULSE_PI_HALF_FORMS,
+    TWO_PULSE_FORMS,
     default_axis,
     scenario_components,
     validate_binding,
@@ -106,24 +104,6 @@ def _candidate_table(scenario: Scenario, grid: GridSpec, tol: float):
     _check_tol(tol)
     cand = grid.values()
     return cand, scenario_table(scenario, cand, cand)
-
-
-def _gate_counts(
-    table: np.ndarray, tts: Sequence[TruthTable], tol: float
-) -> List[int]:
-    """Realizing quadruples over `table` for each of `tts`.
-
-    A table with levels (`_kernels.level_labels`) takes one counting pass
-    for all of them; any other sums the hit blocks of each search.
-    """
-    labels = _kernels.level_labels(table, tol)
-    if labels is None:
-        return [
-            sum(len(hits) for hits in _kernels.iter_gate_quadruples(table, tt.outputs, tol))
-            for tt in tts
-        ]
-    totals = _kernels.level_pair_counts(labels).sum(axis=(1, 2)).tolist()
-    return [totals[_kernels.orbit_representative(tt.outputs)[0]] for tt in tts]
 
 
 @dataclass(frozen=True)
@@ -299,7 +279,7 @@ def count_assignments(
 ) -> int:
     """Number of realizing assignments, without holding them."""
     _, table = _candidate_table(scenario, grid, tol)
-    return _gate_counts(table, [tt], tol)[0]
+    return _kernels.gate_counts(table, [tt.outputs], tol)[0]
 
 
 def achievable_classes(
@@ -309,7 +289,7 @@ def achievable_classes(
 ) -> Set[GateClass]:
     """Gate classes with at least one realizable member on the grid."""
     _, table = _candidate_table(scenario, grid, tol)
-    counts = _gate_counts(table, ALL_GATES, tol)
+    counts = _kernels.gate_counts(table, [tt.outputs for tt in ALL_GATES], tol)
     return {gate_class(tt) for tt, count in zip(ALL_GATES, counts) if count}
 
 
@@ -322,7 +302,6 @@ class ReferenceGateRow(NamedTuple):
     """One exemplar single-pulse realization (thermal state, mx readout)."""
 
     gate: TruthTable
-    gate_cls: GateClass
     a_values: Tuple[float, float]
     b_values: Tuple[float, float]
     outputs: Tuple[float, float, float, float]  # at inputs 00, 01, 10, 11
@@ -332,22 +311,22 @@ _PI = math.pi
 
 REFERENCE_SINGLE_PULSE_GATES: Tuple[ReferenceGateRow, ...] = (
     ReferenceGateRow(
-        T, GateClass.CONSTANT,
+        T,
         (_PI / 2, 5 * _PI / 2), (_PI / 2, 5 * _PI / 2),
         (0.25, 0.25, 0.25, 0.25),
     ),
     ReferenceGateRow(
-        B, GateClass.STRONG,
+        B,
         (_PI / 2, 5 * _PI / 2), (-_PI / 2, _PI / 2),
         (-0.25, 0.25, -0.25, 0.25),
     ),
     ReferenceGateRow(
-        NAND, GateClass.WEAK,
+        NAND,
         (_PI, 3 * _PI / 2), (0.0, _PI / 2),
         (0.0, 0.0, 0.0, -0.25),
     ),
     ReferenceGateRow(
-        XOR, GateClass.NONE,
+        XOR,
         (_PI / 2, 3 * _PI / 2), (-_PI / 2, _PI / 2),
         (-0.25, 0.25, 0.25, -0.25),
     ),
@@ -378,9 +357,7 @@ class CheckResult(NamedTuple):
     detail: str
 
 
-def verify_reference_tables(
-    lambda_b: float = 1.0, tol: float = 1e-10, grid_points: int = 101
-) -> List[CheckResult]:
+def verify_reference_tables(lambda_b: float = 1.0, tol: float = 1e-10) -> List[CheckResult]:
     """Recompute the built-in gate exemplars and pin every two-pulse closed
     form against numeric propagation; one result entry per check."""
     _check_tol(tol)
@@ -408,13 +385,8 @@ def verify_reference_tables(
             )
         )
 
-    forms = []
-    for pair, (free, formula) in TWO_PULSE_PI_HALF_FORMS.items():
-        others = {p: _PI / 2 for p in TWO_PULSE_PARAMS if p not in free}
-        forms.append((f"{pair}; others pi/2", free, others, formula))
-    forms += [(case, *form) for case, form in TWO_PULSE_MIXED_FIX_FORMS.items()]
-    for label, free, fixed, formula in forms:
-        err = _closed_form_max_error(free, fixed, formula, lambda_b, grid_points)
+    for label, (free, fixed, formula) in TWO_PULSE_FORMS.items():
+        err = _closed_form_max_error(free, fixed, formula, lambda_b)
         results.append(
             CheckResult(
                 f"two-pulse closed form ({label})",
@@ -425,10 +397,10 @@ def verify_reference_tables(
     return results
 
 
-def _closed_form_max_error(free, fixed, formula, lambda_b, grid_points) -> float:
+def _closed_form_max_error(free, fixed, formula, lambda_b) -> float:
     """Largest |closed form - propagated x-state mx| over the default axes."""
-    a_values = default_axis(free[0], grid_points).values()
-    b_values = default_axis(free[1], grid_points).values()
+    a_values = default_axis(free[0]).values()
+    b_values = default_axis(free[1]).values()
     scenario = Scenario(
         InitialState.SUPERPOSITION_X,
         2,
@@ -450,79 +422,61 @@ EXEMPLAR_GRID = GridSpec(start=0.0, step=math.pi / 2, count=8)
 
 
 def capability_checks(
-    grid: GridSpec = DEFAULT_SYNTH_GRID,
-    tol: float = DEFAULT_LEVEL_TOL,
-    lambda_b: float = 1.0,
-    equal_fix_grid: GridSpec = EXEMPLAR_GRID,
+    grid: GridSpec = DEFAULT_SYNTH_GRID, lambda_b: float = 1.0
 ) -> List[CheckResult]:
     """The class-capability claims, re-established by exhaustive search.
 
-    Claims are grid-relative: single-pulse and mixed-fix claims run on
-    `grid`, the equal-fixed-pair claims on `equal_fix_grid`.
+    Claims are grid-relative: the equal-fixed-pair claim runs on
+    `EXEMPLAR_GRID`, every other claim on `grid`.
     """
-    results: List[CheckResult] = []
+    tol = DEFAULT_LEVEL_TOL
 
-    def _grid_tag(g: GridSpec) -> str:
+    def x_state(pulses, observable, inputs, fixed=()):
+        return Scenario(InitialState.SUPERPOSITION_X, pulses, observable, inputs, fixed, lambda_b)
+
+    def grid_tag(g: GridSpec) -> str:
         return f"grid {g.start:.6g}:{g.step:.6g}:{g.count}"
 
     _, thermal = _candidate_table(reference_single_pulse_scenario(lambda_b), grid, tol)
-    counts = _gate_counts(thermal, ALL_GATES, tol)
+    counts = _kernels.gate_counts(thermal, [tt.outputs for tt in ALL_GATES], tol)
     missing = [tt.name for tt, count in zip(ALL_GATES, counts) if not count]
-    results.append(
+    results = [
         CheckResult(
-            f"thermal 1-pulse mx realizes all 16 gates [{_grid_tag(grid)}]",
+            f"thermal 1-pulse mx realizes all 16 gates [{grid_tag(grid)}]",
             not missing,
             "all gates found" if not missing else f"missing: {missing}",
         )
-    )
-
-    for kind in ObservableKind:
-        scenario = Scenario(
-            InitialState.SUPERPOSITION_X, 1, kind, ("phi", "beta"), lambda_b=lambda_b
+    ]
+    # (name, scenario, grid, achievable classes)
+    claims = [
+        (
+            f"x-state 1-pulse {kind.value} classes == {{0,1,2}}",
+            x_state(1, kind, ("phi", "beta")),
+            grid,
+            {GateClass.CONSTANT, GateClass.STRONG, GateClass.WEAK},
         )
-        classes = achievable_classes(scenario, grid, tol)
-        expected = {GateClass.CONSTANT, GateClass.STRONG, GateClass.WEAK}
+        for kind in ObservableKind
+    ] + [
+        (
+            "x-state 2-pulse (phi2, phi1), flips pi/2: classes == {0,1,3}",
+            x_state(2, ObservableKind.MX, ("phi2", "phi1"), (("beta1", _PI / 2), ("beta2", _PI / 2))),
+            EXEMPLAR_GRID,
+            {GateClass.CONSTANT, GateClass.STRONG, GateClass.NONE},
+        ),
+        (
+            "x-state 2-pulse (phi2, beta1), phi1=pi/2, beta2=pi: all classes",
+            x_state(2, ObservableKind.MX, ("phi2", "beta1"), (("phi1", _PI / 2), ("beta2", _PI))),
+            grid,
+            set(GateClass),
+        ),
+    ]
+    for name, scenario, claim_grid, expected in claims:
+        classes = achievable_classes(scenario, claim_grid, tol)
         results.append(
             CheckResult(
-                f"x-state 1-pulse {kind.value} classes == {{0,1,2}} [{_grid_tag(grid)}]",
+                f"{name} [{grid_tag(claim_grid)}]",
                 classes == expected,
                 f"achievable classes {sorted(c.value for c in classes)}",
             )
         )
-
-    equal_fix = Scenario(
-        InitialState.SUPERPOSITION_X,
-        2,
-        ObservableKind.MX,
-        ("phi2", "phi1"),
-        fixed=(("beta1", _PI / 2), ("beta2", _PI / 2)),
-        lambda_b=lambda_b,
-    )
-    classes = achievable_classes(equal_fix, equal_fix_grid, tol)
-    results.append(
-        CheckResult(
-            "x-state 2-pulse (phi2, phi1), flips pi/2: classes == {0,1,3} "
-            f"[{_grid_tag(equal_fix_grid)}]",
-            classes == {GateClass.CONSTANT, GateClass.STRONG, GateClass.NONE},
-            f"achievable classes {sorted(c.value for c in classes)}",
-        )
-    )
-
-    mixed_fix = Scenario(
-        InitialState.SUPERPOSITION_X,
-        2,
-        ObservableKind.MX,
-        ("phi2", "beta1"),
-        fixed=(("phi1", _PI / 2), ("beta2", _PI)),
-        lambda_b=lambda_b,
-    )
-    classes = achievable_classes(mixed_fix, grid, tol)
-    results.append(
-        CheckResult(
-            f"x-state 2-pulse (phi2, beta1), phi1=pi/2, beta2=pi: all classes "
-            f"[{_grid_tag(grid)}]",
-            classes == set(GateClass),
-            f"achievable classes {sorted(c.value for c in classes)}",
-        )
-    )
     return results

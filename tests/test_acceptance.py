@@ -89,13 +89,7 @@ def test_criterion_2_closed_forms_match_propagation():
         )
         return avals, bvals, mx
 
-    for key, (free, formula) in obs.TWO_PULSE_PI_HALF_FORMS.items():
-        fixed = {p: PI / 2 for p in obs.TWO_PULSE_PARAMS if p not in free}
-        avals, bvals, mx = numeric_mx(free, fixed)
-        err = float(np.max(np.abs(formula(avals, bvals, 0.25) - mx)))
-        crit.check(err <= 1e-10, f"two-pulse ({key}) closed form: max err {err:.3e}")
-
-    for key, (free, fixed, formula) in obs.TWO_PULSE_MIXED_FIX_FORMS.items():
+    for key, (free, fixed, formula) in obs.TWO_PULSE_FORMS.items():
         avals, bvals, mx = numeric_mx(free, fixed)
         err = float(np.max(np.abs(formula(avals, bvals, 0.25) - mx)))
         crit.check(err <= 1e-10, f"two-pulse ({key}) closed form: max err {err:.3e}")

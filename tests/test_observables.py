@@ -118,28 +118,42 @@ def test_two_pulse_undo_pulse_reduces_to_thermal_case():
 
 
 def test_pi_half_closed_form_examples():
-    assert obs.two_pulse_pi_half_closed_form("beta2,beta1", PI / 2, PI / 2) == pytest.approx(
+    assert obs.two_pulse_closed_form("beta2,beta1; others pi/2", PI / 2, PI / 2) == pytest.approx(
         -0.25, abs=1e-15
     )
-    assert obs.two_pulse_pi_half_closed_form("phi2,beta2", PI / 2, PI / 2) == pytest.approx(
+    assert obs.two_pulse_closed_form("phi2,beta2; others pi/2", PI / 2, PI / 2) == pytest.approx(
         -0.25, abs=1e-15
     )
     with pytest.raises(ValueError):
-        obs.two_pulse_pi_half_closed_form("beta1,beta2", 0.0, 0.0)
+        obs.two_pulse_closed_form("beta1,beta2; others pi/2", 0.0, 0.0)
 
 
-def test_pi_half_closed_forms_match_propagation():
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_closed_form_rejects_non_finite_lambda(lam):
+    for label in obs.TWO_PULSE_FORMS:
+        with pytest.raises(ValueError, match="lambda_b"):
+            obs.two_pulse_closed_form(label, 0.0, 0.0, lam)
+
+
+def test_closed_forms_match_propagation():
     phis = np.linspace(0, 4 * PI, 21)
     betas = np.linspace(-2 * PI, 2 * PI, 21)
     axes = {"phi2": phis, "beta2": betas, "phi1": phis, "beta1": betas}
-    for key, (free, formula) in obs.TWO_PULSE_PI_HALF_FORMS.items():
-        fixed = {p: PI / 2 for p in obs.TWO_PULSE_PARAMS if p not in free}
+    assert len(obs.TWO_PULSE_FORMS) == 8
+    for label, (free, fixed, _) in obs.TWO_PULSE_FORMS.items():
         avals, bvals = np.meshgrid(axes[free[0]], axes[free[1]], indexing="ij")
         mx, _, _ = obs.scenario_components(
             obs.InitialState.SUPERPOSITION_X, 2, free, fixed, avals, bvals, 1.0
         )
-        analytic = obs.two_pulse_pi_half_closed_form(key, avals, bvals, 1.0)
-        assert np.max(np.abs(analytic - mx)) <= 1e-12, key
+        analytic = obs.two_pulse_closed_form(label, avals, bvals, 1.0)
+        assert np.max(np.abs(analytic - mx)) <= 1e-12, label
+
+
+def test_pi_half_forms_fix_the_other_pair_at_pi_half():
+    for label, (free, fixed, _) in obs.TWO_PULSE_FORMS.items():
+        if label.endswith("; others pi/2"):
+            assert label == ",".join(free) + "; others pi/2"
+            assert fixed == {p: PI / 2 for p in obs.TWO_PULSE_PARAMS if p not in free}
 
 
 def test_last_pulse_free_pair_is_negated_single_pulse():
@@ -148,12 +162,12 @@ def test_last_pulse_free_pair_is_negated_single_pulse():
     for phi in np.linspace(0, 4 * PI, 15):
         for beta in np.linspace(-2 * PI, 2 * PI, 15):
             base = closed_single_pulse(phi, beta, 0.7, False).mx
-            assert obs.two_pulse_pi_half_closed_form("phi2,beta2", phi, beta, 0.7) == pytest.approx(
-                -base, abs=1e-14
-            )
-            assert obs.two_pulse_pi_half_closed_form("phi1,beta1", phi, beta, 0.7) == pytest.approx(
-                -base, abs=1e-14
-            )
+            assert obs.two_pulse_closed_form(
+                "phi2,beta2; others pi/2", phi, beta, 0.7
+            ) == pytest.approx(-base, abs=1e-14)
+            assert obs.two_pulse_closed_form(
+                "phi1,beta1; others pi/2", phi, beta, 0.7
+            ) == pytest.approx(-base, abs=1e-14)
 
 
 def test_mirrored_bindings_are_the_same_function():
@@ -161,40 +175,29 @@ def test_mirrored_bindings_are_the_same_function():
     # and flip arguments in the canonical (phase, flip) order
     for x in np.linspace(0, 4 * PI, 15):
         for y in np.linspace(-2 * PI, 2 * PI, 15):
-            assert obs.two_pulse_pi_half_closed_form("beta2,phi1", y, x) == pytest.approx(
-                obs.two_pulse_pi_half_closed_form("phi2,beta1", x, y), abs=1e-15
+            assert obs.two_pulse_closed_form(
+                "beta2,phi1; others pi/2", y, x
+            ) == pytest.approx(
+                obs.two_pulse_closed_form("phi2,beta1; others pi/2", x, y), abs=1e-15
             )
 
 
 def test_mixed_fix_closed_form_examples():
-    assert obs.two_pulse_mixed_fix_closed_form(
+    assert obs.two_pulse_closed_form(
         "phi1_half_pi,beta2_pi", 0.0, 0.0, 1.0
     ) == pytest.approx(0.25, abs=1e-15)
     # vertical zero trace at phi2 = pi/4
     for beta1 in (-2.0, 0.0, 1.0, PI):
-        assert obs.two_pulse_mixed_fix_closed_form(
+        assert obs.two_pulse_closed_form(
             "phi1_half_pi,beta2_pi", PI / 4, beta1, 1.0
         ) == pytest.approx(0.0, abs=1e-15)
     # horizontal zero trace at phi1 = pi/2
     for phi2 in (-1.0, 0.0, 0.8, 2 * PI):
-        assert obs.two_pulse_mixed_fix_closed_form(
+        assert obs.two_pulse_closed_form(
             "beta1_half_pi,beta2_pi", phi2, PI / 2, 1.0
         ) == pytest.approx(0.0, abs=1e-14)
     with pytest.raises(ValueError):
-        obs.two_pulse_mixed_fix_closed_form("nonsense", 0.0, 0.0)
-
-
-def test_mixed_fix_closed_forms_match_propagation():
-    phis = np.linspace(0, 4 * PI, 21)
-    betas = np.linspace(-2 * PI, 2 * PI, 21)
-    axes = {"phi2": phis, "beta2": betas, "phi1": phis, "beta1": betas}
-    for case, (free, fixed, formula) in obs.TWO_PULSE_MIXED_FIX_FORMS.items():
-        avals, bvals = np.meshgrid(axes[free[0]], axes[free[1]], indexing="ij")
-        mx, _, _ = obs.scenario_components(
-            obs.InitialState.SUPERPOSITION_X, 2, free, fixed, avals, bvals, 1.0
-        )
-        analytic = obs.two_pulse_mixed_fix_closed_form(case, avals, bvals, 1.0)
-        assert np.max(np.abs(analytic - mx)) <= 1e-12, case
+        obs.two_pulse_closed_form("nonsense", 0.0, 0.0)
 
 
 # Symmetry relations of the single-pulse observables -------------------------
@@ -302,8 +305,8 @@ def test_observable_grid_two_pulse_binding():
     grid = obs.GridSpec(0.0, PI / 2, 4).values()
     scenario = x_state_two_pulse(("beta2", "beta1"), {"phi2": PI / 2, "phi1": PI / 2})
     out = syn.scenario_table(scenario, grid, grid)
-    expected = obs.two_pulse_pi_half_closed_form(
-        "beta2,beta1", grid[:, None], grid[None, :], 1.0
+    expected = obs.two_pulse_closed_form(
+        "beta2,beta1; others pi/2", grid[:, None], grid[None, :], 1.0
     )
     assert np.max(np.abs(out - expected)) <= 1e-13
     for i, beta2 in enumerate(grid):

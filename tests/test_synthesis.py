@@ -340,7 +340,7 @@ def test_kernel_hits_equal_oracle_enumeration(monkeypatch, limit):
             assert all(len(hits) and hits.dtype == np.int64 for hits in blocks)
             streamed = [tuple(row) for hits in blocks for row in hits.tolist()]
             assert streamed == expected, (case, tt.name)
-            assert syn._gate_counts(table, [tt], tol) == [len(expected)], (case, tt.name)
+            assert _kernels.gate_counts(table, [tt.outputs], tol) == [len(expected)], (case, tt.name)
 
 
 def _gate_pair_counts(labels, outputs):
@@ -371,7 +371,7 @@ def test_jittered_table_takes_the_pairwise_fallback():
     case = len(ORACLE_CASES) - 1
     table, tol = ORACLE_CASES[case]
     assert _kernels.level_labels(table, tol) is None
-    counts = syn._gate_counts(table, g.ALL_GATES, tol)
+    counts = _kernels.gate_counts(table, [tt.outputs for tt in g.ALL_GATES], tol)
     assert counts == [len(oracle_hits(case, tt.outputs)) for tt in g.ALL_GATES]
     assert any(counts)
 
@@ -390,7 +390,7 @@ def test_label_counts_equal_kernel_and_oracle(levels, width, scale, tol):
     table = np.array(levels, dtype=np.float64)[:, :width] * scale
     labels = _kernels.level_labels(table, tol)
     assert labels is not None
-    counts = syn._gate_counts(table, g.ALL_GATES, tol)
+    counts = _kernels.gate_counts(table, [tt.outputs for tt in g.ALL_GATES], tol)
     for tt, count in zip(g.ALL_GATES, counts):
         assert _gate_pair_counts(labels, tt.outputs).sum() == count, tt.name
         assert len(_kernels.find_gate_quadruples(table, tt.outputs, tol)) == count
@@ -574,14 +574,14 @@ def test_mixed_fix_two_pulse_restores_all_classes():
 
 
 def test_verify_reference_tables_all_pass():
-    checks = syn.verify_reference_tables(grid_points=33)
+    checks = syn.verify_reference_tables()
     assert checks
     failed = [c for c in checks if not c.passed]
     assert not failed, failed
 
 
 def test_verify_reference_tables_detects_wrong_scale():
-    checks = syn.verify_reference_tables(lambda_b=0.5, grid_points=21)
+    checks = syn.verify_reference_tables(lambda_b=0.5)
     assert any(not c.passed for c in checks)
 
 
