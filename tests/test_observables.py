@@ -135,18 +135,32 @@ def test_closed_form_rejects_non_finite_lambda(lam):
             obs.two_pulse_closed_form(label, 0.0, 0.0, lam)
 
 
-def test_closed_forms_match_propagation():
+def _check_forms_against_propagation(labels):
     phis = np.linspace(0, 4 * PI, 21)
     betas = np.linspace(-2 * PI, 2 * PI, 21)
     axes = {"phi2": phis, "beta2": betas, "phi1": phis, "beta1": betas}
-    assert len(obs.TWO_PULSE_FORMS) == 8
-    for label, (free, fixed, _) in obs.TWO_PULSE_FORMS.items():
+    for label in labels:
+        free, fixed, _ = obs.TWO_PULSE_FORMS[label]
         avals, bvals = np.meshgrid(axes[free[0]], axes[free[1]], indexing="ij")
         mx, _, _ = obs.scenario_components(
             obs.InitialState.SUPERPOSITION_X, 2, free, fixed, avals, bvals, 1.0
         )
         analytic = obs.two_pulse_closed_form(label, avals, bvals, 1.0)
         assert np.max(np.abs(analytic - mx)) <= 1e-12, label
+
+
+PI_HALF_LABELS = [k for k in obs.TWO_PULSE_FORMS if k.endswith("; others pi/2")]
+MIXED_FIX_LABELS = [k for k in obs.TWO_PULSE_FORMS if k not in PI_HALF_LABELS]
+
+
+def test_pi_half_closed_forms_match_propagation():
+    assert len(PI_HALF_LABELS) == 6
+    _check_forms_against_propagation(PI_HALF_LABELS)
+
+
+def test_mixed_fix_closed_forms_match_propagation():
+    assert MIXED_FIX_LABELS == ["beta1_half_pi,beta2_pi", "phi1_half_pi,beta2_pi"]
+    _check_forms_against_propagation(MIXED_FIX_LABELS)
 
 
 def test_pi_half_forms_fix_the_other_pair_at_pi_half():
