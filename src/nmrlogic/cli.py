@@ -75,7 +75,11 @@ def parse_grid(text: str) -> GridSpec:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must be start:step:count, got {text!r}")
-    return GridSpec(parse_angle(parts[0]), parse_angle(parts[1]), int(parts[2]))
+    try:
+        count = int(parts[2])
+    except ValueError:
+        raise ValueError(f"grid count must be an integer, got {parts[2]!r}") from None
+    return GridSpec(parse_angle(parts[0]), parse_angle(parts[1]), count)
 
 
 def parse_fix(text: str) -> tuple:
@@ -362,13 +366,36 @@ def _write_rows(handle, template: str, columns) -> None:
     """Write one row per index through the `%s` `template`, `_ROW_BLOCK`
     rows per write.
 
-    Each column is a (strings, index) pair: row k takes strings[index[k]].
+    Each column is a (strings, index) pair: `strings` is a NUL-padded
+    fixed-width bytes array and row k takes strings[index[k]].  The
+    template's text between its `%s` fields is ASCII with no `%` or NUL.
     """
+    literals = [text.encode("ascii") for text in template.split("%s")]
+    row = bytearray(literals[0])  # one row's layout, fields as NUL padding
+    fields = []  # (offset in the row, strings, index) per column
+    for literal, (strings, index) in zip(literals[1:], columns):
+        fields.append((len(row), strings, index))
+        row += bytes(strings.itemsize) + literal
     total = len(columns[0][1])
+    # one call per block, so a block's buffers are freed before the next
     for start in range(0, total, _ROW_BLOCK):
-        stop = start + _ROW_BLOCK
-        block = [strings[index[start:stop]].tolist() for strings, index in columns]
-        handle.write("".join(map(template.__mod__, zip(*block))))
+        handle.write(_row_block(row, fields, start, min(start + _ROW_BLOCK, total)))
+
+
+def _row_block(row: bytearray, fields, start: int, stop: int) -> str:
+    """Rows start to stop as text, from one (rows, width) byte matrix.
+
+    The matrix repeats `row`, each field fills its column's full width,
+    and dropping the NUL padding leaves the rows as `template % row`
+    gives them.
+    """
+    block = row * (stop - start)
+    matrix = np.frombuffer(block, np.uint8).reshape(stop - start, len(row))
+    for offset, strings, index in fields:
+        width = strings.itemsize
+        gathered = strings[index[start:stop]].view(np.uint8).reshape(-1, width)
+        matrix[:, offset : offset + width] = gathered
+    return block.translate(None, b"\0").decode("ascii")
 
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
@@ -386,10 +413,11 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         )
         return EXIT_NO_SOLUTION
 
-    # Each candidate and table value is formatted once; rows index them.
+    # Each candidate and table value is formatted once, as NUL-padded
+    # bytes; rows index them.
     cells = synthesis.level_cells(found, tt, tol)
-    candidates = np.array(_format_values(found.candidates), dtype=object)
-    levels = np.array(_format_values(found.table.ravel()), dtype=object)
+    candidates = np.array(_format_values(found.candidates), dtype=np.bytes_)
+    levels = np.array(_format_values(found.table.ravel()), dtype=np.bytes_)
     columns = [(candidates, found.indices[:, k]) for k in range(4)]
     columns += [(levels, cells[bit]) for bit in cells]
 

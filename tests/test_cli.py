@@ -1,5 +1,7 @@
+import io
 import math
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -268,6 +270,24 @@ def test_verify_stdout_matches_golden(capsys, argv, golden):
     assert_same_text(out, (GOLDEN / golden).read_text(encoding="utf-8"))
 
 
+@pytest.mark.parametrize(
+    "argv,golden",
+    [
+        (("XOR", "--grid", "0:1/4pi:16"), "synthesize_xor_quarter_pi_16.txt"),
+        # a constant gate: its CSV has a nan level column
+        (("T", "--grid", "0:1/2pi:8", "--out", "OUT"), "synthesize_t_half_pi_8.csv"),
+    ],
+)
+def test_synthesize_output_matches_golden(tmp_path, capsys, argv, golden):
+    out_path = tmp_path / "out.csv"
+    code, out, err = run(
+        capsys, "synthesize", *(str(out_path) if a == "OUT" else a for a in argv)
+    )
+    assert (code, err) == (0, "")
+    written = out_path.read_bytes().decode() if "OUT" in argv else out
+    assert_same_text(written, (GOLDEN / golden).read_bytes().decode())
+
+
 # flags each subcommand does not read -----------------------------------------
 
 
@@ -401,6 +421,11 @@ def test_config_unknown_key_is_usage_error(tmp_path, capsys, argv, text, key):
         (("verify",), "tol=\n", "config key 'tol' (--tol): invalid float value: ''"),
         (("grid",), "lambda=abc\n", "config key 'lambda' (--lambda): invalid float value: 'abc'"),
         (("synthesize", "XOR"), "grid=\n", "grid must be start:step:count, got ''"),
+        (
+            ("synthesize", "XOR"),
+            "grid=0:1:2.5\n",
+            "grid count must be an integer, got '2.5'",
+        ),
     ],
     ids=[
         "pulses-choice",
@@ -410,6 +435,7 @@ def test_config_unknown_key_is_usage_error(tmp_path, capsys, argv, text, key):
         "empty-tol",
         "lambda-type",
         "empty-grid",
+        "grid-count",
     ],
 )
 def test_config_values_get_the_flag_checks(tmp_path, capsys, argv, text, message):
@@ -598,6 +624,73 @@ def test_grid_row_template_equals_the_f_string_rows(a, cells):
     assert cli._grid_rows(a_text, b_text, mx, my, mxy) == expected
 
 
+# `.12g` strings of different widths: nan, infinities, -0 and subnormals too
+field_text = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.5e-310]),
+    any_float,
+).map(lambda v: f"{v:.12g}")
+# ASCII with no "%" or NUL, as `_write_rows` requires of a template's literals
+literal_text = st.one_of(
+    st.sampled_from(["", ",", ",nan\n", "nan", " levels ", "->1\n"]),
+    st.text(st.characters(min_codepoint=1, max_codepoint=127, exclude_characters="%")),
+)
+
+
+@given(
+    data=st.data(),
+    rows=st.sampled_from([0, 1, 6, 7, 8]),  # around a block of 7
+    n_columns=st.integers(1, 6),
+)
+def test_write_rows_equals_the_template_rows(data, rows, n_columns):
+    columns = []
+    for _ in range(n_columns):
+        strings = data.draw(st.lists(field_text, min_size=1, max_size=8))
+        index = data.draw(
+            st.lists(st.integers(0, len(strings) - 1), min_size=rows, max_size=rows)
+        )
+        columns.append((strings, index))
+    template = "%s".join(
+        data.draw(st.lists(literal_text, min_size=n_columns + 1, max_size=n_columns + 1))
+    )
+    expected = "".join(
+        template % row
+        for row in zip(*([strings[k] for k in index] for strings, index in columns))
+    )
+    sink = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_ROW_BLOCK", 7)
+        cli._write_rows(
+            sink,
+            template,
+            [(np.array(strings, dtype=np.bytes_), np.array(index, dtype=np.int64))
+             for strings, index in columns],
+        )
+    assert sink.getvalue() == expected
+
+
+class _Discard:
+    def write(self, text):
+        pass
+
+
+def test_write_rows_memory_is_bounded_by_the_block(monkeypatch):
+    block = 1024
+    monkeypatch.setattr(cli, "_ROW_BLOCK", block)
+    rows = 50_000
+    strings = np.array(cli._format_values(np.linspace(-PI, PI, 97)), dtype=np.bytes_)
+    columns = [(strings, (np.arange(rows) * (k + 1)) % len(strings)) for k in range(6)]
+    template = "A=(%s, %s) B=(%s, %s) levels %s->0 %s->1\n"
+    width = len(template) - 2 * len(columns) + len(columns) * strings.itemsize
+    tracemalloc.start()
+    try:
+        cli._write_rows(_Discard(), template, columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole output is rows * width bytes, about 50 blocks
+    assert peak < 8 * block * width
+
+
 def test_grid_bytes_match_reference_on_default_axes(tmp_path, capsys):
     out_path = tmp_path / "grid.csv"
     code, _, _ = run(capsys, "grid", *MIXED_FLAGS, "--out", str(out_path))
@@ -618,6 +711,14 @@ def test_grid_stdout_matches_reference(capsys):
 
 
 # boundary validation -----------------------------------------------------------
+
+
+# cases that pin the whole message: a grid count that is not an integer
+INVALID_NUMBER_MESSAGES = {
+    ("synthesize", "XOR", "--grid", "0:1:2.5"): "error: grid count must be an integer, got '2.5'",
+    ("synthesize", "XOR", "--grid", "0:1:"): "error: grid count must be an integer, got ''",
+    ("verify", "--grid", "0:1:2.5"): "error: grid count must be an integer, got '2.5'",
+}
 
 
 @pytest.mark.parametrize(
@@ -641,6 +742,7 @@ def test_grid_stdout_matches_reference(capsys):
         ("grid", "--grid", "1e308:1e308:2"),
         ("synthesize", "AND", "--grid", "1e308:1e308:3"),
         ("verify", "--grid", "1e308:1e308:2"),
+        *INVALID_NUMBER_MESSAGES,
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -652,5 +754,5 @@ def test_invalid_numbers_are_usage_errors(tmp_path, capsys, argv):
         code, out, err = run(capsys, *argv, *out_flag)
     assert code == 1
     assert out == ""
-    assert err.startswith("error: ")
+    assert err.startswith(INVALID_NUMBER_MESSAGES.get(argv, "error: "))
     assert not out_path.exists()
