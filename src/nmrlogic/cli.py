@@ -17,6 +17,7 @@ read as binary, most significant first).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import re
 import sys
@@ -25,6 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import gates, synthesis
+from ._format import format_12g, packed
 from .observables import (
     GridSpec,
     InitialState,
@@ -270,20 +272,13 @@ def _scenario_from_args(args: argparse.Namespace) -> synthesis.Scenario:
     )
 
 
-def _open_out(path: Optional[str]):
-    if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
-
-
-def _grid_rows(a_text: str, b_text, mx, my, mxy) -> str:
-    """The CSV rows of one A value, one per B value.
-
-    A `%` template gives the bytes of f"{a},{b},{x:.12g},{y:.12g},{z:.12g}"
-    per row, and is faster; `a_text` is a formatted number, so holds no `%`.
-    """
-    row = (a_text + ",%s,%.12g,%.12g,%.12g\n").__mod__
-    return "".join(map(row, zip(b_text, mx, my, mxy)))
+def _open_out(path: str):
+    """`path` opened for writing, or None once the error is reported."""
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return None
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
@@ -295,7 +290,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
         grid_b = default_axis(scenario.inputs[1])
     avals = grid_a.values()
     bvals = grid_b.values()
-    mx, my, _ = scenario_components(
+    mx, my = scenario_components(
         scenario.initial,
         scenario.pulses,
         scenario.inputs,
@@ -303,26 +298,28 @@ def cmd_grid(args: argparse.Namespace) -> int:
         avals[:, None],
         bvals[None, :],
         scenario.lambda_b,
-    )
+    )[:2]
     mxy = np.hypot(mx, my)
 
-    try:
-        handle, owned = _open_out(args.out)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+    if args.out is None:
+        handle = contextlib.nullcontext(sys.stdout)
+    else:
+        handle = _open_out(args.out)
+    if handle is None:
         return EXIT_IO
-    try:
+    # The axes are formatted once; the value columns one block at a time,
+    # so no whole column is ever held as text.
+    a_text, b_text = packed(format_12g(avals)), packed(format_12g(bvals))
+    count = len(bvals)
+    columns = [
+        lambda start, stop: a_text[np.arange(start, stop) // count],
+        lambda start, stop: b_text[np.arange(start, stop) % count],
+    ]
+    columns += [_formatted(values) for values in (mx, my, mxy)]
+    with handle as out:
         header_a, header_b = scenario.inputs
-        handle.write(f"{header_a},{header_b},Mx,My,Mxy\n")
-        b_text = _format_values(bvals)
-        # one write per A row; joining the whole CSV would hold it in memory
-        for i, a in enumerate(_format_values(avals)):
-            handle.write(
-                _grid_rows(a, b_text, mx[i].tolist(), my[i].tolist(), mxy[i].tolist())
-            )
-    finally:
-        if owned:
-            handle.close()
+        out.write(f"{header_a},{header_b},Mx,My,Mxy\n")
+        _write_rows(out, "%s,%s,%s,%s,%s\n", columns, mx.size)
     return EXIT_OK
 
 
@@ -358,44 +355,55 @@ def cmd_classify(args: argparse.Namespace) -> int:
 _ROW_BLOCK = 4096
 
 
-def _format_values(values) -> list:
-    return [f"{v:.12g}" for v in np.asarray(values).tolist()]
+def _gather(strings: np.ndarray, index: np.ndarray):
+    """The column whose row k is strings[index[k]]."""
+    return lambda start, stop: strings[index[start:stop]]
 
 
-def _write_rows(handle, template: str, columns) -> None:
-    """Write one row per index through the `%s` `template`, `_ROW_BLOCK`
-    rows per write.
+def _formatted(values: np.ndarray):
+    """The column whose row k is the `.12g` text of values.flat[k]."""
+    return lambda start, stop: format_12g(values.flat[start:stop])
 
-    Each column is a (strings, index) pair: `strings` is a NUL-padded
-    fixed-width bytes array and row k takes strings[index[k]].  The
+
+def _write_rows(handle, template: str, columns, rows: int) -> None:
+    """Write `rows` rows through the `%s` `template`, `_ROW_BLOCK` rows
+    per write.
+
+    Each column is a function of (start, stop) that gives rows start to
+    stop of that field as a NUL-padded fixed-width bytes array.  The
     template's text between its `%s` fields is ASCII with no `%` or NUL.
     """
     literals = [text.encode("ascii") for text in template.split("%s")]
-    row = bytearray(literals[0])  # one row's layout, fields as NUL padding
-    fields = []  # (offset in the row, strings, index) per column
-    for literal, (strings, index) in zip(literals[1:], columns):
-        fields.append((len(row), strings, index))
-        row += bytes(strings.itemsize) + literal
-    total = len(columns[0][1])
     # one call per block, so a block's buffers are freed before the next
-    for start in range(0, total, _ROW_BLOCK):
-        handle.write(_row_block(row, fields, start, min(start + _ROW_BLOCK, total)))
+    for start in range(0, rows, _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, rows)
+        handle.write(_row_block(literals, columns, start, stop))
 
 
-def _row_block(row: bytearray, fields, start: int, stop: int) -> str:
+def _row_block(literals, columns, start: int, stop: int) -> str:
     """Rows start to stop as text, from one (rows, width) byte matrix.
 
-    The matrix repeats `row`, each field fills its column's full width,
-    and dropping the NUL padding leaves the rows as `template % row`
-    gives them.
+    The matrix repeats one row's layout, literals with each field as NUL
+    padding; each field fills its column's full width, and dropping the
+    NUL padding leaves the rows as `template % row` gives them.
     """
-    block = row * (stop - start)
-    matrix = np.frombuffer(block, np.uint8).reshape(stop - start, len(row))
-    for offset, strings, index in fields:
-        width = strings.itemsize
-        gathered = strings[index[start:stop]].view(np.uint8).reshape(-1, width)
-        matrix[:, offset : offset + width] = gathered
-    return block.translate(None, b"\0").decode("ascii")
+    fields = [column(start, stop) for column in columns]
+    row = bytearray(literals[0])
+    offsets = []
+    for literal, field in zip(literals[1:], fields):
+        offsets.append(len(row))
+        row += bytes(field.itemsize) + literal
+    rows = stop - start
+    block = row * rows
+    matrix = np.frombuffer(block, np.uint8).reshape(rows, len(row))
+    for offset, field in zip(offsets, fields):
+        width = field.itemsize
+        matrix[:, offset : offset + width] = field.view(np.uint8).reshape(rows, width)
+    # each buffer is freed once the next one is built, so fewer are live
+    del fields, field, matrix
+    text = block.translate(None, b"\0")
+    del block
+    return text.decode("ascii")
 
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
@@ -413,28 +421,28 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         )
         return EXIT_NO_SOLUTION
 
-    # Each candidate and table value is formatted once, as NUL-padded
-    # bytes; rows index them.
+    # Each candidate and table value is formatted once; rows index them.
     cells = synthesis.level_cells(found, tt, tol)
-    candidates = np.array(_format_values(found.candidates), dtype=np.bytes_)
-    levels = np.array(_format_values(found.table.ravel()), dtype=np.bytes_)
-    columns = [(candidates, found.indices[:, k]) for k in range(4)]
-    columns += [(levels, cells[bit]) for bit in cells]
+    candidates = packed(format_12g(found.candidates))
+    levels = packed(format_12g(found.table.ravel()))
+    columns = [_gather(candidates, found.indices[:, k]) for k in range(4)]
+    columns += [_gather(levels, cells[bit]) for bit in cells]
 
     if args.out:
-        try:
-            handle = open(args.out, "w", encoding="utf-8", newline="")
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+        handle = _open_out(args.out)
+        if handle is None:
             return EXIT_IO
         csv_levels = ",".join("%s" if bit in cells else "nan" for bit in (False, True))
         with handle:
             handle.write("a0,a1,b0,b1,level0,level1\n")
-            _write_rows(handle, "%s,%s,%s,%s," + csv_levels + "\n", columns)
+            _write_rows(handle, "%s,%s,%s,%s," + csv_levels + "\n", columns, count)
     print(f"{count} {tt.name} assignment(s), class {gates.gate_class(tt).value}")
     text_levels = " ".join(f"%s->{int(bit)}" for bit in cells)
     _write_rows(
-        sys.stdout, "A=(%s, %s) B=(%s, %s) levels " + text_levels + "\n", columns
+        sys.stdout,
+        "A=(%s, %s) B=(%s, %s) levels " + text_levels + "\n",
+        columns,
+        count,
     )
     return EXIT_OK
 

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nmrlogic import cli, gates, synthesis
-from nmrlogic.observables import GridSpec, scenario_components
+from nmrlogic import _format, cli, gates, synthesis
+from nmrlogic.observables import GridSpec, InitialState, scenario_components
 
 PI = math.pi
 
@@ -125,6 +125,16 @@ def test_grid_unwritable_path(capsys, tmp_path):
     code, _, err = run(capsys, "grid", "--grid", "0:1:4", "--out", str(target))
     assert code == 2
     assert "cannot write" in err
+
+
+def test_synthesize_unwritable_path(capsys, tmp_path):
+    target = tmp_path / "missing-dir" / "out.csv"
+    code, out, err = run(
+        capsys, "synthesize", "XOR", "--grid", "0:1/4pi:16", "--out", str(target)
+    )
+    assert code == 2
+    assert "cannot write" in err
+    assert out == ""
 
 
 def test_grid_rejects_bad_inputs(capsys):
@@ -282,6 +292,30 @@ def test_synthesize_output_matches_golden(tmp_path, capsys, argv, golden):
     out_path = tmp_path / "out.csv"
     code, out, err = run(
         capsys, "synthesize", *(str(out_path) if a == "OUT" else a for a in argv)
+    )
+    assert (code, err) == (0, "")
+    written = out_path.read_bytes().decode() if "OUT" in argv else out
+    assert_same_text(written, (GOLDEN / golden).read_bytes().decode())
+
+
+@pytest.mark.parametrize(
+    "argv,golden",
+    [
+        (("--initial", "z", "--grid", "0:1/4pi:8"), "grid_z_quarter_pi_8.txt"),
+        (
+            (
+                "--initial", "x", "--pulses", "2", "--inputs", "phi2,phi1",
+                "--fix", "beta1=1/2pi", "--fix", "beta2=1/2pi",
+                "--grid", "0:1/4pi:8", "--out", "OUT",
+            ),
+            "grid_x_two_pulse_quarter_pi_8.csv",
+        ),
+    ],
+)
+def test_grid_output_matches_golden(tmp_path, capsys, argv, golden):
+    out_path = tmp_path / "grid.csv"
+    code, out, err = run(
+        capsys, "grid", *(str(out_path) if a == "OUT" else a for a in argv)
     )
     assert (code, err) == (0, "")
     written = out_path.read_bytes().decode() if "OUT" in argv else out
@@ -606,22 +640,46 @@ def _reference_grid(scenario, grid_a, grid_b):
     return "".join(lines)
 
 
-any_float = st.floats(allow_nan=True, allow_infinity=True)
+def assert_formats_like_python(values):
+    values = np.array(values, dtype=np.float64)
+    got = [text.replace(b"\0", b"").decode() for text in _format.format_12g(values).tolist()]
+    assert got == [f"{x:.12g}" for x in values.tolist()]
 
 
-@given(
-    a=any_float,
-    cells=st.lists(st.tuples(any_float, any_float, any_float, any_float)),
-)
-def test_grid_row_template_equals_the_f_string_rows(a, cells):
-    a_text = f"{a:.12g}"
-    b_text = [f"{b:.12g}" for b, _, _, _ in cells]
-    mx, my, mxy = ([cell[k] for cell in cells] for k in (1, 2, 3))
-    expected = "".join(
-        f"{a_text},{b},{x:.12g},{y:.12g},{z:.12g}\n"
-        for b, x, y, z in zip(b_text, mx, my, mxy)
-    )
-    assert cli._grid_rows(a_text, b_text, mx, my, mxy) == expected
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=64))
+def test_format_12g_equals_the_f_string_on_any_bit_pattern(bits):
+    assert_formats_like_python(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+any_float = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+@given(st.lists(any_float, max_size=64))
+def test_format_12g_equals_the_f_string_on_any_float(values):
+    assert_formats_like_python(values)
+
+
+FORMAT_EDGES = [
+    # exact ties at 12 digits (half to even), near ties and their neighbours
+    123456789012.5, 100000000000.5, 100000000001.5, 2.5e11 + 0.5,
+    1.000000000005, 2.500000000005, 0.1234567890125, 123456.7890125,
+    np.nextafter(1.000000000005, 2), np.nextafter(1.000000000005, 0),
+    # around the switch from fixed to scientific form at 1e-4
+    9.999999999995e-5, 9.99999999999e-5, 1e-4, 1.00000000001e-4, 1e-5,
+    # around the switch at 1e12, and the carry into it
+    999999999999.5, 999999999999.4, 999999999999.0, 1e12, 1e11, 123456789012.0,
+    # three-digit exponents
+    1e100, 1e-100, 9.99999999999e99, 9.999999999995e99, 1.5e-307,
+    # the bounds of the vector path
+    1e280, 1e-280, np.nextafter(1e280, np.inf), np.nextafter(1e-280, 0),
+    5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+    1.0, -1.0, 0.5, 1200.0, 0.25, 1e16, -3.06161699787e-17, PI, -PI,
+]
+
+
+def test_format_12g_equals_the_f_string_on_edges():
+    assert_formats_like_python(FORMAT_EDGES + [-x for x in FORMAT_EDGES])
 
 
 # `.12g` strings of different widths: nan, infinities, -0 and subnormals too
@@ -662,8 +720,9 @@ def test_write_rows_equals_the_template_rows(data, rows, n_columns):
         cli._write_rows(
             sink,
             template,
-            [(np.array(strings, dtype=np.bytes_), np.array(index, dtype=np.int64))
+            [cli._gather(np.array(strings, dtype=np.bytes_), np.array(index, dtype=np.int64))
              for strings, index in columns],
+            rows,
         )
     assert sink.getvalue() == expected
 
@@ -677,13 +736,15 @@ def test_write_rows_memory_is_bounded_by_the_block(monkeypatch):
     block = 1024
     monkeypatch.setattr(cli, "_ROW_BLOCK", block)
     rows = 50_000
-    strings = np.array(cli._format_values(np.linspace(-PI, PI, 97)), dtype=np.bytes_)
-    columns = [(strings, (np.arange(rows) * (k + 1)) % len(strings)) for k in range(6)]
+    strings = _format.format_12g(np.linspace(-PI, PI, 97))
+    columns = [
+        cli._gather(strings, (np.arange(rows) * (k + 1)) % len(strings)) for k in range(6)
+    ]
     template = "A=(%s, %s) B=(%s, %s) levels %s->0 %s->1\n"
     width = len(template) - 2 * len(columns) + len(columns) * strings.itemsize
     tracemalloc.start()
     try:
-        cli._write_rows(_Discard(), template, columns)
+        cli._write_rows(_Discard(), template, columns, rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -691,7 +752,36 @@ def test_write_rows_memory_is_bounded_by_the_block(monkeypatch):
     assert peak < 8 * block * width
 
 
-def test_grid_bytes_match_reference_on_default_axes(tmp_path, capsys):
+@pytest.mark.parametrize("n", [100, 200])
+def test_grid_memory_is_bounded_by_the_block(monkeypatch, n):
+    block = 256
+    monkeypatch.setattr(cli, "_ROW_BLOCK", block)
+    monkeypatch.setattr(sys, "stdout", _Discard())
+    axis = np.arange(n) * (PI / 50)
+    components = scenario_components(
+        InitialState.SUPERPOSITION_X, 2, ("phi2", "phi1"),
+        {"beta1": PI / 2, "beta2": PI / 2}, axis[:, None], axis[None, :],
+    )
+    # the components come precomputed, so the peak is the writer's
+    monkeypatch.setattr(cli, "scenario_components", lambda *args: components)
+    argv = ["grid", "--initial", "x", "--pulses", "2", "--inputs", "phi2,phi1",
+            "--fix", "beta1=1/2pi", "--fix", "beta2=1/2pi", f"--grid=0:1/50pi:{n}"]
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    # beyond the three n x n float arrays (only mxy is new here), a few
+    # blocks of rows of five fields; one whole column formatted at once
+    # takes n * n * _SLOT bytes and its temporaries more
+    assert peak < 3 * 8 * n * n + 4 * block * (5 * _format.SLOT + 5)
+
+
+@pytest.mark.parametrize("block", [cli._ROW_BLOCK, 7])
+def test_grid_bytes_match_reference_on_default_axes(tmp_path, capsys, monkeypatch, block):
+    monkeypatch.setattr(cli, "_ROW_BLOCK", block)
     out_path = tmp_path / "grid.csv"
     code, _, _ = run(capsys, "grid", *MIXED_FLAGS, "--out", str(out_path))
     assert code == 0
@@ -702,7 +792,9 @@ def test_grid_bytes_match_reference_on_default_axes(tmp_path, capsys):
     )
 
 
-def test_grid_stdout_matches_reference(capsys):
+@pytest.mark.parametrize("block", [cli._ROW_BLOCK, 7])
+def test_grid_stdout_matches_reference(capsys, monkeypatch, block):
+    monkeypatch.setattr(cli, "_ROW_BLOCK", block)
     code, out, _ = run(capsys, "grid", "--initial", "x", "--grid=-1/3pi:1/4pi:9")
     grid = cli.parse_grid("-1/3pi:1/4pi:9")
     scenario = synthesis.Scenario("x", 1, "mx", ("phi", "beta"))
