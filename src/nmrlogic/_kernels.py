@@ -6,8 +6,9 @@ search for gate-realizing parameter quadruples over a candidate grid.
 
 Propagation builds each pulse's rotations on that pulse's own broadcast
 shape, so a grid passed as `a[:, None]` and `b[None, :]` takes O(n)
-trigonometry per pulse.  Where points share a right-hand matrix, a product
-runs as one row-stacked gemm per distinct matrix, which gives the bits of
+trigonometry per pulse.  In a product, points that share a right-hand
+matrix go through one row-stacked gemm, and products where both factors
+vary per point keep a per-point product; either way the bits are those of
 the stacked per-point `np.matmul` (`_product`).
 
 The search labels the levels of a table once, counts the hits of every row
@@ -56,30 +57,22 @@ def _rotation_stack(phi: np.ndarray, beta: np.ndarray) -> np.ndarray:
 def _product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """`left @ right` over broadcast stacks of 2x2 matrices, bit for bit.
 
-    A stacked `np.matmul` makes one BLAS call per matrix.  Where several
-    points share a right-hand matrix, their left matrices go through one
-    row-stacked gemm, `(rows, 2) @ (2, 2)`, which rounds each row as the
-    per-matrix call does.  Other forms (a shared left factor, elementwise
-    products) round differently, so they keep the stacked `@`.
+    Points that share a right-hand matrix go through one row-stacked gemm,
+    `(rows, 2) @ (2, 2)`, which rounds each row as the per-point call
+    does; products where both factors vary per point keep a per-point
+    product.  The axes along which `right` varies come first, so one `@`
+    over `(distinct, rows, 2)` runs both.
     """
     shape = np.broadcast_shapes(left.shape, right.shape)
-    batch = shape[:-2]
     right = right.reshape((1,) * (len(shape) - right.ndim) + right.shape)
-    distinct = right.shape[:-2]
-    if math.prod(distinct) == math.prod(batch):
-        return left @ right
-    if math.prod(distinct) == 1:
-        return (left.reshape(-1, 2) @ right.reshape(2, 2)).reshape(shape)
-    left = np.broadcast_to(left, shape)
-    out = np.empty(shape, dtype=np.result_type(left, right))
-    rows = None
-    for index in np.ndindex(distinct):
-        # the points of one right-hand matrix: its index where it varies
-        at = tuple(i if n > 1 else slice(None) for i, n in zip(index, distinct))
-        block = left[at]
-        rows = np.matmul(block.reshape(-1, 2), right[index], out=rows)
-        out[at] = rows.reshape(block.shape)
-    return out
+    varies = [axis for axis in range(len(shape) - 2) if right.shape[axis] != 1]
+    order = varies + [axis for axis in range(len(shape)) if axis not in varies]
+    left = np.broadcast_to(left, shape).transpose(order)
+    distinct = math.prod(left.shape[: len(varies)])
+    rows = math.prod(left.shape[len(varies) : -1])
+    out = left.reshape(distinct, rows, 2) @ right.transpose(order).reshape(distinct, 2, 2)
+    inverse = sorted(range(len(order)), key=order.__getitem__)
+    return out.reshape(left.shape).transpose(inverse)
 
 
 def two_pulse_components(phi2, beta2, phi1, beta1, lambda_b, from_x):

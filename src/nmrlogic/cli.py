@@ -182,7 +182,8 @@ def build_parser() -> _Parser:
     _add_flags(
         p_verify,
         scenario=False,
-        tol_help="tolerance of the reference-table checks only (default 1e-10); "
+        tol_help="tolerance of the reference-table checks only "
+        f"(default {synthesis.DEFAULT_REFERENCE_TOL:g}); "
         "the capability claims always run at the search tolerance "
         f"DEFAULT_LEVEL_TOL = {synthesis.DEFAULT_LEVEL_TOL:g}",
     )
@@ -428,7 +429,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     columns = [_gather(candidates, found.indices[:, k]) for k in range(4)]
     columns += [_gather(levels, cells[bit]) for bit in cells]
 
-    if args.out:
+    if args.out is not None:
         handle = _open_out(args.out)
         if handle is None:
             return EXIT_IO
@@ -449,7 +450,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     lambda_b = args.lambda_b if args.lambda_b is not None else 1.0
-    tol = args.tol if args.tol is not None else 1e-10
+    tol = args.tol if args.tol is not None else synthesis.DEFAULT_REFERENCE_TOL
     grid = parse_grid(args.grid) if args.grid is not None else synthesis.DEFAULT_SYNTH_GRID
     checks = synthesis.verify_reference_tables(lambda_b=lambda_b, tol=tol)
     checks += synthesis.capability_checks(grid=grid, lambda_b=lambda_b)

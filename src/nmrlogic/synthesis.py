@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
@@ -32,6 +32,8 @@ from .observables import (
 from .spincore import _require_finite
 
 DEFAULT_LEVEL_TOL = 1e-9
+# Tolerance of the reference-table checks of `verify_reference_tables`.
+DEFAULT_REFERENCE_TOL = 1e-10
 DEFAULT_SYNTH_GRID = GridSpec(start=0.0, step=math.pi / 4, count=16)
 
 
@@ -200,7 +202,7 @@ def search(
     """Every quadruple over the candidate grid that realizes `tt`.
 
     Both inputs draw candidates from the same grid.  Builds no
-    `GateAssignment`; `synthesize` does, row by row.
+    `GateAssignment`; `synthesize` turns these columns into objects.
     """
     cand, table = _candidate_table(scenario, grid, tol)
     indices = _kernels.find_gate_quadruples(table, tt.outputs, tol)
@@ -232,26 +234,6 @@ def level_cells(
     return cells
 
 
-def _assignment_from_indices(
-    table: np.ndarray,
-    cand: np.ndarray,
-    idx: Sequence[int],
-    corners: Dict[bool, Tuple[int, int]],
-    tol: float,
-) -> GateAssignment:
-    i0, i1, j0, j1 = idx
-    rows, cols = (i0, i1), (j0, j1)
-    level_map = tuple(
-        (float(table[rows[a], cols[b]]), bit) for bit, (a, b) in corners.items()
-    )
-    return GateAssignment(
-        a_values=(float(cand[i0]), float(cand[i1])),
-        b_values=(float(cand[j0]), float(cand[j1])),
-        level_map=level_map,
-        tolerance=tol,
-    )
-
-
 def synthesize(
     scenario: Scenario,
     tt: TruthTable,
@@ -264,10 +246,13 @@ def synthesize(
     list when the scenario cannot express the gate on this grid.
     """
     found = search(scenario, tt, grid, tol)
-    corners = level_corners(tt)
+    cells = level_cells(found, tt, tol)
+    a0, a1, b0, b1 = found.candidates[found.indices.T].tolist()
+    flat = found.table.ravel()
+    levels = [[(level, bit) for level in flat[cells[bit]].tolist()] for bit in cells]
     return [
-        _assignment_from_indices(found.table, found.candidates, idx, corners, tol)
-        for idx in found.indices
+        GateAssignment((x0, x1), (y0, y1), level_map, tol)
+        for x0, x1, y0, y1, level_map in zip(a0, a1, b0, b1, zip(*levels))
     ]
 
 
@@ -357,7 +342,9 @@ class CheckResult(NamedTuple):
     detail: str
 
 
-def verify_reference_tables(lambda_b: float = 1.0, tol: float = 1e-10) -> List[CheckResult]:
+def verify_reference_tables(
+    lambda_b: float = 1.0, tol: float = DEFAULT_REFERENCE_TOL
+) -> List[CheckResult]:
     """Recompute the built-in gate exemplars and pin every two-pulse closed
     form against numeric propagation; one result entry per check."""
     _check_tol(tol)

@@ -137,6 +137,22 @@ def test_synthesize_unwritable_path(capsys, tmp_path):
     assert out == ""
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_synthesize_empty_out_path_is_an_io_error(capsys, tmp_path, source):
+    # an empty path is a path that cannot be opened, not "print to stdout"
+    argv = ["synthesize", "XOR", "--grid", "0:1/4pi:16"]
+    if source == "flag":
+        argv += ["--out", ""]
+    else:
+        config = tmp_path / "run.cfg"
+        config.write_text("out=\n")
+        argv += ["--config", str(config)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "cannot write" in err
+    assert out == ""
+
+
 def test_grid_rejects_bad_inputs(capsys):
     code, _, err = run(capsys, "grid", "--pulses", "2", "--grid", "0:1:4")
     assert code == 1

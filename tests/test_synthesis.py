@@ -649,6 +649,15 @@ def test_search_rows_match_synthesize(scenario, tt):
         assert asg.level_map == tuple((flat[cells[bit][k]], bit) for bit in cells)
 
 
+@pytest.mark.parametrize("scenario", [THERMAL_MX, MIXED_FIX], ids=["1-pulse", "2-pulse"])
+def test_synthesize_returns_python_scalars(scenario):
+    assignments = syn.synthesize(scenario, g.XOR, HALF_PI_GRID)
+    assert assignments
+    for asg in assignments:
+        assert all(type(v) is float for v in asg.a_values + asg.b_values)
+        assert all(type(level) is float and type(bit) is bool for level, bit in asg.level_map)
+
+
 def test_level_corners_take_first_corner_per_bit():
     assert syn.level_corners(g.T) == {True: (0, 0)}
     assert syn.level_corners(g.F) == {False: (0, 0)}
