@@ -61,13 +61,18 @@ def _product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     `(rows, 2) @ (2, 2)`, which rounds each row as the per-point call
     does; products where both factors vary per point keep a per-point
     product.  The axes along which `right` varies come first, so one `@`
-    over `(distinct, rows, 2)` runs both.
+    over `(distinct, rows, 2)` runs both; the other point axes follow in
+    `left`'s memory order, so a `left` that is a transposed view is
+    reshaped without a copy.
     """
     shape = np.broadcast_shapes(left.shape, right.shape)
     right = right.reshape((1,) * (len(shape) - right.ndim) + right.shape)
+    left = np.broadcast_to(left, shape)
     varies = [axis for axis in range(len(shape) - 2) if right.shape[axis] != 1]
-    order = varies + [axis for axis in range(len(shape)) if axis not in varies]
-    left = np.broadcast_to(left, shape).transpose(order)
+    points = [axis for axis in range(len(shape) - 2) if axis not in varies]
+    points.sort(key=lambda axis: -abs(left.strides[axis]))
+    order = varies + points + [len(shape) - 2, len(shape) - 1]
+    left = left.transpose(order)
     distinct = math.prod(left.shape[: len(varies)])
     rows = math.prod(left.shape[len(varies) : -1])
     out = left.reshape(distinct, rows, 2) @ right.transpose(order).reshape(distinct, 2, 2)
@@ -108,7 +113,8 @@ def two_pulse_components(phi2, beta2, phi1, beta1, lambda_b, from_x):
         rho0[0, 0] += 0.25 * lambda_b
         rho0[1, 1] -= 0.25 * lambda_b
 
-    rho = _product(u, rho0) @ u.conj().swapaxes(-1, -2)
+    # C order whatever u's memory order, so the readouts come out C-ordered
+    rho = np.matmul(_product(u, rho0), u.conj().swapaxes(-1, -2), order="C")
     mx = 0.5 * (rho[..., 0, 1] + rho[..., 1, 0]).real
     my = (0.5j * (rho[..., 0, 1] - rho[..., 1, 0])).real
     mz = 0.5 * (rho[..., 0, 0] - rho[..., 1, 1]).real

@@ -320,7 +320,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
     with handle as out:
         header_a, header_b = scenario.inputs
         out.write(f"{header_a},{header_b},Mx,My,Mxy\n")
-        _write_rows(out, "%s,%s,%s,%s,%s\n", columns, mx.size)
+        _write_rows([(out, "%s,%s,%s,%s,%s\n")], columns, mx.size)
     return EXIT_OK
 
 
@@ -366,42 +366,57 @@ def _formatted(values: np.ndarray):
     return lambda start, stop: format_12g(values.flat[start:stop])
 
 
-def _write_rows(handle, template: str, columns, rows: int) -> None:
-    """Write `rows` rows through the `%s` `template`, `_ROW_BLOCK` rows
-    per write.
+def _write_rows(outputs, columns, rows: int) -> None:
+    """Write `rows` rows to each `(handle, template)` of `outputs`, through
+    its `%s` template, `_ROW_BLOCK` rows per write.
 
     Each column is a function of (start, stop) that gives rows start to
-    stop of that field as a NUL-padded fixed-width bytes array.  The
-    template's text between its `%s` fields is ASCII with no `%` or NUL.
+    stop of that field as a NUL-padded fixed-width bytes array; it is
+    called once per block, and every output's rows are built from the
+    same fields.  Each template has one `%s` per column, and its text
+    between them is ASCII with no `%` or NUL.
     """
-    literals = [text.encode("ascii") for text in template.split("%s")]
-    # one call per block, so a block's buffers are freed before the next
+    outputs = [
+        (handle, [text.encode("ascii") for text in template.split("%s")])
+        for handle, template in outputs
+    ]
+    # one block at a time, so a block's buffers are freed before the next
     for start in range(0, rows, _ROW_BLOCK):
         stop = min(start + _ROW_BLOCK, rows)
-        handle.write(_row_block(literals, columns, start, stop))
+        fields = [column(start, stop) for column in columns]
+        for handle, literals in outputs:
+            handle.write(_row_block(literals, fields))
 
 
-def _row_block(literals, columns, start: int, stop: int) -> str:
-    """Rows start to stop as text, from one (rows, width) byte matrix.
+def _row_block(literals, fields) -> str:
+    """The rows of `fields` as text, from one block of repeated row bytes.
 
-    The matrix repeats one row's layout, literals with each field as NUL
-    padding; each field fills its column's full width, and dropping the
-    NUL padding leaves the rows as `template % row` gives them.
+    The block repeats one row's layout, literals with each field as NUL
+    padding, and is viewed as records of one structured dtype with an
+    `S<width>` field at each slot; each field fills its slot's full
+    width, and dropping the NUL padding leaves the rows as
+    `template % row` gives them.
     """
-    fields = [column(start, stop) for column in columns]
     row = bytearray(literals[0])
     offsets = []
     for literal, field in zip(literals[1:], fields):
         offsets.append(len(row))
         row += bytes(field.itemsize) + literal
-    rows = stop - start
-    block = row * rows
-    matrix = np.frombuffer(block, np.uint8).reshape(rows, len(row))
-    for offset, field in zip(offsets, fields):
-        width = field.itemsize
-        matrix[:, offset : offset + width] = field.view(np.uint8).reshape(rows, width)
-    # each buffer is freed once the next one is built, so fewer are live
-    del fields, field, matrix
+    layout = np.dtype(
+        {
+            "names": [f"f{k}" for k in range(len(fields))],
+            "formats": [field.dtype for field in fields],
+            "offsets": offsets,
+            "itemsize": len(row),
+        }
+    )
+    block = row * len(fields[0])
+    records = np.frombuffer(block, layout)
+    for name, field in zip(layout.names, fields):
+        records[name] = field
+    # each buffer is freed once the next one is built, so fewer are live;
+    # the records view would keep the block alive
+    del records
     text = block.translate(None, b"\0")
     del block
     return text.decode("ascii")
@@ -429,22 +444,20 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     columns = [_gather(candidates, found.indices[:, k]) for k in range(4)]
     columns += [_gather(levels, cells[bit]) for bit in cells]
 
+    text_levels = " ".join(f"%s->{int(bit)}" for bit in cells)
+    outputs = [(sys.stdout, "A=(%s, %s) B=(%s, %s) levels " + text_levels + "\n")]
+    handle = contextlib.nullcontext()
     if args.out is not None:
         handle = _open_out(args.out)
         if handle is None:
             return EXIT_IO
         csv_levels = ",".join("%s" if bit in cells else "nan" for bit in (False, True))
-        with handle:
+        outputs.insert(0, (handle, "%s,%s,%s,%s," + csv_levels + "\n"))
+    with handle:
+        if args.out is not None:
             handle.write("a0,a1,b0,b1,level0,level1\n")
-            _write_rows(handle, "%s,%s,%s,%s," + csv_levels + "\n", columns, count)
-    print(f"{count} {tt.name} assignment(s), class {gates.gate_class(tt).value}")
-    text_levels = " ".join(f"%s->{int(bit)}" for bit in cells)
-    _write_rows(
-        sys.stdout,
-        "A=(%s, %s) B=(%s, %s) levels " + text_levels + "\n",
-        columns,
-        count,
-    )
+        print(f"{count} {tt.name} assignment(s), class {gates.gate_class(tt).value}")
+        _write_rows(outputs, columns, count)
     return EXIT_OK
 
 

@@ -338,6 +338,67 @@ def test_grid_output_matches_golden(tmp_path, capsys, argv, golden):
     assert_same_text(written, (GOLDEN / golden).read_bytes().decode())
 
 
+def test_synthesize_out_run_matches_both_goldens(tmp_path, capsys):
+    # one run writes the CSV and stdout, block by block
+    out_path = tmp_path / "xor.csv"
+    code, out, err = run(
+        capsys, "synthesize", "XOR", "--grid", "0:1/4pi:16", "--out", str(out_path)
+    )
+    assert (code, err) == (0, "")
+    assert_same_text(
+        out, (GOLDEN / "synthesize_xor_quarter_pi_16.txt").read_bytes().decode()
+    )
+    assert_same_text(
+        out_path.read_bytes().decode(),
+        (GOLDEN / "synthesize_xor_quarter_pi_16.csv").read_bytes().decode(),
+    )
+
+
+class _FailingOut(io.StringIO):
+    """A CSV handle whose second block of rows cannot be written."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes == 3:  # the header, one block, then this one
+            raise OSError(28, "No space left on device")
+        return super().write(text)
+
+
+def test_synthesize_csv_write_error_is_an_io_error(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_ROW_BLOCK", 7)
+    monkeypatch.setattr(cli, "_open_out", lambda path: _FailingOut())
+    code, out, err = run(
+        capsys, "synthesize", "XOR", "--grid", "0:1/4pi:16", "--out", "xor.csv"
+    )
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    # the rows stream to both outputs, so stdout holds the count line and
+    # the rows written before the error
+    golden = (GOLDEN / "synthesize_xor_quarter_pi_16.txt").read_bytes().decode()
+    assert out.startswith("1600 XOR assignment(s)")
+    assert golden.startswith(out)
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full device")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("grid", "--grid", "0:1/4pi:8"),
+        ("synthesize", "XOR", "--grid", "0:1/4pi:16"),
+    ],
+    ids=["grid", "synthesize"],
+)
+def test_out_to_a_full_device_is_an_io_error(capsys, argv):
+    code, _, err = run(capsys, *argv, "--out", "/dev/full")
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 # flags each subcommand does not read -----------------------------------------
 
 
@@ -714,8 +775,9 @@ literal_text = st.one_of(
     data=st.data(),
     rows=st.sampled_from([0, 1, 6, 7, 8]),  # around a block of 7
     n_columns=st.integers(1, 6),
+    n_outputs=st.integers(1, 3),
 )
-def test_write_rows_equals_the_template_rows(data, rows, n_columns):
+def test_write_rows_equals_the_template_rows(data, rows, n_columns, n_outputs):
     columns = []
     for _ in range(n_columns):
         strings = data.draw(st.lists(field_text, min_size=1, max_size=8))
@@ -723,24 +785,28 @@ def test_write_rows_equals_the_template_rows(data, rows, n_columns):
             st.lists(st.integers(0, len(strings) - 1), min_size=rows, max_size=rows)
         )
         columns.append((strings, index))
-    template = "%s".join(
-        data.draw(st.lists(literal_text, min_size=n_columns + 1, max_size=n_columns + 1))
-    )
-    expected = "".join(
-        template % row
-        for row in zip(*([strings[k] for k in index] for strings, index in columns))
-    )
-    sink = io.StringIO()
+    # each output has its own template over the same columns
+    templates = [
+        "%s".join(
+            data.draw(
+                st.lists(literal_text, min_size=n_columns + 1, max_size=n_columns + 1)
+            )
+        )
+        for _ in range(n_outputs)
+    ]
+    table = list(zip(*([strings[k] for k in index] for strings, index in columns)))
+    sinks = [io.StringIO() for _ in templates]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "_ROW_BLOCK", 7)
         cli._write_rows(
-            sink,
-            template,
+            list(zip(sinks, templates)),
             [cli._gather(np.array(strings, dtype=np.bytes_), np.array(index, dtype=np.int64))
              for strings, index in columns],
             rows,
         )
-    assert sink.getvalue() == expected
+    for sink, template in zip(sinks, templates):
+        expected = "".join(template % row for row in table)
+        assert sink.getvalue() == expected
 
 
 class _Discard:
@@ -758,9 +824,13 @@ def test_write_rows_memory_is_bounded_by_the_block(monkeypatch):
     ]
     template = "A=(%s, %s) B=(%s, %s) levels %s->0 %s->1\n"
     width = len(template) - 2 * len(columns) + len(columns) * strings.itemsize
+    # a CSV row is narrower; both outputs' rows come from the same fields
+    csv_template = "%s,%s,%s,%s,%s,%s\n"
     tracemalloc.start()
     try:
-        cli._write_rows(_Discard(), template, columns, rows)
+        cli._write_rows(
+            [(_Discard(), csv_template), (_Discard(), template)], columns, rows
+        )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
