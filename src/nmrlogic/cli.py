@@ -273,13 +273,16 @@ def _scenario_from_args(args: argparse.Namespace) -> synthesis.Scenario:
     )
 
 
-def _open_out(path: str):
-    """`path` opened for writing, or None once the error is reported."""
+def _open_out(path: Optional[str]):
+    """A context for the `--out` file: None when `path` is None, else the
+    file opened for writing.  A file that cannot be opened raises an
+    OSError naming it, which `main` reports as an I/O error."""
+    if path is None:
+        return contextlib.nullcontext()
     try:
         return open(path, "w", encoding="utf-8", newline="")
     except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-        return None
+        raise OSError(f"cannot write {path}: {exc}") from None
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
@@ -291,36 +294,33 @@ def cmd_grid(args: argparse.Namespace) -> int:
         grid_b = default_axis(scenario.inputs[1])
     avals = grid_a.values()
     bvals = grid_b.values()
-    mx, my = scenario_components(
-        scenario.initial,
-        scenario.pulses,
-        scenario.inputs,
-        scenario.fixed_values,
-        avals[:, None],
-        bvals[None, :],
-        scenario.lambda_b,
-    )[:2]
-    mxy = np.hypot(mx, my)
-
-    if args.out is None:
-        handle = contextlib.nullcontext(sys.stdout)
-    else:
-        handle = _open_out(args.out)
-    if handle is None:
-        return EXIT_IO
-    # The axes are formatted once; the value columns one block at a time,
-    # so no whole column is ever held as text.
+    # The axes are formatted once.  The grid streams in blocks of whole
+    # A-rows of about _GRID_BLOCK points, each propagated, formatted and
+    # written before the next, so no whole-grid array is ever held.
     a_text, b_text = packed(format_12g(avals)), packed(format_12g(bvals))
     count = len(bvals)
-    columns = [
-        lambda start, stop: a_text[np.arange(start, stop) // count],
-        lambda start, stop: b_text[np.arange(start, stop) % count],
-    ]
-    columns += [_formatted(values) for values in (mx, my, mxy)]
-    with handle as out:
+    step = max(1, _GRID_BLOCK // count)
+    with _open_out(args.out) as handle:
+        out = sys.stdout if handle is None else handle
         header_a, header_b = scenario.inputs
         out.write(f"{header_a},{header_b},Mx,My,Mxy\n")
-        _write_rows([(out, "%s,%s,%s,%s,%s\n")], columns, mx.size)
+        for k0 in range(0, len(avals), step):
+            mx, my = scenario_components(
+                scenario.initial,
+                scenario.pulses,
+                scenario.inputs,
+                scenario.fixed_values,
+                avals[k0 : k0 + step, None],
+                bvals[None, :],
+                scenario.lambda_b,
+            )[:2]
+            cell = np.arange(mx.size)
+            columns = [
+                _gather(a_text[k0 : k0 + step], cell // count),
+                _gather(b_text, cell % count),
+            ]
+            columns += [_formatted(values) for values in (mx, my, np.hypot(mx, my))]
+            _write_rows([(out, "%s,%s,%s,%s,%s\n")], columns, mx.size)
     return EXIT_OK
 
 
@@ -354,6 +354,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 _ROW_BLOCK = 4096
+# `grid` propagates about this many points at a time, in whole A-rows
+_GRID_BLOCK = 2 * _ROW_BLOCK
 
 
 def _gather(strings: np.ndarray, index: np.ndarray):
@@ -446,16 +448,11 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
 
     text_levels = " ".join(f"%s->{int(bit)}" for bit in cells)
     outputs = [(sys.stdout, "A=(%s, %s) B=(%s, %s) levels " + text_levels + "\n")]
-    handle = contextlib.nullcontext()
-    if args.out is not None:
-        handle = _open_out(args.out)
-        if handle is None:
-            return EXIT_IO
-        csv_levels = ",".join("%s" if bit in cells else "nan" for bit in (False, True))
-        outputs.insert(0, (handle, "%s,%s,%s,%s," + csv_levels + "\n"))
-    with handle:
-        if args.out is not None:
+    with _open_out(args.out) as handle:
+        if handle is not None:
             handle.write("a0,a1,b0,b1,level0,level1\n")
+            csv_levels = ",".join("%s" if bit in cells else "nan" for bit in (False, True))
+            outputs.insert(0, (handle, "%s,%s,%s,%s," + csv_levels + "\n"))
         print(f"{count} {tt.name} assignment(s), class {gates.gate_class(tt).value}")
         _write_rows(outputs, columns, count)
     return EXIT_OK

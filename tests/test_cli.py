@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nmrlogic import _format, cli, gates, synthesis
-from nmrlogic.observables import GridSpec, InitialState, scenario_components
+from nmrlogic.observables import GridSpec, scenario_components
 
 PI = math.pi
 
@@ -838,20 +838,19 @@ def test_write_rows_memory_is_bounded_by_the_block(monkeypatch):
     assert peak < 8 * block * width
 
 
-@pytest.mark.parametrize("n", [100, 200])
+X_EQUAL_FLIPS_FLAGS = (
+    "--initial", "x", "--pulses", "2", "--inputs", "phi2,phi1",
+    "--fix", "beta1=1/2pi", "--fix", "beta2=1/2pi",
+)
+
+
+@pytest.mark.parametrize("n", [100, 200, 400])
 def test_grid_memory_is_bounded_by_the_block(monkeypatch, n):
-    block = 256
-    monkeypatch.setattr(cli, "_ROW_BLOCK", block)
+    row_block, grid_block = 256, 512
+    monkeypatch.setattr(cli, "_ROW_BLOCK", row_block)
+    monkeypatch.setattr(cli, "_GRID_BLOCK", grid_block)
     monkeypatch.setattr(sys, "stdout", _Discard())
-    axis = np.arange(n) * (PI / 50)
-    components = scenario_components(
-        InitialState.SUPERPOSITION_X, 2, ("phi2", "phi1"),
-        {"beta1": PI / 2, "beta2": PI / 2}, axis[:, None], axis[None, :],
-    )
-    # the components come precomputed, so the peak is the writer's
-    monkeypatch.setattr(cli, "scenario_components", lambda *args: components)
-    argv = ["grid", "--initial", "x", "--pulses", "2", "--inputs", "phi2,phi1",
-            "--fix", "beta1=1/2pi", "--fix", "beta2=1/2pi", f"--grid=0:1/50pi:{n}"]
+    argv = ["grid", *X_EQUAL_FLIPS_FLAGS, f"--grid=0:1/50pi:{n}"]
     tracemalloc.start()
     try:
         code = cli.main(argv)
@@ -859,15 +858,56 @@ def test_grid_memory_is_bounded_by_the_block(monkeypatch, n):
     finally:
         tracemalloc.stop()
     assert code == 0
-    # beyond the three n x n float arrays (only mxy is new here), a few
-    # blocks of rows of five fields; one whole column formatted at once
-    # takes n * n * _SLOT bytes and its temporaries more
-    assert peak < 3 * 8 * n * n + 4 * block * (5 * _format.SLOT + 5)
+    # A block propagates whole rows, at most max(grid_block, n) points at
+    # a few hundred bytes each, and the writer holds a few blocks of rows
+    # of five fields.  Nothing grows with n * n: the whole grid propagated
+    # at once would peak near 39 MiB at n = 400.
+    assert peak < 512 * (grid_block + n) + 4 * row_block * (5 * _format.SLOT + 5)
+
+
+GRID_FAMILIES = {
+    "x-phi2,phi1": (
+        X_EQUAL_FLIPS_FLAGS,
+        synthesis.Scenario(
+            "x", 2, "mx", ("phi2", "phi1"), fixed=(("beta1", PI / 2), ("beta2", PI / 2))
+        ),
+    ),
+    "z-phi2,beta2": (
+        ("--initial", "z", "--pulses", "2", "--inputs", "phi2,beta2",
+         "--fix", "phi1=0", "--fix", "beta1=1/2pi"),
+        synthesis.Scenario(
+            "z", 2, "mx", ("phi2", "beta2"), fixed=(("phi1", 0.0), ("beta1", PI / 2))
+        ),
+    ),
+    "z-beta,phi": (
+        ("--initial", "z", "--pulses", "1", "--inputs", "beta,phi"),
+        synthesis.Scenario("z", 1, "mx", ("beta", "phi")),
+    ),
+}
+
+
+@pytest.mark.parametrize("block", [None, 7], ids=["default", "7"])
+# rows of 3 points put two or more A-rows in a block; at a block of 7
+# points, rows of 9 or 101 are each longer than a block; at the default
+# block, the 101 x 101 grid takes two blocks
+@pytest.mark.parametrize("grid", ["1/8pi:1/3pi:3", "-1/3pi:1/4pi:9", "0:1/50pi:101"])
+@pytest.mark.parametrize("family", GRID_FAMILIES)
+def test_grid_bytes_match_reference(tmp_path, capsys, monkeypatch, family, grid, block):
+    if block is not None:
+        monkeypatch.setattr(cli, "_ROW_BLOCK", block)
+        monkeypatch.setattr(cli, "_GRID_BLOCK", block)
+    flags, scenario = GRID_FAMILIES[family]
+    out_path = tmp_path / "grid.csv"
+    code, out, err = run(capsys, "grid", *flags, f"--grid={grid}", "--out", str(out_path))
+    assert (code, out, err) == (0, "", "")
+    axis = cli.parse_grid(grid)
+    assert_same_text(out_path.read_bytes().decode(), _reference_grid(scenario, axis, axis))
 
 
 @pytest.mark.parametrize("block", [cli._ROW_BLOCK, 7])
 def test_grid_bytes_match_reference_on_default_axes(tmp_path, capsys, monkeypatch, block):
     monkeypatch.setattr(cli, "_ROW_BLOCK", block)
+    monkeypatch.setattr(cli, "_GRID_BLOCK", block)
     out_path = tmp_path / "grid.csv"
     code, _, _ = run(capsys, "grid", *MIXED_FLAGS, "--out", str(out_path))
     assert code == 0
@@ -881,6 +921,7 @@ def test_grid_bytes_match_reference_on_default_axes(tmp_path, capsys, monkeypatc
 @pytest.mark.parametrize("block", [cli._ROW_BLOCK, 7])
 def test_grid_stdout_matches_reference(capsys, monkeypatch, block):
     monkeypatch.setattr(cli, "_ROW_BLOCK", block)
+    monkeypatch.setattr(cli, "_GRID_BLOCK", block)
     code, out, _ = run(capsys, "grid", "--initial", "x", "--grid=-1/3pi:1/4pi:9")
     grid = cli.parse_grid("-1/3pi:1/4pi:9")
     scenario = synthesis.Scenario("x", 1, "mx", ("phi", "beta"))

@@ -182,3 +182,27 @@ def test_product_of_a_transposed_stack_and_a_constant_copies_nothing():
     # the product itself takes u.nbytes; a copy of U would take as much again
     assert peak < 1.5 * u.nbytes
     assert np.array_equal(product, u @ rho0)
+
+
+# `grid` propagates whole A-rows a block at a time; its bytes hold only if
+# any slice of whole rows propagates to the same bits as those rows of the
+# whole grid, at any row count from one row up.
+SLICE_AXIS_B = PI / 100 * np.arange(-150, 150) + 0.05
+
+
+@pytest.mark.parametrize("from_x", [False, True], ids=["z", "x"])
+@pytest.mark.parametrize(
+    "inputs", list(itertools.permutations(TWO_PULSE, 2)), ids="-".join
+)
+def test_two_pulse_components_of_row_slices_equal_the_whole_grid_rows(inputs, from_x):
+    def components(a, b):
+        bound = dict(zip(TWO_PULSE, (PI / 2, PI, 0.3, -1.1)))
+        bound.update(zip(inputs, (a, b)))
+        return k.two_pulse_components(*(bound[p] for p in TWO_PULSE), 0.8, from_x)
+
+    whole = components(AXIS_A[:, None], SLICE_AXIS_B[None, :])
+    for rows in (1, 3, 16):
+        for k0 in range(0, len(AXIS_A), rows):
+            part = components(AXIS_A[k0 : k0 + rows, None], SLICE_AXIS_B[None, :])
+            for new, old in zip(part, whole):
+                assert np.array_equal(new, old[k0 : k0 + rows]), (rows, k0)
