@@ -11,11 +11,13 @@ matrix go through one row-stacked gemm, and products where both factors
 vary per point keep a per-point product; either way the bits are those of
 the stacked per-point `np.matmul` (`_product`).
 
-The search labels the levels of a table once, counts the hits of every row
-pair from histograms of column label pairs (`level_pair_counts`), and
-streams the hits of the row pairs that hold any in cache-sized blocks
-(`iter_gate_quadruples`).  `gate_counts` counts hits per truth table from
-either, holding none.
+The search tests corner pairs with one comparator: equal level labels
+where the table has levels (`level_labels`), else |x - y| <= tol.  It
+counts the hits of every row pair from histograms of column label pairs
+(`level_pair_counts`), and streams the hits of the row pairs that hold
+any in cache-sized blocks (`iter_gate_quadruples`), holding one n^3
+boolean.  `gate_counts` counts hits per truth table from either, holding
+none.
 
 `observables` and `synthesis` look both up on this module at call time, so a
 wrapper set on the module attribute (as `perfbench/tracing.py` does) sees
@@ -127,41 +129,28 @@ def two_pulse_components(phi2, beta2, phi1, beta1, lambda_b, from_x):
 # `values[i, j]` is the observable with logic input A bound to candidate i
 # and input B bound to candidate j.  A quadruple (i0, i1, j0, j1) realizes a
 # truth table when all six corner pairs (two rows, two columns, two
-# diagonals) pass `_pair_test`: corners of one output bit lie within tol,
-# corners of different bits more than tol apart.  That is one level per bit:
-# a spread is one pairwise gap, and interleaved levels put a cross gap within tol.
-# ---------------------------------------------------------------------------
-
-
-# Stage 2 takes row pairs (i0, i1) in blocks of about this many
-# quadruples, so a block's masks and gathered corners stay in cache; a
-# block is never smaller than one row pair.  The level-label pass takes
-# row pairs in blocks of about this many cells.
-_BLOCK_QUADRUPLES = 1 << 16
-
-
-def _pair_test(gaps, same_level, tol):
-    """Where two corners `gaps` apart can share one level (`same_level`) or
-    lie on two different ones."""
-    return gaps <= tol if same_level else gaps > tol
-
-
-# ---------------------------------------------------------------------------
-# Level labels.
+# diagonals) pass: corners of one output bit are close (within tol), and
+# corners of different bits are not.  That is one level per bit: a spread
+# is one pairwise gap, and interleaved levels put a cross gap within tol.
 #
 # Sorted, a table splits into levels wherever consecutive values lie more
 # than tol apart, so values of different levels lie more than tol apart.
-# When every level also spans at most tol, "within tol" is "same label",
-# tested exactly on ints.  A quadruple then realizes a gate when its
-# corners of one bit share a label and its corners of different bits do
-# not, and the hits of row pair (i0, i1) follow from h(x, y): the number
-# of columns j with labels x in row i0 and y in row i1.
+# When every level also spans at most tol, "close" is "same label", tested
+# exactly on ints.  The hits of row pair (i0, i1) then follow from h(x, y):
+# the number of columns j with labels x in row i0 and y in row i1.
 #
 # Negating input A swaps i0 and i1, negating input B swaps j0 and j1, and
 # negating the output swaps the bits.  These moves keep hit counts, so five
 # orbit representatives give the counts of all 16 gates.  Swapping the
 # inputs transposes the table, which changes the counts.
 # ---------------------------------------------------------------------------
+
+
+# Stage 2 takes row pairs (i0, i1) in blocks of about this many
+# quadruples, so a block's masks and gathered corners stay in cache; a
+# block is never smaller than one row pair.  Stage 1 and the level-label
+# pass take rows in blocks of about this many cells.
+_BLOCK_QUADRUPLES = 1 << 16
 
 
 def level_labels(values, tol):
@@ -297,17 +286,6 @@ def _block_pair_counts(top, labels, r, m, sums):
     sums[1:] -= sums[0]
 
 
-def _level_hit_pairs(values, outputs, tol):
-    """The row pairs (i0, i1) holding hits, in lexicographic order, or None
-    when the table has no levels."""
-    labels = level_labels(values, tol)
-    if labels is None:
-        return None
-    slot, transposed = orbit_representative(outputs)
-    counts = level_pair_counts(labels)[slot]
-    return np.argwhere(counts.T if transposed else counts)
-
-
 def gate_counts(values, outputs_seq, tol):
     """Realizing quadruples over `values` for each truth table in `outputs_seq`.
 
@@ -327,56 +305,73 @@ def gate_counts(values, outputs_seq, tol):
 def iter_gate_quadruples(values, outputs, tol):
     """Yield every realizing quadruple, in non-empty (k, 4) int64 blocks.
 
-    Blocks follow lexicographic (i0, i1, j0, j1) order.  When the table
-    has levels (`level_labels`), stage 2 takes exactly the row pairs that
-    hold hits, and none at all returns before stage 1.  Stage 1 tests the
-    row and column pairs once per call as n^3 arrays; without levels, it
-    also picks the row pairs.  Stage 2 takes row pairs (i0, i1) in blocks
-    of about `_BLOCK_QUADRUPLES` quadruples and tests the two diagonals of
-    the survivors.
+    Blocks follow lexicographic (i0, i1, j0, j1) order.  A corner pair
+    passes when `close` holds exactly when its two bits agree.  On a table
+    with levels (`level_labels`), `close` is label equality and the label
+    counts pick the row pairs that hold hits; none at all returns at once.
+    On any other table, `close` is |x - y| <= tol, and stage 1 picks the
+    row pairs with a passing column j0 and one for j1.  Stage 1 tests the
+    column pairs of each row, one (nA, nB, nB) boolean built a block of
+    rows at a time.  Stage 2 takes row pairs (i0, i1) in blocks of about
+    `_BLOCK_QUADRUPLES` quadruples, tests their columns from their two
+    rows, and the two diagonals of the survivors.
 
-    Parameters
-    ----------
-    values : (nA, nB) float64 ndarray
-        Observable with input A bound to the row candidate and input B to
-        the column candidate.
-    outputs : sequence of 4 bools for inputs (0,0), (0,1), (1,0), (1,1)
-    tol : float
-        Level clustering/separation tolerance.
+    `values` is the finite (nA, nB) table, input A on rows, as every
+    scenario table is; `outputs` holds the bits for inputs (0,0), (0,1),
+    (1,0), (1,1); `tol` is the level clustering/separation tolerance.
     """
     values = np.asarray(values, dtype=np.float64)
-    nb = values.shape[1]
-    pairs = _level_hit_pairs(values, outputs, tol)
-    if pairs is not None and not len(pairs):
-        return
+    na, nb = values.shape
+    labels = level_labels(values, tol)
+    if labels is None:
+        table = values
+        candidates = np.empty((na, na), dtype=bool)
+
+        def close(x, y):
+            gaps = np.subtract(x, y)
+            return np.abs(gaps, out=gaps) <= tol
+    else:
+        slot, transposed = orbit_representative(outputs)
+        counts = level_pair_counts(labels)[slot]
+        candidates = (counts.T if transposed else counts) > 0
+        if not candidates.any():
+            return
+        table = labels.astype(np.min_scalar_type(int(labels.max())))
+        close = np.equal
+
     o00, o01, o10, o11 = outputs
-    # The pairs in one row or one column depend on three indices each.
-    row_gaps = np.abs(values[:, :, None] - values[:, None, :])  # [i, j0, j1]
-    col_gaps = np.abs(values[:, None, :] - values[None, :, :])  # [i0, i1, j]
-    top = _pair_test(row_gaps, o00 == o01, tol)  # row i0
-    bottom = _pair_test(row_gaps, o10 == o11, tol)  # row i1
-    left = _pair_test(col_gaps, o00 == o10, tol)  # column j0
-    right = _pair_test(col_gaps, o01 == o11, tol)  # column j1
+    # rows[i, j0, j1]: columns j0 and j1 of row i are close.  Rows i0 and
+    # i1 read it, negated where their two bits differ: x & ~y is x > y.
+    top = np.logical_and if o00 == o01 else np.greater
+    bottom = np.logical_and if o10 == o11 else np.greater
+    rows = np.empty((na, nb, nb), dtype=bool)
+    step = max(1, _BLOCK_QUADRUPLES // (max(na, nb) * nb))
+    for start in range(0, na, step):
+        block = table[start:start + step]
+        rows[start:start + step] = close(block[:, :, None], block[:, None, :])
+        if labels is None:
+            # a row pair with no passing column j0, or none for j1, holds no hit
+            columns = close(block[:, None, :], table[None, :, :])  # [i0, i1, j]
+            some = {True: columns.any(axis=2), False: ~columns.all(axis=2)}
+            candidates[start:start + step] = some[o00 == o10] & some[o01 == o11]
+    pairs = np.argwhere(candidates)
     # XOR and XNOR put equal levels on the diagonals only: test one densely
     diagonal = o00 == o11 and o00 != o01
 
-    if pairs is None:
-        # a row pair with no passing column j0, or none for j1, holds no hit
-        pairs = np.argwhere(left.any(axis=2) & right.any(axis=2))
     step = max(1, _BLOCK_QUADRUPLES // (nb * nb))
     for start in range(0, len(pairs), step):
         a0, a1 = pairs[start:start + step].T
-        ok = left[a0, a1, :, None] & right[a0, a1, None, :]
-        ok &= top[a0]
-        ok &= bottom[a1]
+        columns = close(table[a0], table[a1])
+        ok = (columns == (o00 == o10))[:, :, None] & (columns == (o01 == o11))[:, None, :]
+        top(ok, rows[a0], out=ok)
+        bottom(ok, rows[a1], out=ok)
         if diagonal:
-            gaps = values[a0, :, None] - values[a1, None, :]
-            ok &= np.abs(gaps, out=gaps) <= tol
+            ok &= close(table[a0, :, None], table[a1, None, :])
         k, cell = np.divmod(np.flatnonzero(ok), nb * nb)
         j0, j1 = np.divmod(cell, nb)
         i0, i1 = a0[k], a1[k]
-        keep = _pair_test(np.abs(values[i0, j0] - values[i1, j1]), o00 == o11, tol)
-        keep &= _pair_test(np.abs(values[i0, j1] - values[i1, j0]), o01 == o10, tol)
+        keep = close(table[i0, j0], table[i1, j1]) == (o00 == o11)
+        keep &= close(table[i0, j1], table[i1, j0]) == (o01 == o10)
         hits = np.stack((i0, i1, j0, j1), axis=1, dtype=np.int64).compress(keep, axis=0)
         if len(hits):
             yield hits

@@ -205,6 +205,8 @@ def _load_config(path: str) -> dict:
             value = value.strip()
             if key == "fix":
                 values.setdefault("fix", []).append(value)
+            elif key in values:
+                raise ValueError(f"config key {key!r} is given more than once")
             else:
                 values[key] = value
     return values

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nmrlogic import _format, cli, gates, synthesis
+from nmrlogic import _format, _kernels, cli, gates, synthesis
 from nmrlogic.observables import GridSpec, scenario_components
 
 PI = math.pi
@@ -314,6 +314,20 @@ def test_synthesize_output_matches_golden(tmp_path, capsys, argv, golden):
     assert_same_text(written, (GOLDEN / golden).read_bytes().decode())
 
 
+def test_synthesize_pairwise_route_matches_golden(capsys):
+    # at tol 0.02 the thermal mx table has a level spanning more than tol,
+    # so the search compares float gaps, not level labels
+    candidates = cli.parse_grid("0:1/8pi:12").values()
+    table = synthesis.scenario_table(
+        synthesis.reference_single_pulse_scenario(), candidates, candidates
+    )
+    assert _kernels.level_labels(table, 0.02) is None
+    code, out, err = run(capsys, "synthesize", "XOR", "--grid", "0:1/8pi:12", "--tol", "0.02")
+    assert (code, err) == (0, "")
+    golden = GOLDEN / "synthesize_xor_eighth_pi_12_tol_0.02.txt"
+    assert_same_text(out, golden.read_text(encoding="utf-8"))
+
+
 @pytest.mark.parametrize(
     "argv,golden",
     [
@@ -537,6 +551,7 @@ def test_config_unknown_key_is_usage_error(tmp_path, capsys, argv, text, key):
             "grid=0:1:2.5\n",
             "grid count must be an integer, got '2.5'",
         ),
+        (("verify",), "tol=1e-3\ntol=1e-9\n", "config key 'tol' is given more than once"),
     ],
     ids=[
         "pulses-choice",
@@ -547,6 +562,7 @@ def test_config_unknown_key_is_usage_error(tmp_path, capsys, argv, text, key):
         "lambda-type",
         "empty-grid",
         "grid-count",
+        "repeated-key",
     ],
 )
 def test_config_values_get_the_flag_checks(tmp_path, capsys, argv, text, message):

@@ -432,6 +432,46 @@ def test_level_pair_counts_hold_one_block(monkeypatch):
     assert peak < 1 << 20, peak
 
 
+def test_more_labels_than_one_byte_holds_equal_oracle_hits():
+    # 289 distinct values: labels reach 288, so one byte would wrap
+    # label 256 onto label 0 and make distinct levels equal
+    rng = np.random.default_rng(5)
+    table = rng.permutation(289).reshape(17, 17) / 8
+    labels = _kernels.level_labels(table, 1e-9)
+    assert labels.max() == 288
+    for tt in (g.T, g.A, g.B, g.XOR, g.AND):  # the five orbit representatives
+        found = _kernels.find_gate_quadruples(table, tt.outputs, 1e-9)
+        expected = list(oracle_quadruples(table, tt.outputs, 1e-9))
+        assert [tuple(row) for row in found.tolist()] == expected, tt.name
+
+
+@pytest.mark.parametrize(
+    "initial,step,tol,labelled",
+    [
+        (InitialState.SUPERPOSITION_X, PI / 8, syn.DEFAULT_LEVEL_TOL, True),
+        (InitialState.THERMAL_Z, 0.37 * PI / 8, 0.01, False),
+    ],
+    ids=["label-route", "pairwise-route"],
+)
+@pytest.mark.parametrize("n", [64, 128])
+def test_search_peak_is_one_row_test_and_a_few_blocks(initial, step, tol, labelled, n):
+    scenario = syn.Scenario(initial, 1, ObservableKind.MX, ("phi", "beta"))
+    candidates = GridSpec(0.0, step, n).values()
+    table = syn.scenario_table(scenario, candidates, candidates)
+    assert (_kernels.level_labels(table, tol) is not None) == labelled
+    tracemalloc.start()
+    try:
+        blocks = _kernels.iter_gate_quadruples(table, g.AND.outputs, tol)
+        hits = sum(len(block) for block in blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hits
+    # one n^3 boolean row test and a few blocks; six n^3 float and boolean
+    # arrays peaked at 50 MB at n = 128
+    assert peak < n**3 + 6 * _kernels._BLOCK_QUADRUPLES * 8, peak
+
+
 def _formula_pair_counts(labels):
     """`level_pair_counts` from a dense h(x, y) per row pair, the formulas
     of its docstring written out one row i0 at a time."""
