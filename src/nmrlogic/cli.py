@@ -162,11 +162,13 @@ def build_parser() -> _Parser:
     )
     # grid writes the Mx, My and Mxy columns, so it takes no --observable
     _add_flags(p_grid, scenario=True)
+    p_grid.set_defaults(run=cmd_grid)
 
     p_classify = sub.add_parser(
         "classify", help="classify a boolean gate", epilog=_EPILOG
     )
     p_classify.add_argument("gate", help="gate name or id 0-15")
+    p_classify.set_defaults(run=cmd_classify)
 
     p_synth = sub.add_parser(
         "synthesize", help="search gate realizations", epilog=_EPILOG
@@ -175,6 +177,7 @@ def build_parser() -> _Parser:
     _add_flags(
         p_synth, scenario=True, observable=True, tol_help="numeric tolerance override"
     )
+    p_synth.set_defaults(run=cmd_synthesize)
 
     p_verify = sub.add_parser(
         "verify", help="recompute built-in reference values", epilog=_EPILOG
@@ -187,6 +190,7 @@ def build_parser() -> _Parser:
         "the capability claims always run at the search tolerance "
         f"DEFAULT_LEVEL_TOL = {synthesis.DEFAULT_LEVEL_TOL:g}",
     )
+    p_verify.set_defaults(run=cmd_verify)
     parser.commands = sub.choices  # name -> subcommand parser, for --config keys
     return parser
 
@@ -297,15 +301,13 @@ def cmd_grid(args: argparse.Namespace) -> int:
     avals = grid_a.values()
     bvals = grid_b.values()
     # The axes are formatted once.  The grid streams in blocks of whole
-    # A-rows of about _GRID_BLOCK points, each propagated, formatted and
+    # A-rows of about _ROW_BLOCK points, each propagated, formatted and
     # written before the next, so no whole-grid array is ever held.
     a_text, b_text = packed(format_12g(avals)), packed(format_12g(bvals))
     count = len(bvals)
-    step = max(1, _GRID_BLOCK // count)
-    with _open_out(args.out) as handle:
-        out = sys.stdout if handle is None else handle
-        header_a, header_b = scenario.inputs
-        out.write(f"{header_a},{header_b},Mx,My,Mxy\n")
+    step = max(1, _ROW_BLOCK // count)
+
+    def blocks():
         for k0 in range(0, len(avals), step):
             mx, my = scenario_components(
                 scenario.initial,
@@ -316,13 +318,17 @@ def cmd_grid(args: argparse.Namespace) -> int:
                 bvals[None, :],
                 scenario.lambda_b,
             )[:2]
-            cell = np.arange(mx.size)
-            columns = [
-                _gather(a_text[k0 : k0 + step], cell // count),
-                _gather(b_text, cell % count),
+            yield [
+                np.repeat(a_text[k0 : k0 + step], count),
+                np.tile(b_text, len(mx)),
+                *(format_12g(v.ravel()) for v in (mx, my, np.hypot(mx, my))),
             ]
-            columns += [_formatted(values) for values in (mx, my, np.hypot(mx, my))]
-            _write_rows([(out, "%s,%s,%s,%s,%s\n")], columns, mx.size)
+
+    with _open_out(args.out) as handle:
+        out = sys.stdout if handle is None else handle
+        header_a, header_b = scenario.inputs
+        out.write(f"{header_a},{header_b},Mx,My,Mxy\n")
+        _write_rows([(out, "%s,%s,%s,%s,%s\n")], blocks())
     return EXIT_OK
 
 
@@ -355,39 +361,24 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# rows per block that `grid` and `synthesize` hand to `_write_rows`
 _ROW_BLOCK = 4096
-# `grid` propagates about this many points at a time, in whole A-rows
-_GRID_BLOCK = 2 * _ROW_BLOCK
 
 
-def _gather(strings: np.ndarray, index: np.ndarray):
-    """The column whose row k is strings[index[k]]."""
-    return lambda start, stop: strings[index[start:stop]]
+def _write_rows(outputs, blocks) -> None:
+    """Write each block of rows to each `(handle, template)` of `outputs`,
+    through its `%s` template.
 
-
-def _formatted(values: np.ndarray):
-    """The column whose row k is the `.12g` text of values.flat[k]."""
-    return lambda start, stop: format_12g(values.flat[start:stop])
-
-
-def _write_rows(outputs, columns, rows: int) -> None:
-    """Write `rows` rows to each `(handle, template)` of `outputs`, through
-    its `%s` template, `_ROW_BLOCK` rows per write.
-
-    Each column is a function of (start, stop) that gives rows start to
-    stop of that field as a NUL-padded fixed-width bytes array; it is
-    called once per block, and every output's rows are built from the
-    same fields.  Each template has one `%s` per column, and its text
-    between them is ASCII with no `%` or NUL.
+    A block is a list of equal-length NUL-padded fixed-width bytes
+    arrays, one field per `%s`; every output's rows are built from the
+    same fields.  Each template's text between its `%s` is ASCII with no
+    `%` or NUL.
     """
     outputs = [
         (handle, [text.encode("ascii") for text in template.split("%s")])
         for handle, template in outputs
     ]
-    # one block at a time, so a block's buffers are freed before the next
-    for start in range(0, rows, _ROW_BLOCK):
-        stop = min(start + _ROW_BLOCK, rows)
-        fields = [column(start, stop) for column in columns]
+    for fields in blocks:
         for handle, literals in outputs:
             handle.write(_row_block(literals, fields))
 
@@ -445,8 +436,13 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     cells = synthesis.level_cells(found, tt, tol)
     candidates = packed(format_12g(found.candidates))
     levels = packed(format_12g(found.table.ravel()))
-    columns = [_gather(candidates, found.indices[:, k]) for k in range(4)]
-    columns += [_gather(levels, cells[bit]) for bit in cells]
+
+    def blocks():
+        for start in range(0, count, _ROW_BLOCK):
+            rows = slice(start, start + _ROW_BLOCK)
+            yield [candidates[found.indices[rows, k]] for k in range(4)] + [
+                levels[cells[bit][rows]] for bit in cells
+            ]
 
     text_levels = " ".join(f"%s->{int(bit)}" for bit in cells)
     outputs = [(sys.stdout, "A=(%s, %s) B=(%s, %s) levels " + text_levels + "\n")]
@@ -456,7 +452,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
             csv_levels = ",".join("%s" if bit in cells else "nan" for bit in (False, True))
             outputs.insert(0, (handle, "%s,%s,%s,%s," + csv_levels + "\n"))
         print(f"{count} {tt.name} assignment(s), class {gates.gate_class(tt).value}")
-        _write_rows(outputs, columns, count)
+        _write_rows(outputs, blocks())
     return EXIT_OK
 
 
@@ -488,21 +484,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE
     try:
         args = _merge_config(args, parser.commands[args.command])
-        if args.command == "grid":
-            return cmd_grid(args)
-        if args.command == "classify":
-            return cmd_classify(args)
-        if args.command == "synthesize":
-            return cmd_synthesize(args)
-        if args.command == "verify":
-            return cmd_verify(args)
+        return args.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        # numpy's error names the array it could not allocate; Python's is bare
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    raise RuntimeError(f"unhandled command {args.command!r}")
 
 
 def entry_point() -> None:

@@ -163,18 +163,22 @@ def test_grid_rejects_bad_inputs(capsys):
 
 
 def test_classify_xor(capsys):
-    code, out, _ = run(capsys, "classify", "XOR")
+    code, out, err = run(capsys, "classify", "XOR")
     assert code == 0
     assert "class: 3" in out
     assert "A=0, B=0" in out
     assert "XNOR" in out
+    assert err == ""
+    assert_same_text(out, (GOLDEN / "classify_xor.txt").read_text(encoding="utf-8"))
 
 
 def test_classify_nand(capsys):
-    code, out, _ = run(capsys, "classify", "nand")
+    code, out, err = run(capsys, "classify", "nand")
     assert code == 0
     assert "class: 2" in out
     assert "A=1, B=1" in out
+    assert err == ""
+    assert_same_text(out, (GOLDEN / "classify_nand.txt").read_text(encoding="utf-8"))
 
 
 def test_classify_numeric_id(capsys):
@@ -380,6 +384,15 @@ class _FailingOut(io.StringIO):
         if self.writes == 3:  # the header, one block, then this one
             raise OSError(28, "No space left on device")
         return super().write(text)
+
+
+def test_out_of_memory_is_a_usage_error(capsys, monkeypatch):
+    def search(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(synthesis, "search", search)
+    code, out, err = run(capsys, "synthesize", "T", "--grid", "0:1:60000")
+    assert (code, out, err) == (1, "", "error: out of memory\n")
 
 
 def test_synthesize_csv_write_error_is_an_io_error(capsys, monkeypatch):
@@ -811,15 +824,16 @@ def test_write_rows_equals_the_template_rows(data, rows, n_columns, n_outputs):
         for _ in range(n_outputs)
     ]
     table = list(zip(*([strings[k] for k in index] for strings, index in columns)))
+    fields = [
+        np.array(strings, dtype=np.bytes_)[np.array(index, dtype=np.int64)]
+        for strings, index in columns
+    ]
+    block = 7
     sinks = [io.StringIO() for _ in templates]
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_ROW_BLOCK", 7)
-        cli._write_rows(
-            list(zip(sinks, templates)),
-            [cli._gather(np.array(strings, dtype=np.bytes_), np.array(index, dtype=np.int64))
-             for strings, index in columns],
-            rows,
-        )
+    cli._write_rows(
+        list(zip(sinks, templates)),
+        ([field[start : start + block] for field in fields] for start in range(0, rows, block)),
+    )
     for sink, template in zip(sinks, templates):
         expected = "".join(template % row for row in table)
         assert sink.getvalue() == expected
@@ -830,23 +844,24 @@ class _Discard:
         pass
 
 
-def test_write_rows_memory_is_bounded_by_the_block(monkeypatch):
+def test_write_rows_memory_is_bounded_by_the_block():
     block = 1024
-    monkeypatch.setattr(cli, "_ROW_BLOCK", block)
     rows = 50_000
     strings = _format.format_12g(np.linspace(-PI, PI, 97))
-    columns = [
-        cli._gather(strings, (np.arange(rows) * (k + 1)) % len(strings)) for k in range(6)
-    ]
+    n_columns = 6
+
+    def blocks():
+        for start in range(0, rows, block):
+            cell = np.arange(start, min(start + block, rows))
+            yield [strings[(cell * (k + 1)) % len(strings)] for k in range(n_columns)]
+
     template = "A=(%s, %s) B=(%s, %s) levels %s->0 %s->1\n"
-    width = len(template) - 2 * len(columns) + len(columns) * strings.itemsize
+    width = len(template) - 2 * n_columns + n_columns * strings.itemsize
     # a CSV row is narrower; both outputs' rows come from the same fields
     csv_template = "%s,%s,%s,%s,%s,%s\n"
     tracemalloc.start()
     try:
-        cli._write_rows(
-            [(_Discard(), csv_template), (_Discard(), template)], columns, rows
-        )
+        cli._write_rows([(_Discard(), csv_template), (_Discard(), template)], blocks())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -862,9 +877,8 @@ X_EQUAL_FLIPS_FLAGS = (
 
 @pytest.mark.parametrize("n", [100, 200, 400])
 def test_grid_memory_is_bounded_by_the_block(monkeypatch, n):
-    row_block, grid_block = 256, 512
+    grid_block = row_block = 256
     monkeypatch.setattr(cli, "_ROW_BLOCK", row_block)
-    monkeypatch.setattr(cli, "_GRID_BLOCK", grid_block)
     monkeypatch.setattr(sys, "stdout", _Discard())
     argv = ["grid", *X_EQUAL_FLIPS_FLAGS, f"--grid=0:1/50pi:{n}"]
     tracemalloc.start()
@@ -905,13 +919,12 @@ GRID_FAMILIES = {
 @pytest.mark.parametrize("block", [None, 7], ids=["default", "7"])
 # rows of 3 points put two or more A-rows in a block; at a block of 7
 # points, rows of 9 or 101 are each longer than a block; at the default
-# block, the 101 x 101 grid takes two blocks
+# block, the 101 x 101 grid takes three blocks
 @pytest.mark.parametrize("grid", ["1/8pi:1/3pi:3", "-1/3pi:1/4pi:9", "0:1/50pi:101"])
 @pytest.mark.parametrize("family", GRID_FAMILIES)
 def test_grid_bytes_match_reference(tmp_path, capsys, monkeypatch, family, grid, block):
     if block is not None:
         monkeypatch.setattr(cli, "_ROW_BLOCK", block)
-        monkeypatch.setattr(cli, "_GRID_BLOCK", block)
     flags, scenario = GRID_FAMILIES[family]
     out_path = tmp_path / "grid.csv"
     code, out, err = run(capsys, "grid", *flags, f"--grid={grid}", "--out", str(out_path))
@@ -923,7 +936,6 @@ def test_grid_bytes_match_reference(tmp_path, capsys, monkeypatch, family, grid,
 @pytest.mark.parametrize("block", [cli._ROW_BLOCK, 7])
 def test_grid_bytes_match_reference_on_default_axes(tmp_path, capsys, monkeypatch, block):
     monkeypatch.setattr(cli, "_ROW_BLOCK", block)
-    monkeypatch.setattr(cli, "_GRID_BLOCK", block)
     out_path = tmp_path / "grid.csv"
     code, _, _ = run(capsys, "grid", *MIXED_FLAGS, "--out", str(out_path))
     assert code == 0
@@ -937,7 +949,6 @@ def test_grid_bytes_match_reference_on_default_axes(tmp_path, capsys, monkeypatc
 @pytest.mark.parametrize("block", [cli._ROW_BLOCK, 7])
 def test_grid_stdout_matches_reference(capsys, monkeypatch, block):
     monkeypatch.setattr(cli, "_ROW_BLOCK", block)
-    monkeypatch.setattr(cli, "_GRID_BLOCK", block)
     code, out, _ = run(capsys, "grid", "--initial", "x", "--grid=-1/3pi:1/4pi:9")
     grid = cli.parse_grid("-1/3pi:1/4pi:9")
     scenario = synthesis.Scenario("x", 1, "mx", ("phi", "beta"))
