@@ -1,8 +1,9 @@
 """`.12g` text of float64 arrays as fixed-width byte strings, in numpy.
 
 `format_12g` gives the bytes of f"{x:.12g}" for every value, NUL-padded to
-one fixed slot, and `packed` narrows such strings to their shortest common
-width.  The CLI writes its `grid` and `synthesize` rows from these.
+one fixed slot, and `packed` drops each string's NULs, one value at a time,
+and narrows them to their shortest common width.  The CLI writes its `grid`
+and `synthesize` rows from these.
 """
 
 from __future__ import annotations
@@ -129,13 +130,7 @@ def packed(strings: np.ndarray) -> np.ndarray:
     """`strings` with their NUL bytes removed, in the narrowest width.
 
     For tables that rows index many times, so that each row carries fewer
-    padding bytes than a full slot.
+    padding bytes than a full slot.  Each value is one `bytes.replace`, so
+    no array of its bytes or their positions is built.
     """
-    matrix = strings.view(np.uint8).reshape(len(strings), -1)
-    kept = matrix != 0
-    width = kept.sum(axis=1).max()
-    # each kept byte moves left past the NULs before it
-    column = np.cumsum(kept, axis=1) - 1
-    out = np.zeros((len(strings), width), np.uint8)
-    out[np.nonzero(kept)[0], column[kept]] = matrix[kept]
-    return out.view(f"S{width}").ravel()
+    return np.array([s.replace(b"\0", b"") for s in strings.tolist()], dtype=bytes)

@@ -14,10 +14,10 @@ the stacked per-point `np.matmul` (`_product`).
 The search tests corner pairs with one comparator: equal level labels
 where the table has levels (`level_labels`), else |x - y| <= tol.  It
 counts the hits of every row pair from histograms of column label pairs
-(`level_pair_counts`), and streams the hits of the row pairs that hold
-any in cache-sized blocks (`iter_gate_quadruples`), holding one n^3
-boolean.  `gate_counts` counts hits per truth table from either, holding
-none.
+(`level_pair_counts`) a block of rows at a time, each block counting its
+own rows' labels, and streams the hits of the row pairs that hold any in
+cache-sized blocks (`iter_gate_quadruples`), holding one n^3 boolean.
+`gate_counts` counts hits per truth table from either, holding none.
 
 `observables` and `synthesis` look both up on this module at call time, so a
 wrapper set on the module attribute (as `perfbench/tracing.py` does) sees
@@ -207,27 +207,28 @@ def level_pair_counts(labels):
     """
     na, nb = labels.shape
     m = int(labels.max()) + 1
-    # r[i, j]: the count of columns in row i with the label of column j
-    flat = labels + m * np.arange(na)[:, None]
-    r = np.bincount(flat.ravel(), minlength=na * m)[flat]
     counts = np.empty((5, na * na), dtype=np.int64)
     step = max(1, _BLOCK_QUADRUPLES // (na * nb))
     for start in range(0, na, step):
         stop = min(start + step, na)
         sums = counts[:, start * na:stop * na]
-        _block_pair_counts(labels[start:stop], labels, r[start:stop], m, sums)
+        _block_pair_counts(labels[start:stop], labels, m, sums)
     return counts.reshape(5, na, na)
 
 
-def _block_pair_counts(top, labels, r, m, sums):
+def _block_pair_counts(top, labels, m, sums):
     """Fill `sums`, (5, len(top) * nA), with `level_pair_counts` for the row
-    pairs (i0, i1) with i0 in `top`; `r` is r(x) at each cell of `top`.
+    pairs (i0, i1) with i0 in `top`.
 
-    Entry-sized arrays are freed or overwritten once read, so the peak is a
+    The label counts r(x) of `top`'s rows take len(top) * m int64, and
+    entry-sized arrays are freed or overwritten once read, so the peak is a
     few of them.
     """
     b, nb = top.shape
     na = len(labels)
+    # r[i, j]: the count of columns in row i with the label of column j
+    flat = top + m * np.arange(b)[:, None]
+    r = np.bincount(flat.ravel(), minlength=b * m)[flat]
     keys = np.empty((b, na, nb), dtype=np.int64)
     # the columns whose two labels agree give sum h(x, x) and, each
     # weighted by r(x), sum h(x, x) r(x)

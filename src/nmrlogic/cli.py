@@ -433,7 +433,6 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         return EXIT_NO_SOLUTION
 
     # Each candidate and table value is formatted once; rows index them.
-    cells = synthesis.level_cells(found, tt, tol)
     candidates = packed(format_12g(found.candidates))
     levels = packed(format_12g(found.table.ravel()))
 
@@ -441,15 +440,15 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         for start in range(0, count, _ROW_BLOCK):
             rows = slice(start, start + _ROW_BLOCK)
             yield [candidates[found.indices[rows, k]] for k in range(4)] + [
-                levels[cells[bit][rows]] for bit in cells
+                levels[found.cells[bit][rows]] for bit in found.cells
             ]
 
-    text_levels = " ".join(f"%s->{int(bit)}" for bit in cells)
+    text_levels = " ".join(f"%s->{int(bit)}" for bit in found.cells)
     outputs = [(sys.stdout, "A=(%s, %s) B=(%s, %s) levels " + text_levels + "\n")]
     with _open_out(args.out) as handle:
         if handle is not None:
             handle.write("a0,a1,b0,b1,level0,level1\n")
-            csv_levels = ",".join("%s" if bit in cells else "nan" for bit in (False, True))
+            csv_levels = ",".join("%s" if bit in found.cells else "nan" for bit in (False, True))
             outputs.insert(0, (handle, "%s,%s,%s,%s," + csv_levels + "\n"))
         print(f"{count} {tt.name} assignment(s), class {gates.gate_class(tt).value}")
         _write_rows(outputs, blocks())

@@ -185,12 +185,14 @@ class SearchResult(NamedTuple):
     Row k of `indices` is (i0, i1, j0, j1): input A takes `candidates[i0]`
     for logic 0 and `candidates[i1]` for 1, input B likewise with j0, j1.
     Rows are in lexicographic order.  `table[i, j]` is the observable with
-    A at candidate i and B at candidate j.
+    A at candidate i and B at candidate j.  `cells[bit][k]` is the flat
+    index into `table` of row k's level for each output bit (`level_corners`).
     """
 
     indices: np.ndarray
     candidates: np.ndarray
     table: np.ndarray
+    cells: Dict[bool, np.ndarray]
 
 
 def search(
@@ -202,36 +204,17 @@ def search(
     """Every quadruple over the candidate grid that realizes `tt`.
 
     Both inputs draw candidates from the same grid.  Builds no
-    `GateAssignment`; `synthesize` turns these columns into objects.
+    `GateAssignment`; `synthesize` turns these columns into objects.  The
+    corners of a hit's two levels have different bits, so the search has
+    already found them more than `tol` apart.
     """
     cand, table = _candidate_table(scenario, grid, tol)
     indices = _kernels.find_gate_quadruples(table, tt.outputs, tol)
-    return SearchResult(indices, cand, table)
-
-
-def level_cells(
-    found: SearchResult, tt: TruthTable, tol: float
-) -> Dict[bool, np.ndarray]:
-    """Flat index into `found.table` of every row's level, per output bit.
-
-    Checks over all rows at once what `GateAssignment` checks per object:
-    a gate's two levels lie more than `tol` apart.
-    """
-    idx = found.indices
-    n_b = found.table.shape[1]
     cells = {
-        bit: idx[:, a] * n_b + idx[:, 2 + b] for bit, (a, b) in level_corners(tt).items()
+        bit: indices[:, a] * len(cand) + indices[:, 2 + b]
+        for bit, (a, b) in level_corners(tt).items()
     }
-    if len(cells) == 2:
-        flat = found.table.ravel()
-        gap = np.abs(flat[cells[False]] - flat[cells[True]])
-        too_close = np.flatnonzero(~(gap > tol))
-        if len(too_close):
-            raise ValueError(
-                f"levels must be separated by more than {tol}, "
-                f"gap {float(gap[too_close[0]])}"
-            )
-    return cells
+    return SearchResult(indices, cand, table, cells)
 
 
 def synthesize(
@@ -246,10 +229,9 @@ def synthesize(
     list when the scenario cannot express the gate on this grid.
     """
     found = search(scenario, tt, grid, tol)
-    cells = level_cells(found, tt, tol)
     a0, a1, b0, b1 = found.candidates[found.indices.T].tolist()
     flat = found.table.ravel()
-    levels = [[(level, bit) for level in flat[cells[bit]].tolist()] for bit in cells]
+    levels = [[(level, bit) for level in flat[found.cells[bit]].tolist()] for bit in found.cells]
     return [
         GateAssignment((x0, x1), (y0, y1), level_map, tol)
         for x0, x1, y0, y1, level_map in zip(a0, a1, b0, b1, zip(*levels))

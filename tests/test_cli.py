@@ -291,6 +291,8 @@ GOLDEN = Path(__file__).parent / "golden"
     [
         ((), "verify_default.txt"),
         (("--grid", "0:1/8pi:24"), "verify_grid_eighth_pi_24.txt"),
+        # the default grid, given explicitly
+        (("--grid", "0:1/4pi:16"), "verify_default.txt"),
     ],
 )
 def test_verify_stdout_matches_golden(capsys, argv, golden):
@@ -786,6 +788,30 @@ FORMAT_EDGES = [
 
 def test_format_12g_equals_the_f_string_on_edges():
     assert_formats_like_python(FORMAT_EDGES + [-x for x in FORMAT_EDGES])
+
+
+@given(st.lists(any_float, min_size=1, max_size=64))
+def test_packed_equals_the_f_string_bytes(values):
+    values = np.array(values + [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324])
+    got = _format.packed(_format.format_12g(values))
+    expected = np.array([f"{v:.12g}".encode("ascii") for v in values.tolist()])
+    assert got.dtype == expected.dtype
+    assert got.tolist() == expected.tolist()
+
+
+def test_packed_peak_is_a_few_objects_per_value():
+    rng = np.random.default_rng(7)
+    values = rng.standard_normal(1 << 16) * 10.0 ** rng.integers(-300, 300, 1 << 16)
+    strings = _format.format_12g(values)
+    tracemalloc.start()
+    try:
+        _format.packed(strings)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # scattering the kept bytes through a uint8 matrix and an int64
+    # cumsum took about 730 bytes per value
+    assert peak < 256 * len(values), peak / len(values)
 
 
 # `.12g` strings of different widths: nan, infinities, -0 and subnormals too

@@ -450,8 +450,10 @@ def test_more_labels_than_one_byte_holds_equal_oracle_hits():
     [
         (InitialState.SUPERPOSITION_X, PI / 8, syn.DEFAULT_LEVEL_TOL, True),
         (InitialState.THERMAL_Z, 0.37 * PI / 8, 0.01, False),
+        # 2,017 levels at n = 64 and 8,129 at n = 128
+        (InitialState.THERMAL_Z, 0.37 * PI / 8, syn.DEFAULT_LEVEL_TOL, True),
     ],
-    ids=["label-route", "pairwise-route"],
+    ids=["label-route", "pairwise-route", "many-levels"],
 )
 @pytest.mark.parametrize("n", [64, 128])
 def test_search_peak_is_one_row_test_and_a_few_blocks(initial, step, tol, labelled, n):
@@ -498,20 +500,31 @@ def test_level_pair_counts_peak_is_a_few_blocks():
     # 65 levels over 64 columns: nearly every column label pair of a row
     # pair is its own histogram entry, so entry arrays are block-sized
     rng = np.random.default_rng(3)
-    table = np.round(rng.uniform(-1, 1, size=(64, 64)) * 32) / 32
-    labels = _kernels.level_labels(table, 1e-9)
-    assert labels.max() + 1 == 65
-    tracemalloc.start()
-    try:
-        counts = _kernels.level_pair_counts(labels)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(counts, _formula_pair_counts(labels))
-    # one block of 2^16 int64 cells is 0.5 MiB; keeping every temporary of
-    # a block alive took about 8.9 MB
-    block = _kernels._BLOCK_QUADRUPLES * 8
-    assert peak < 8 * block, peak
+    few = np.round(rng.uniform(-1, 1, size=(64, 64)) * 32) / 32
+    # 128 x 128 distinct values, 16,384 levels: every row pair holds nB
+    # entries h(x, y) = 1, with x == y on the diagonal row pairs only
+    n = 128
+    distinct = rng.permutation(n * n).reshape(n, n) / 8
+    closed = np.zeros((5, n, n), dtype=np.int64)
+    closed[1] = n  # A
+    diagonal = np.arange(n)
+    closed[:3, diagonal, diagonal] = [[n], [0], [n * (n - 1)]]  # T, A, B
+    for table, levels in ((few, 65), (distinct, n * n)):
+        labels = _kernels.level_labels(table, 1e-9)
+        assert labels.max() + 1 == levels
+        tracemalloc.start()
+        try:
+            counts = _kernels.level_pair_counts(labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        expected = _formula_pair_counts(labels) if table is few else closed
+        assert np.array_equal(counts, expected)
+        # one block of 2^16 int64 cells is 0.5 MiB; keeping every temporary
+        # of a block alive took about 8.9 MB, and a count of every label in
+        # every row took 17 MB on the distinct table
+        block = _kernels._BLOCK_QUADRUPLES * 8
+        assert peak < 8 * block, (levels, peak)
 
 
 @SEARCH_LIMITS
@@ -680,13 +693,16 @@ def test_search_rows_match_synthesize(scenario, tt):
     assert found.indices.shape == (len(assignments), 4)
     assert syn.count_assignments(scenario, tt, HALF_PI_GRID) == len(assignments)
     np.testing.assert_array_equal(found.candidates, HALF_PI_GRID.values())
-    cells = syn.level_cells(found, tt, syn.DEFAULT_LEVEL_TOL)
+    cells = found.cells
     flat = found.table.ravel()
     for k, (i0, i1, j0, j1) in enumerate(found.indices):
         asg = assignments[k]
         assert asg.a_values == (found.candidates[i0], found.candidates[i1])
         assert asg.b_values == (found.candidates[j0], found.candidates[j1])
         assert asg.level_map == tuple((flat[cells[bit][k]], bit) for bit in cells)
+        for bit, (a, b) in syn.level_corners(tt).items():
+            i, j = (i0, i1)[a], (j0, j1)[b]
+            assert cells[bit][k] == np.ravel_multi_index((i, j), found.table.shape)
 
 
 @pytest.mark.parametrize("scenario", [THERMAL_MX, MIXED_FIX], ids=["1-pulse", "2-pulse"])
@@ -704,15 +720,6 @@ def test_level_corners_take_first_corner_per_bit():
     assert syn.level_corners(g.NAND) == {False: (1, 1), True: (0, 0)}
     assert syn.level_corners(g.AND) == {False: (0, 0), True: (1, 1)}
     assert list(syn.level_corners(g.XOR)) == [False, True]
-
-
-def test_level_cells_reject_levels_within_tolerance():
-    table = np.array([[0.0, 1.0], [1.0, 0.5]])
-    found = syn.SearchResult(np.array([[0, 1, 0, 1]]), np.array([0.0, 1.0]), table)
-    cells = syn.level_cells(found, g.XOR, 0.4)
-    assert cells[False].tolist() == [0] and cells[True].tolist() == [1]
-    with pytest.raises(ValueError, match="separated"):
-        syn.level_cells(found, g.XOR, 1.0)
 
 
 # boundary validation -------------------------------------------------------------
