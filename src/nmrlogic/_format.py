@@ -1,9 +1,8 @@
 """`.12g` text of float64 arrays as fixed-width byte strings, in numpy.
 
 `format_12g` gives the bytes of f"{x:.12g}" for every value, NUL-padded to
-one fixed slot, and `packed` drops each string's NULs, one value at a time,
-and narrows them to their shortest common width.  The CLI writes its `grid`
-and `synthesize` rows from these.
+one fixed slot, and `packed_12g` gives them in their shortest common width.
+The CLI writes its `grid` and `synthesize` rows from these.
 """
 
 from __future__ import annotations
@@ -126,11 +125,14 @@ def format_12g(values) -> np.ndarray:
     return out
 
 
-def packed(strings: np.ndarray) -> np.ndarray:
-    """`strings` with their NUL bytes removed, in the narrowest width.
+def packed_12g(values) -> np.ndarray:
+    """f"{x:.12g}" of each float64 in `values`, as bytes of the narrowest
+    width, in the shape of `values`.
 
-    For tables that rows index many times, so that each row carries fewer
-    padding bytes than a full slot.  Each value is one `bytes.replace`, so
-    no array of its bytes or their positions is built.
+    For the tables that rows index many times, so that each row carries
+    fewer padding bytes than a `format_12g` slot.  One Python string per
+    value is built and dropped, and no array of bytes or positions.
     """
-    return np.array([s.replace(b"\0", b"") for s in strings.tolist()], dtype=bytes)
+    values = np.asarray(values, dtype=np.float64)
+    text = [f"{v:.12g}" for v in values.ravel().tolist()]
+    return np.array(text, dtype="S").reshape(values.shape)

@@ -16,7 +16,7 @@ where the table has levels (`level_labels`), else |x - y| <= tol.  It
 counts the hits of every row pair from histograms of column label pairs
 (`level_pair_counts`) a block of rows at a time, each block counting its
 own rows' labels, and streams the hits of the row pairs that hold any in
-cache-sized blocks (`iter_gate_quadruples`), holding one n^3 boolean.
+cache-sized blocks (`gate_quadruples`), holding one n^3 boolean.
 `gate_counts` counts hits per truth table from either, holding none.
 
 `observables` and `synthesis` look both up on this module at call time, so a
@@ -291,54 +291,65 @@ def gate_counts(values, outputs_seq, tol):
     """Realizing quadruples over `values` for each truth table in `outputs_seq`.
 
     A table with levels (`level_labels`) takes one counting pass for all of
-    them; any other sums the hit blocks of each search, one at a time.
+    them; any other takes the count of each `gate_quadruples`, one at a time.
     """
     labels = level_labels(values, tol)
     if labels is None:
-        return [
-            sum(len(hits) for hits in iter_gate_quadruples(values, outputs, tol))
-            for outputs in outputs_seq
-        ]
+        return [gate_quadruples(values, outputs, tol)[0] for outputs in outputs_seq]
     totals = level_pair_counts(labels).sum(axis=(1, 2)).tolist()
     return [totals[orbit_representative(outputs)[0]] for outputs in outputs_seq]
 
 
-def iter_gate_quadruples(values, outputs, tol):
-    """Yield every realizing quadruple, in non-empty (k, 4) int64 blocks.
+def gate_quadruples(values, outputs, tol):
+    """(count, blocks): the number of realizing quadruples, and an iterator
+    over them in non-empty (k, 4) int64 blocks.
 
-    Blocks follow lexicographic (i0, i1, j0, j1) order.  A corner pair
-    passes when `close` holds exactly when its two bits agree.  On a table
-    with levels (`level_labels`), `close` is label equality and the label
-    counts pick the row pairs that hold hits; none at all returns at once.
-    On any other table, `close` is |x - y| <= tol, and stage 1 picks the
-    row pairs with a passing column j0 and one for j1.  Stage 1 tests the
-    column pairs of each row, one (nA, nB, nB) boolean built a block of
-    rows at a time.  Stage 2 takes row pairs (i0, i1) in blocks of about
-    `_BLOCK_QUADRUPLES` quadruples, tests their columns from their two
-    rows, and the two diagonals of the survivors.
+    Blocks follow lexicographic (i0, i1, j0, j1) order.  On a table with
+    levels (`level_labels`), the count is the sum of the label counts of
+    the row pairs, which also pick the row pairs the blocks search.  On any
+    other table, counting takes one pass over the blocks, and iterating
+    them a second.  A count of 0 builds no block.
 
     `values` is the finite (nA, nB) table, input A on rows, as every
     scenario table is; `outputs` holds the bits for inputs (0,0), (0,1),
     (1,0), (1,1); `tol` is the level clustering/separation tolerance.
     """
     values = np.asarray(values, dtype=np.float64)
-    na, nb = values.shape
     labels = level_labels(values, tol)
     if labels is None:
-        table = values
-        candidates = np.empty((na, na), dtype=bool)
 
         def close(x, y):
             gaps = np.subtract(x, y)
             return np.abs(gaps, out=gaps) <= tol
+
+        count = sum(len(hits) for hits in _quadruple_blocks(values, outputs, close))
+        blocks = _quadruple_blocks(values, outputs, close)
     else:
         slot, transposed = orbit_representative(outputs)
         counts = level_pair_counts(labels)[slot]
-        candidates = (counts.T if transposed else counts) > 0
-        if not candidates.any():
-            return
+        count = int(counts.sum())
         table = labels.astype(np.min_scalar_type(int(labels.max())))
-        close = np.equal
+        candidates = (counts.T if transposed else counts) > 0
+        blocks = _quadruple_blocks(table, outputs, np.equal, candidates)
+    return count, (blocks if count else iter(()))
+
+
+def _quadruple_blocks(table, outputs, close, candidates=None):
+    """Yield the realizing quadruples of `table` in non-empty blocks.
+
+    A corner pair passes when `close` holds exactly when its two bits
+    agree.  `candidates[i0, i1]` marks the row pairs that may hold hits;
+    when it is None, stage 1 marks the row pairs with a passing column j0
+    and one for j1.  Stage 1 tests the column pairs of each row, one
+    (nA, nB, nB) boolean built a block of rows at a time.  Stage 2 takes
+    row pairs (i0, i1) in blocks of about `_BLOCK_QUADRUPLES` quadruples,
+    tests their columns from their two rows, and the two diagonals of the
+    survivors.
+    """
+    na, nb = table.shape
+    pairwise = candidates is None
+    if pairwise:
+        candidates = np.empty((na, na), dtype=bool)
 
     o00, o01, o10, o11 = outputs
     # rows[i, j0, j1]: columns j0 and j1 of row i are close.  Rows i0 and
@@ -350,7 +361,7 @@ def iter_gate_quadruples(values, outputs, tol):
     for start in range(0, na, step):
         block = table[start:start + step]
         rows[start:start + step] = close(block[:, :, None], block[:, None, :])
-        if labels is None:
+        if pairwise:
             # a row pair with no passing column j0, or none for j1, holds no hit
             columns = close(block[:, None, :], table[None, :, :])  # [i0, i1, j]
             some = {True: columns.any(axis=2), False: ~columns.all(axis=2)}
@@ -380,6 +391,6 @@ def iter_gate_quadruples(values, outputs, tol):
 
 def find_gate_quadruples(values, outputs, tol):
     """All realizing quadruples, in lexicographic (i0, i1, j0, j1) order:
-    the blocks of `iter_gate_quadruples` as one (N, 4) int64 array."""
+    the blocks of `gate_quadruples` as one (N, 4) int64 array."""
     empty = np.empty((0, 4), dtype=np.int64)
-    return np.concatenate([empty, *iter_gate_quadruples(values, outputs, tol)], axis=0)
+    return np.concatenate([empty, *gate_quadruples(values, outputs, tol)[1]], axis=0)

@@ -25,8 +25,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import gates, synthesis
-from ._format import format_12g, packed
+from . import _kernels, gates, synthesis
+from ._format import format_12g, packed_12g
 from .observables import (
     GridSpec,
     InitialState,
@@ -303,7 +303,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
     # The axes are formatted once.  The grid streams in blocks of whole
     # A-rows of about _ROW_BLOCK points, each propagated, formatted and
     # written before the next, so no whole-grid array is ever held.
-    a_text, b_text = packed(format_12g(avals)), packed(format_12g(bvals))
+    a_text, b_text = packed_12g(avals), packed_12g(bvals)
     count = len(bvals)
     step = max(1, _ROW_BLOCK // count)
 
@@ -422,8 +422,8 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     scenario = _scenario_from_args(args)
     grid = parse_grid(args.grid) if args.grid is not None else synthesis.DEFAULT_SYNTH_GRID
     tol = args.tol if args.tol is not None else synthesis.DEFAULT_LEVEL_TOL
-    found = synthesis.search(scenario, tt, grid, tol)
-    count = len(found.indices)
+    cand, table = synthesis.candidate_table(scenario, grid, tol)
+    count, hits = _kernels.gate_quadruples(table, tt.outputs, tol)
 
     if not count:
         print(
@@ -433,22 +433,25 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         return EXIT_NO_SOLUTION
 
     # Each candidate and table value is formatted once; rows index them.
-    candidates = packed(format_12g(found.candidates))
-    levels = packed(format_12g(found.table.ravel()))
+    # The kernel's blocks of hits are written as they come, in slices of
+    # at most _ROW_BLOCK rows.
+    candidates, levels = packed_12g(cand), packed_12g(table)
+    corners = synthesis.level_corners(tt)
 
     def blocks():
-        for start in range(0, count, _ROW_BLOCK):
-            rows = slice(start, start + _ROW_BLOCK)
-            yield [candidates[found.indices[rows, k]] for k in range(4)] + [
-                levels[found.cells[bit][rows]] for bit in found.cells
-            ]
+        for block in hits:
+            for start in range(0, len(block), _ROW_BLOCK):
+                rows = block[start : start + _ROW_BLOCK]
+                yield [candidates[rows[:, k]] for k in range(4)] + [
+                    levels[rows[:, a], rows[:, 2 + b]] for a, b in corners.values()
+                ]
 
-    text_levels = " ".join(f"%s->{int(bit)}" for bit in found.cells)
+    text_levels = " ".join(f"%s->{int(bit)}" for bit in corners)
     outputs = [(sys.stdout, "A=(%s, %s) B=(%s, %s) levels " + text_levels + "\n")]
     with _open_out(args.out) as handle:
         if handle is not None:
             handle.write("a0,a1,b0,b1,level0,level1\n")
-            csv_levels = ",".join("%s" if bit in found.cells else "nan" for bit in (False, True))
+            csv_levels = ",".join("%s" if bit in corners else "nan" for bit in (False, True))
             outputs.insert(0, (handle, "%s,%s,%s,%s," + csv_levels + "\n"))
         print(f"{count} {tt.name} assignment(s), class {gates.gate_class(tt).value}")
         _write_rows(outputs, blocks())

@@ -181,6 +181,12 @@ class GridSpec:
         last = float(self.start) + float(self.step) * (operator.index(self.count) - 1)
         if not math.isfinite(last):
             raise ValueError(f"grid overflows: last value {last!r} is not finite")
+        values = self.values()
+        if not (values[1:] > values[:-1]).all():
+            raise ValueError(
+                f"grid repeats values in float64: step {self.step!r} is too "
+                f"small for start {self.start!r}"
+            )
 
     def values(self) -> np.ndarray:
         return self.start + self.step * np.arange(self.count, dtype=np.float64)

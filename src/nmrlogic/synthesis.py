@@ -2,10 +2,9 @@
 
 A `Scenario` fixes everything about the experiment except the two pulse
 parameters serving as logic inputs A and B.  A `GateAssignment` picks two
-candidate values per input plus a two-level output map.  `search`
-enumerates, as columns of grid indices, every assignment over a candidate
-grid that realizes a target truth table; `synthesize` returns the same
-rows as `GateAssignment` objects.  The search is exhaustive and
+candidate values per input plus a two-level output map.  `synthesize`
+returns every assignment over a candidate grid that realizes a target
+truth table, as `GateAssignment` objects.  The search is exhaustive and
 deterministic (lexicographic over grid indices).
 """
 
@@ -101,7 +100,7 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
 
 
-def _candidate_table(scenario: Scenario, grid: GridSpec, tol: float):
+def candidate_table(scenario: Scenario, grid: GridSpec, tol: float):
     """The grid's candidates and the observable over them, for a search at `tol`."""
     _check_tol(tol)
     cand = grid.values()
@@ -179,44 +178,6 @@ def level_corners(tt: TruthTable) -> Dict[bool, Tuple[int, int]]:
     return dict(sorted(first.items()))
 
 
-class SearchResult(NamedTuple):
-    """Every realizing quadruple of one search, kept as columns.
-
-    Row k of `indices` is (i0, i1, j0, j1): input A takes `candidates[i0]`
-    for logic 0 and `candidates[i1]` for 1, input B likewise with j0, j1.
-    Rows are in lexicographic order.  `table[i, j]` is the observable with
-    A at candidate i and B at candidate j.  `cells[bit][k]` is the flat
-    index into `table` of row k's level for each output bit (`level_corners`).
-    """
-
-    indices: np.ndarray
-    candidates: np.ndarray
-    table: np.ndarray
-    cells: Dict[bool, np.ndarray]
-
-
-def search(
-    scenario: Scenario,
-    tt: TruthTable,
-    grid: GridSpec = DEFAULT_SYNTH_GRID,
-    tol: float = DEFAULT_LEVEL_TOL,
-) -> SearchResult:
-    """Every quadruple over the candidate grid that realizes `tt`.
-
-    Both inputs draw candidates from the same grid.  Builds no
-    `GateAssignment`; `synthesize` turns these columns into objects.  The
-    corners of a hit's two levels have different bits, so the search has
-    already found them more than `tol` apart.
-    """
-    cand, table = _candidate_table(scenario, grid, tol)
-    indices = _kernels.find_gate_quadruples(table, tt.outputs, tol)
-    cells = {
-        bit: indices[:, a] * len(cand) + indices[:, 2 + b]
-        for bit, (a, b) in level_corners(tt).items()
-    }
-    return SearchResult(indices, cand, table, cells)
-
-
 def synthesize(
     scenario: Scenario,
     tt: TruthTable,
@@ -225,13 +186,19 @@ def synthesize(
 ) -> List[GateAssignment]:
     """Every assignment over the candidate grid that realizes `tt`.
 
-    The rows of `search`, in its order, as objects.  Returns the empty
-    list when the scenario cannot express the gate on this grid.
+    Both inputs draw candidates from the same grid, and the rows follow
+    the search's lexicographic order.  The corners of a hit's two levels
+    have different bits, so the search has already found them more than
+    `tol` apart.  Returns the empty list when the scenario cannot express
+    the gate on this grid.
     """
-    found = search(scenario, tt, grid, tol)
-    a0, a1, b0, b1 = found.candidates[found.indices.T].tolist()
-    flat = found.table.ravel()
-    levels = [[(level, bit) for level in flat[found.cells[bit]].tolist()] for bit in found.cells]
+    cand, table = candidate_table(scenario, grid, tol)
+    hits = _kernels.find_gate_quadruples(table, tt.outputs, tol)
+    a0, a1, b0, b1 = cand[hits.T].tolist()
+    levels = [
+        [(level, bit) for level in table[hits[:, a], hits[:, 2 + b]].tolist()]
+        for bit, (a, b) in level_corners(tt).items()
+    ]
     return [
         GateAssignment((x0, x1), (y0, y1), level_map, tol)
         for x0, x1, y0, y1, level_map in zip(a0, a1, b0, b1, zip(*levels))
@@ -245,7 +212,7 @@ def count_assignments(
     tol: float = DEFAULT_LEVEL_TOL,
 ) -> int:
     """Number of realizing assignments, without holding them."""
-    _, table = _candidate_table(scenario, grid, tol)
+    _, table = candidate_table(scenario, grid, tol)
     return _kernels.gate_counts(table, [tt.outputs], tol)[0]
 
 
@@ -255,7 +222,7 @@ def achievable_classes(
     tol: float = DEFAULT_LEVEL_TOL,
 ) -> Set[GateClass]:
     """Gate classes with at least one realizable member on the grid."""
-    _, table = _candidate_table(scenario, grid, tol)
+    _, table = candidate_table(scenario, grid, tol)
     counts = _kernels.gate_counts(table, [tt.outputs for tt in ALL_GATES], tol)
     return {gate_class(tt) for tt, count in zip(ALL_GATES, counts) if count}
 
@@ -406,7 +373,7 @@ def capability_checks(
     def grid_tag(g: GridSpec) -> str:
         return f"grid {g.start:.6g}:{g.step:.6g}:{g.count}"
 
-    _, thermal = _candidate_table(reference_single_pulse_scenario(lambda_b), grid, tol)
+    _, thermal = candidate_table(reference_single_pulse_scenario(lambda_b), grid, tol)
     counts = _kernels.gate_counts(thermal, [tt.outputs for tt in ALL_GATES], tol)
     missing = [tt.name for tt, count in zip(ALL_GATES, counts) if not count]
     results = [

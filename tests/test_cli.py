@@ -1,5 +1,6 @@
 import io
 import math
+import os
 import sys
 import tracemalloc
 import warnings
@@ -118,6 +119,14 @@ def test_grid_degenerate_grid_is_usage_error(capsys):
     code, _, err = run(capsys, "grid", "--grid", "0:1/2pi:1")
     assert code == 1
     assert "grid" in err
+
+
+@pytest.mark.parametrize("command", ["synthesize T", "grid"])
+def test_grid_that_repeats_values_is_usage_error(capsys, command):
+    # 1 + k * 1e-17 is 1.0 in float64 for every k: three equal candidates
+    code, out, err = run(capsys, *command.split(), "--grid", "1:1e-17:3")
+    assert (code, out) == (1, "")
+    assert err == "error: grid repeats values in float64: step 1e-17 is too small for start 1.0\n"
 
 
 def test_grid_unwritable_path(capsys, tmp_path):
@@ -389,10 +398,10 @@ class _FailingOut(io.StringIO):
 
 
 def test_out_of_memory_is_a_usage_error(capsys, monkeypatch):
-    def search(*args):
+    def candidate_table(*args):
         raise MemoryError
 
-    monkeypatch.setattr(synthesis, "search", search)
+    monkeypatch.setattr(synthesis, "candidate_table", candidate_table)
     code, out, err = run(capsys, "synthesize", "T", "--grid", "0:1:60000")
     assert (code, out, err) == (1, "", "error: out of memory\n")
 
@@ -793,7 +802,7 @@ def test_format_12g_equals_the_f_string_on_edges():
 @given(st.lists(any_float, min_size=1, max_size=64))
 def test_packed_equals_the_f_string_bytes(values):
     values = np.array(values + [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324])
-    got = _format.packed(_format.format_12g(values))
+    got = _format.packed_12g(values)
     expected = np.array([f"{v:.12g}".encode("ascii") for v in values.tolist()])
     assert got.dtype == expected.dtype
     assert got.tolist() == expected.tolist()
@@ -802,16 +811,16 @@ def test_packed_equals_the_f_string_bytes(values):
 def test_packed_peak_is_a_few_objects_per_value():
     rng = np.random.default_rng(7)
     values = rng.standard_normal(1 << 16) * 10.0 ** rng.integers(-300, 300, 1 << 16)
-    strings = _format.format_12g(values)
     tracemalloc.start()
     try:
-        _format.packed(strings)
+        _format.packed_12g(values)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # scattering the kept bytes through a uint8 matrix and an int64
-    # cumsum took about 730 bytes per value
-    assert peak < 256 * len(values), peak / len(values)
+    # cumsum took about 730 bytes per value, and dropping the NULs of
+    # `format_12g` slots one value at a time about 190
+    assert peak < 160 * len(values), peak / len(values)
 
 
 # `.12g` strings of different widths: nan, infinities, -0 and subnormals too
@@ -919,6 +928,30 @@ def test_grid_memory_is_bounded_by_the_block(monkeypatch, n):
     # of five fields.  Nothing grows with n * n: the whole grid propagated
     # at once would peak near 39 MiB at n = 400.
     assert peak < 512 * (grid_block + n) + 4 * row_block * (5 * _format.SLOT + 5)
+
+
+def test_synthesize_memory_is_bounded_by_the_blocks(monkeypatch):
+    # lambda 0 makes every table value 0: all n^4 quadruples realize T
+
+    def peak(n):
+        argv = ["synthesize", "T", "--lambda", "0", "--grid", f"0:1/8pi:{n}",
+                "--out", os.devnull]
+        with open(os.devnull, "w") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            tracemalloc.start()
+            try:
+                code = cli.main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        return peak
+
+    small, large = peak(24), peak(40)
+    # the kernel's blocks of hits are written as they come; holding all
+    # 2.56 million hits at n = 40 peaked at 156 MiB
+    assert large < 16 << 20, large
+    assert large < small + (2 << 20), (small, large)
 
 
 GRID_FAMILIES = {

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -339,6 +340,11 @@ def test_grid_spec_validation():
     # finite start and step whose last value overflows
     for start, step, count in ((1e308, 1e308, 2), (np.float64(1e308), 1e308, np.int64(3))):
         with pytest.raises(ValueError, match="overflows"):
+            obs.GridSpec(start, step, count)
+    # steps below the spacing of float64 at the start repeat values
+    for start, step, count in ((1.0, 1e-17, 3), (1e16, 1.0, 4)):
+        message = f"step {step!r} is too small for start {start!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             obs.GridSpec(start, step, count)
     for count in (2.5, 4.0, "4"):
         with pytest.raises(ValueError):

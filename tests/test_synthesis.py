@@ -336,11 +336,32 @@ def test_kernel_hits_equal_oracle_enumeration(monkeypatch, limit):
             found = _kernels.find_gate_quadruples(table, tt.outputs, tol)
             assert found.dtype == np.int64
             assert [tuple(row) for row in found.tolist()] == expected, (case, tt.name)
-            blocks = list(_kernels.iter_gate_quadruples(table, tt.outputs, tol))
+            count, blocks = _kernels.gate_quadruples(table, tt.outputs, tol)
+            blocks = list(blocks)
+            assert count == len(expected), (case, tt.name)
             assert all(len(hits) and hits.dtype == np.int64 for hits in blocks)
             streamed = [tuple(row) for hits in blocks for row in hits.tolist()]
             assert streamed == expected, (case, tt.name)
             assert _kernels.gate_counts(table, [tt.outputs], tol) == [len(expected)], (case, tt.name)
+
+
+@pytest.mark.parametrize(
+    "tol,labelled", [(syn.DEFAULT_LEVEL_TOL, True), (0.02, False)],
+    ids=["label-route", "pairwise-route"],
+)
+def test_gate_quadruples_count_equals_its_blocks_and_gate_counts(tol, labelled):
+    scenario = x_scenario(ObservableKind.MX)
+    _, table = syn.candidate_table(scenario, GridSpec(0.0, PI / 8, 12), tol)
+    assert (_kernels.level_labels(table, tol) is not None) == labelled
+    expected = _kernels.gate_counts(table, [tt.outputs for tt in g.ALL_GATES], tol)
+    for tt, total in zip(g.ALL_GATES, expected):
+        count, blocks = _kernels.gate_quadruples(table, tt.outputs, tol)
+        assert type(count) is int
+        blocks = list(blocks)
+        assert count == sum(len(hits) for hits in blocks) == total, tt.name
+        assert all(len(hits) for hits in blocks), tt.name
+    # x-state mx realizes no XOR: a count of 0 yields no block
+    assert expected[g.XOR.gate_id] == 0
 
 
 def _gate_pair_counts(labels, outputs):
@@ -402,7 +423,7 @@ def test_counts_keep_the_negations_but_not_the_input_swap():
     scenario = x_scenario(ObservableKind.MX)
     grid = GridSpec(0.0, PI / 8, 12)
     counts = {
-        tt: len(syn.search(scenario, tt, grid).indices) for tt in g.ALL_GATES
+        tt: len(syn.synthesize(scenario, tt, grid)) for tt in g.ALL_GATES
     }
     for tt in g.ALL_GATES:
         assert syn.count_assignments(scenario, tt, grid) == counts[tt], tt.name
@@ -463,7 +484,7 @@ def test_search_peak_is_one_row_test_and_a_few_blocks(initial, step, tol, labell
     assert (_kernels.level_labels(table, tol) is not None) == labelled
     tracemalloc.start()
     try:
-        blocks = _kernels.iter_gate_quadruples(table, g.AND.outputs, tol)
+        blocks = _kernels.gate_quadruples(table, g.AND.outputs, tol)[1]
         hits = sum(len(block) for block in blocks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -556,7 +577,7 @@ def test_search_agrees_with_brute_force_oracle(scenario):
         outputs = (tt(0, 0), tt(0, 1), tt(1, 0), tt(1, 1))
         expected = next(oracle_quadruples(table, outputs), None) is not None
         count = syn.count_assignments(scenario, tt, DEFAULT_GRID)
-        assert count == len(syn.search(scenario, tt, DEFAULT_GRID).indices), tt.name
+        assert count == len(syn.synthesize(scenario, tt, DEFAULT_GRID)), tt.name
         assert (count > 0) == expected, tt.name
 
 
@@ -676,7 +697,7 @@ def test_count_assignments_holds_one_block_of_hits(monkeypatch):
     assert peak < 1 << 20, peak
 
 
-# columnar search ---------------------------------------------------------------
+# synthesize rows ---------------------------------------------------------------
 
 
 MIXED_FIX = syn.Scenario(
@@ -688,21 +709,25 @@ MIXED_FIX = syn.Scenario(
 @pytest.mark.parametrize("scenario", [THERMAL_MX, MIXED_FIX], ids=["1-pulse", "2-pulse"])
 @pytest.mark.parametrize("tt", [g.T, g.F, g.B, g.NAND, g.XOR], ids=lambda tt: tt.name)
 def test_search_rows_match_synthesize(scenario, tt):
-    found = syn.search(scenario, tt, HALF_PI_GRID)
+    tol = syn.DEFAULT_LEVEL_TOL
+    candidates, table = syn.candidate_table(scenario, HALF_PI_GRID, tol)
+    hits = _kernels.find_gate_quadruples(table, tt.outputs, tol)
     assignments = syn.synthesize(scenario, tt, HALF_PI_GRID)
-    assert found.indices.shape == (len(assignments), 4)
+    assert hits.shape == (len(assignments), 4)
     assert syn.count_assignments(scenario, tt, HALF_PI_GRID) == len(assignments)
-    np.testing.assert_array_equal(found.candidates, HALF_PI_GRID.values())
-    cells = found.cells
-    flat = found.table.ravel()
-    for k, (i0, i1, j0, j1) in enumerate(found.indices):
+    np.testing.assert_array_equal(candidates, HALF_PI_GRID.values())
+    np.testing.assert_array_equal(
+        table, syn.scenario_table(scenario, candidates, candidates)
+    )
+    corners = syn.level_corners(tt)
+    for k, (i0, i1, j0, j1) in enumerate(hits):
         asg = assignments[k]
-        assert asg.a_values == (found.candidates[i0], found.candidates[i1])
-        assert asg.b_values == (found.candidates[j0], found.candidates[j1])
-        assert asg.level_map == tuple((flat[cells[bit][k]], bit) for bit in cells)
-        for bit, (a, b) in syn.level_corners(tt).items():
-            i, j = (i0, i1)[a], (j0, j1)[b]
-            assert cells[bit][k] == np.ravel_multi_index((i, j), found.table.shape)
+        assert asg.a_values == (candidates[i0], candidates[i1])
+        assert asg.b_values == (candidates[j0], candidates[j1])
+        # each bit's level is the table value at its first corner
+        assert asg.level_map == tuple(
+            (table[(i0, i1)[a], (j0, j1)[b]], bit) for bit, (a, b) in corners.items()
+        )
 
 
 @pytest.mark.parametrize("scenario", [THERMAL_MX, MIXED_FIX], ids=["1-pulse", "2-pulse"])
@@ -735,7 +760,7 @@ def test_scenario_rejects_non_finite_lambda(lam):
 @pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-12, math.inf])
 def test_searches_reject_bad_tolerance(tol):
     with pytest.raises(ValueError, match="tolerance"):
-        syn.search(THERMAL_MX, g.XOR, HALF_PI_GRID, tol)
+        syn.candidate_table(THERMAL_MX, HALF_PI_GRID, tol)
     with pytest.raises(ValueError, match="tolerance"):
         syn.synthesize(THERMAL_MX, g.XOR, HALF_PI_GRID, tol)
     with pytest.raises(ValueError, match="tolerance"):
