@@ -314,6 +314,15 @@ def gate_quadruples(values, outputs, tol):
     scenario table is; `outputs` holds the bits for inputs (0,0), (0,1),
     (1,0), (1,1); `tol` is the level clustering/separation tolerance.
     """
+    count, search = _search(values, outputs, tol)
+    if count is None:
+        count = sum(len(hits) for hits in search())
+    return count, (search() if count else iter(()))
+
+
+def _search(values, outputs, tol):
+    """(count, search) for `gate_quadruples`: the count on a table with
+    levels, else None, and a function that starts a pass over the blocks."""
     values = np.asarray(values, dtype=np.float64)
     labels = level_labels(values, tol)
     if labels is None:
@@ -322,16 +331,12 @@ def gate_quadruples(values, outputs, tol):
             gaps = np.subtract(x, y)
             return np.abs(gaps, out=gaps) <= tol
 
-        count = sum(len(hits) for hits in _quadruple_blocks(values, outputs, close))
-        blocks = _quadruple_blocks(values, outputs, close)
-    else:
-        slot, transposed = orbit_representative(outputs)
-        counts = level_pair_counts(labels)[slot]
-        count = int(counts.sum())
-        table = labels.astype(np.min_scalar_type(int(labels.max())))
-        candidates = (counts.T if transposed else counts) > 0
-        blocks = _quadruple_blocks(table, outputs, np.equal, candidates)
-    return count, (blocks if count else iter(()))
+        return None, lambda: _quadruple_blocks(values, outputs, close)
+    slot, transposed = orbit_representative(outputs)
+    counts = level_pair_counts(labels)[slot]
+    table = labels.astype(np.min_scalar_type(int(labels.max())))
+    candidates = (counts.T if transposed else counts) > 0
+    return int(counts.sum()), lambda: _quadruple_blocks(table, outputs, np.equal, candidates)
 
 
 def _quadruple_blocks(table, outputs, close, candidates=None):
@@ -391,6 +396,8 @@ def _quadruple_blocks(table, outputs, close, candidates=None):
 
 def find_gate_quadruples(values, outputs, tol):
     """All realizing quadruples, in lexicographic (i0, i1, j0, j1) order:
-    the blocks of `gate_quadruples` as one (N, 4) int64 array."""
+    the blocks of `gate_quadruples` as one (N, 4) int64 array, searched in
+    one pass on any route."""
+    count, search = _search(values, outputs, tol)
     empty = np.empty((0, 4), dtype=np.int64)
-    return np.concatenate([empty, *gate_quadruples(values, outputs, tol)[1]], axis=0)
+    return np.concatenate([empty, *(search() if count != 0 else ())], axis=0)

@@ -93,24 +93,17 @@ GATE_NAMES = {
     15: "T",
 }
 
-_TOKEN_ALIASES = {
-    "f": 0, "false": 0,
-    "and": 1,
-    ">": 2, "gt": 2,
-    "a": 3,
-    "<": 4, "lt": 4,
-    "b": 5,
-    "xor": 6,
-    "or": 7,
-    "nor": 8,
-    "xnor": 9,
-    "not b": 10, "notb": 10, "not_b": 10,
-    ">=": 11, "geq": 11, "ge": 11, "≥": 11,
-    "not a": 12, "nota": 12, "not_a": 12,
-    "<=": 13, "leq": 13, "le": 13, "≤": 13,
-    "nand": 14,
-    "t": 15, "true": 15,
-}
+_TOKEN_ALIASES = {name.lower(): gate_id for gate_id, name in GATE_NAMES.items()}
+_TOKEN_ALIASES.update({
+    "false": 0,
+    "gt": 2,
+    "lt": 4,
+    "notb": 10, "not_b": 10,
+    "geq": 11, "ge": 11, "≥": 11,
+    "nota": 12, "not_a": 12,
+    "leq": 13, "le": 13, "≤": 13,
+    "true": 15,
+})
 
 
 def valid_gate_tokens() -> Tuple[str, ...]:

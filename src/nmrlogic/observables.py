@@ -74,16 +74,6 @@ def _single_pulse_components(phis, betas, lambda_b, from_x):
     return mx, my, mz
 
 
-def _select_component(kind: ObservableKind, mx, my):
-    if kind is ObservableKind.MX:
-        return mx
-    if kind is ObservableKind.MY:
-        return my
-    if kind is ObservableKind.MXY:
-        return np.hypot(mx, my)
-    raise ValueError(f"unknown observable kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # Closed forms for the x-state two-pulse mx with two parameters fixed.
 #

@@ -204,6 +204,14 @@ def test_classify_unknown_token(capsys):
     assert "xnor" in err
 
 
+def test_classify_unknown_token_message_matches_golden(capsys):
+    code, out, err = run(capsys, "classify", "frobnicate")
+    assert code == 1
+    assert out == ""
+    golden = (GOLDEN / "classify_frobnicate.err").read_bytes().decode()
+    assert err == golden
+
+
 # synthesize subcommand -------------------------------------------------------
 
 

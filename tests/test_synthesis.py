@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import tracemalloc
 
@@ -10,7 +11,7 @@ from nmrlogic import _kernels
 from nmrlogic import gates as g
 from nmrlogic import spincore as sc
 from nmrlogic import synthesis as syn
-from nmrlogic.observables import GridSpec, InitialState, ObservableKind
+from nmrlogic.observables import GridSpec, InitialState, ObservableKind, TWO_PULSE_PARAMS
 
 PI = math.pi
 
@@ -71,6 +72,30 @@ def test_scenario_table_matches_scalar_evaluation():
             )
 
 
+BINDINGS = [(1, ("phi", "beta"))] + [
+    (2, pair) for pair in itertools.permutations(TWO_PULSE_PARAMS, 2)
+]
+
+
+@pytest.mark.parametrize("observable", list(ObservableKind), ids=lambda kind: kind.value)
+@pytest.mark.parametrize("initial", list(InitialState), ids=lambda state: state.value)
+@pytest.mark.parametrize(
+    "pulses,inputs", BINDINGS, ids=[",".join(inputs) for _, inputs in BINDINGS]
+)
+def test_evaluate_scenario_equals_the_cells_of_scenario_table_bit_for_bit(
+    pulses, inputs, initial, observable
+):
+    rng = np.random.default_rng(19)
+    names = ("phi", "beta") if pulses == 1 else TWO_PULSE_PARAMS
+    fixed = [(name, rng.uniform(-2 * PI, 2 * PI)) for name in names if name not in inputs]
+    scenario = syn.Scenario(initial, pulses, observable, inputs, fixed, rng.uniform(0.1, 2.0))
+    quarter_turns = rng.integers(-8, 9, size=(2, 2)) * (PI / 4)
+    for a_values, b_values in (quarter_turns, rng.uniform(-2 * PI, 2 * PI, size=(2, 2))):
+        table = syn.scenario_table(scenario, a_values, b_values)
+        cells = [[syn.evaluate_scenario(scenario, a, b) for b in b_values] for a in a_values]
+        assert table.tobytes() == np.array(cells).tobytes()
+
+
 def test_two_pulse_scenario_matches_direct_observable():
     scenario = syn.Scenario(
         InitialState.SUPERPOSITION_X, 2, ObservableKind.MY, ("beta2", "phi1"),
@@ -105,6 +130,20 @@ def test_reference_rows_realize_their_gates():
                 THERMAL_MX, row.a_values[a], row.b_values[b]
             )
             assert value == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("slot", ["a0", "a1", "b0", "b1"])
+@pytest.mark.parametrize("tt", [g.XOR, g.AND], ids=["XOR", "AND"])
+def test_assignment_realizes_rejects_non_finite_values(bad, slot, tt):
+    # the XOR exemplar already fails AND at corner 01, before a1 is read
+    values = dict(zip(["a0", "a1", "b0", "b1"], (PI / 2, 3 * PI / 2, -PI / 2, PI / 2)))
+    values[slot] = bad
+    assignment = syn.GateAssignment(
+        (values["a0"], values["a1"]), (values["b0"], values["b1"]), ((-0.25, False), (0.25, True))
+    )
+    with pytest.raises(ValueError):
+        syn.assignment_realizes(THERMAL_MX, assignment, tt)
 
 
 def test_reference_row_does_not_realize_other_gate():
@@ -362,6 +401,44 @@ def test_gate_quadruples_count_equals_its_blocks_and_gate_counts(tol, labelled):
         assert all(len(hits) for hits in blocks), tt.name
     # x-state mx realizes no XOR: a count of 0 yields no block
     assert expected[g.XOR.gate_id] == 0
+
+
+def _count_passes(monkeypatch):
+    """List that gets one entry per search pass `_kernels` runs."""
+    passes = []
+    original = _kernels._quadruple_blocks
+
+    def counted(*args):
+        passes.append(args)
+        yield from original(*args)
+
+    monkeypatch.setattr(_kernels, "_quadruple_blocks", counted)
+    return passes
+
+
+@pytest.mark.parametrize("tt", [g.AND, g.XOR], ids=["AND", "XOR"])
+def test_find_gate_quadruples_searches_the_pairwise_route_once(monkeypatch, tt):
+    tol = 0.01
+    _, table = syn.candidate_table(THERMAL_MX, GridSpec(0.0, 0.37 * PI / 8, 16), tol)
+    assert _kernels.level_labels(table, tol) is None
+    count, blocks = _kernels.gate_quadruples(table, tt.outputs, tol)
+    expected = np.concatenate([np.empty((0, 4), dtype=np.int64), *blocks])
+    assert count == len(expected)
+    passes = _count_passes(monkeypatch)
+    found = _kernels.find_gate_quadruples(table, tt.outputs, tol)
+    assert len(passes) == 1
+    assert found.dtype == np.int64
+    assert np.array_equal(found, expected)
+
+
+def test_a_label_route_count_of_0_runs_no_search_pass(monkeypatch):
+    tol = syn.DEFAULT_LEVEL_TOL
+    _, table = syn.candidate_table(x_scenario(ObservableKind.MX), GridSpec(0.0, PI / 8, 12), tol)
+    assert _kernels.level_labels(table, tol) is not None
+    passes = _count_passes(monkeypatch)
+    assert _kernels.gate_quadruples(table, g.XOR.outputs, tol)[0] == 0
+    assert _kernels.find_gate_quadruples(table, g.XOR.outputs, tol).shape == (0, 4)
+    assert passes == []
 
 
 def _gate_pair_counts(labels, outputs):
