@@ -148,9 +148,15 @@ def assignment_realizes(
     """Do the four corner evaluations reproduce the truth table?"""
     _require_finite(*assignment.a_values, *assignment.b_values)
     table = scenario_table(scenario, assignment.a_values, assignment.b_values)
+    return _corners_realize(assignment, tt, table.ravel().tolist())
+
+
+def _corners_realize(assignment: GateAssignment, tt: TruthTable, values) -> bool:
+    """Does the level map send the corner `values`, in the order 00, 01,
+    10, 11, onto the truth table?"""
     return all(
         assignment.classify_level(value) == tt(a, b)
-        for (a, b), value in zip(_CORNERS, table.ravel().tolist())
+        for (a, b), value in zip(_CORNERS, values)
     )
 
 
@@ -299,7 +305,7 @@ def verify_reference_tables(
                     f"value {value:.12g}, expected {expected:.12g}",
                 )
             )
-        realized = assignment_realizes(scenario, reference_assignment(row), row.gate)
+        realized = _corners_realize(reference_assignment(row), row.gate, values)
         results.append(
             CheckResult(
                 f"single-pulse {row.gate.name} realizes gate",

@@ -355,6 +355,11 @@ def test_synthesize_pairwise_route_matches_golden(capsys):
     "argv,golden",
     [
         (("--initial", "z", "--grid", "0:1/4pi:8"), "grid_z_quarter_pi_8.txt"),
+        # "-0.000707106781187": sign, "0.000" prefix and 12 digits
+        (
+            ("--initial", "z", "--lambda", "0.004", "--grid", "0:1/4pi:8"),
+            "grid_z_lambda_0.004_quarter_pi_8.txt",
+        ),
         (
             (
                 "--initial", "x", "--pulses", "2", "--inputs", "phi2,phi1",
@@ -767,7 +772,9 @@ def _reference_grid(scenario, grid_a, grid_b):
 
 def assert_formats_like_python(values):
     values = np.array(values, dtype=np.float64)
-    got = [text.replace(b"\0", b"").decode() for text in _format.format_12g(values).tolist()]
+    slots = _format.format_12g(values)
+    assert slots.dtype.itemsize == _format.SLOT
+    got = [text.replace(b"\0", b"").decode() for text in slots.tolist()]
     assert got == [f"{x:.12g}" for x in values.tolist()]
 
 
@@ -791,8 +798,17 @@ FORMAT_EDGES = [
     np.nextafter(1.000000000005, 2), np.nextafter(1.000000000005, 0),
     # around the switch from fixed to scientific form at 1e-4
     9.999999999995e-5, 9.99999999999e-5, 1e-4, 1.00000000001e-4, 1e-5,
+    np.nextafter(1e-4, 0), np.nextafter(1e-4, 1),
     # around the switch at 1e12, and the carry into it
     999999999999.5, 999999999999.4, 999999999999.0, 1e12, 1e11, 123456789012.0,
+    np.nextafter(1e12, 0), np.nextafter(1e12, 2e12), 1.00000000001e12,
+    # a point after each digit, and none after the twelfth
+    *(1.23456789012 * 10**k for k in range(12)),
+    # every count of kept digits, with a point and without one
+    *(float("1.23456789012"[:k]) for k in range(3, 14)),
+    *(float("123456789012"[:k]) for k in range(1, 13)),
+    # the longest texts, 19 and 18 bytes with their sign
+    1.23456789012e-100, 0.000123456789012,
     # three-digit exponents
     1e100, 1e-100, 9.99999999999e99, 9.999999999995e99, 1.5e-307,
     # the bounds of the vector path
@@ -852,11 +868,18 @@ literal_text = st.one_of(
 def test_write_rows_equals_the_template_rows(data, rows, n_columns, n_outputs):
     columns = []
     for _ in range(n_columns):
-        strings = data.draw(st.lists(field_text, min_size=1, max_size=8))
+        if data.draw(st.booleans()):
+            # `format_12g` slots, with NULs between their parts
+            values = data.draw(st.lists(any_float, min_size=1, max_size=8))
+            strings = [f"{v:.12g}" for v in values]
+            slots = _format.format_12g(values)
+        else:
+            strings = data.draw(st.lists(field_text, min_size=1, max_size=8))
+            slots = np.array(strings, dtype=np.bytes_)
         index = data.draw(
             st.lists(st.integers(0, len(strings) - 1), min_size=rows, max_size=rows)
         )
-        columns.append((strings, index))
+        columns.append((strings, slots, index))
     # each output has its own template over the same columns
     templates = [
         "%s".join(
@@ -866,11 +889,8 @@ def test_write_rows_equals_the_template_rows(data, rows, n_columns, n_outputs):
         )
         for _ in range(n_outputs)
     ]
-    table = list(zip(*([strings[k] for k in index] for strings, index in columns)))
-    fields = [
-        np.array(strings, dtype=np.bytes_)[np.array(index, dtype=np.int64)]
-        for strings, index in columns
-    ]
+    table = list(zip(*([strings[k] for k in index] for strings, _, index in columns)))
+    fields = [slots[np.array(index, dtype=np.int64)] for _, slots, index in columns]
     block = 7
     sinks = [io.StringIO() for _ in templates]
     cli._write_rows(

@@ -731,6 +731,22 @@ def test_verify_reference_tables_all_pass():
     assert not failed, failed
 
 
+def test_verify_reference_tables_evaluates_each_table_once(monkeypatch):
+    # one 2x2 table per exemplar serves its four cells and its level map;
+    # the closed-form checks take the other eight
+    calls = []
+    scenario_table = syn.scenario_table
+
+    def counted(*args):
+        calls.append(args)
+        return scenario_table(*args)
+
+    monkeypatch.setattr(syn, "scenario_table", counted)
+    checks = syn.verify_reference_tables()
+    assert len(calls) == 12
+    assert all(c.passed for c in checks)
+
+
 def test_verify_reference_tables_detects_wrong_scale():
     checks = syn.verify_reference_tables(lambda_b=0.5)
     assert any(not c.passed for c in checks)
