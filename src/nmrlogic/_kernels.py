@@ -18,6 +18,10 @@ counts the hits of every row pair from histograms of column label pairs
 own rows' labels, and streams the hits of the row pairs that hold any in
 cache-sized blocks (`gate_quadruples`), holding one n^3 boolean.
 `gate_counts` counts hits per truth table from either, holding none.
+A search for one gate in the T, B or AND orbit, on a table with no more
+levels than columns, needs only h(x, x): it takes it from one float64
+indicator gemm per level (`_diagonal_pair_counts`) instead of the sort.
+A and XOR need h(x, y) for x != y, and keep the histograms.
 
 `observables` and `synthesis` look both up on this module at call time, so a
 wrapper set on the module attribute (as `perfbench/tracing.py` does) sees
@@ -287,6 +291,38 @@ def _block_pair_counts(top, labels, m, sums):
     sums[1:] -= sums[0]
 
 
+def _diagonal_pair_counts(labels, slot):
+    """(nA, nA) int64 hits per row pair (i0, i1) of T, B or AND (`slot` 0,
+    2 or 4): `level_pair_counts(labels)[slot]` from h(x, x) alone.
+
+    With O_x the float64 indicator of label x per cell, h(x, x) is
+    O_x O_x^T for every row pair at once, and r(x) is its diagonal.  Each
+    level adds h^2 (T), h (B: the square of the sum, less T) or h (r - h)
+    (AND).  Every term and sum is an integer of at most nB^2, so the float
+    sums are exact.  One gemm of nA^2 nB per level beats the sort while
+    there are no more levels than columns; the memory is a few (nA, nA)
+    arrays and the (nA, nB) indicator.
+    """
+    na, nb = labels.shape
+    counts = np.zeros((na, na))
+    other = np.zeros((na, na))
+    h = np.empty((na, na))
+    indicator = np.empty((na, nb))
+    for x in range(int(labels.max()) + 1):
+        np.equal(labels, x, out=indicator)
+        np.matmul(indicator, indicator.T, out=h)
+        if slot == 2:
+            other += h
+        if slot == 4:
+            h *= np.subtract(h.diagonal()[:, None], h, out=other)
+        else:
+            h *= h
+        counts += h
+    if slot == 2:
+        counts = np.subtract(np.square(other, out=other), counts, out=counts)
+    return counts.astype(np.int64)
+
+
 def gate_counts(values, outputs_seq, tol):
     """Realizing quadruples over `values` for each truth table in `outputs_seq`.
 
@@ -333,8 +369,14 @@ def _search(values, outputs, tol):
 
         return None, lambda: _quadruple_blocks(values, outputs, close)
     slot, transposed = orbit_representative(outputs)
-    counts = level_pair_counts(labels)[slot]
-    table = labels.astype(np.min_scalar_type(int(labels.max())))
+    top = int(labels.max())
+    # T, B and AND need only h(x, x); their gemm per level beats the sort
+    # while there are no more levels than columns
+    if slot in (0, 2, 4) and top < labels.shape[1]:
+        counts = _diagonal_pair_counts(labels, slot)
+    else:
+        counts = level_pair_counts(labels)[slot]
+    table = labels.astype(np.min_scalar_type(top))
     candidates = (counts.T if transposed else counts) > 0
     return int(counts.sum()), lambda: _quadruple_blocks(table, outputs, np.equal, candidates)
 

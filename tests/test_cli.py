@@ -337,6 +337,18 @@ def test_synthesize_output_matches_golden(tmp_path, capsys, argv, golden):
     assert_same_text(written, (GOLDEN / golden).read_bytes().decode())
 
 
+def test_synthesize_without_hits_on_three_levels_matches_golden(capsys):
+    # three levels over 48 columns: AND is counted from the level indicators
+    argv = (
+        "AND", "--initial", "x", "--pulses", "2", "--inputs", "phi2,phi1",
+        "--fix", "beta1=1/2pi", "--fix", "beta2=1/2pi", "--grid", "0:1/2pi:48",
+    )
+    code, out, err = run(capsys, "synthesize", *argv)
+    assert (code, err) == (3, "")
+    golden = GOLDEN / "synthesize_and_x_two_pulse_half_pi_48.txt"
+    assert_same_text(out, golden.read_text(encoding="utf-8"))
+
+
 def test_synthesize_pairwise_route_matches_golden(capsys):
     # at tol 0.02 the thermal mx table has a level spanning more than tol,
     # so the search compares float gaps, not level labels

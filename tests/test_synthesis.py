@@ -465,6 +465,114 @@ def test_level_pair_counts_equal_oracle_hits_per_row_pair():
     assert transitive == 6  # the tol=1e-9 tables; the others chain gaps at tol
 
 
+# the representatives counted from h(x, x) alone: T, B and AND
+DIAGONAL_SLOTS = (0, 2, 4)
+
+
+def test_diagonal_pair_counts_equal_level_pair_counts_on_oracle_cases():
+    labelled = 0
+    for table, tol in ORACLE_CASES:
+        labels = _kernels.level_labels(table, tol)
+        if labels is None:
+            continue
+        labelled += 1
+        expected = _kernels.level_pair_counts(labels)
+        for slot in DIAGONAL_SLOTS:
+            counts = _kernels._diagonal_pair_counts(labels, slot)
+            assert counts.dtype == np.int64
+            assert np.array_equal(counts, expected[slot]), slot
+    assert labelled == 6
+
+
+@settings(max_examples=40)
+@given(
+    shape=st.tuples(st.integers(2, 6), st.integers(1, 6)),
+    levels=st.sampled_from(["one", "columns", "columns + 1"]),
+    data=st.data(),
+)
+def test_diagonal_pair_counts_equal_level_pair_counts_about_the_level_rule(
+    shape, levels, data
+):
+    na, nb = shape
+    m = {"one": 1, "columns": nb, "columns + 1": nb + 1}[levels]
+    cells = data.draw(st.lists(st.integers(0, m - 1), min_size=na * nb, max_size=na * nb))
+    cells[:m] = range(m)  # every level appears at least once
+    cells = data.draw(st.permutations(cells))
+    table = np.array(cells, dtype=np.float64).reshape(na, nb) / 8
+    labels = _kernels.level_labels(table, 1e-9)
+    assert labels.max() + 1 == m
+    expected = _kernels.level_pair_counts(labels)
+    for slot in DIAGONAL_SLOTS:
+        assert np.array_equal(_kernels._diagonal_pair_counts(labels, slot), expected[slot])
+
+
+def _count_routes(monkeypatch):
+    """List that gets the name of each label counter `_kernels` runs."""
+    routes = []
+    for name in ("level_pair_counts", "_diagonal_pair_counts"):
+        original = getattr(_kernels, name)
+
+        def counted(*args, name=name, original=original):
+            routes.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(_kernels, name, counted)
+    return routes
+
+
+@pytest.mark.parametrize(
+    "shape,levels,route",
+    [
+        ((9, 9), 5, "_diagonal_pair_counts"),
+        ((8, 4), 4, "_diagonal_pair_counts"),
+        ((8, 3), 5, "level_pair_counts"),
+    ],
+    ids=["fewer-levels", "levels-equal-columns", "more-levels"],
+)
+def test_gate_quadruples_count_t_b_and_orbits_by_the_level_rule(
+    monkeypatch, shape, levels, route
+):
+    rng = np.random.default_rng(levels)
+    table = rng.integers(0, levels, size=shape) / 8
+    labels = _kernels.level_labels(table, 1e-9)
+    assert labels.max() + 1 == levels
+    # NOR is AND's representative with its rows swapped: the transposed case
+    gate_set = (g.T, g.F, g.B, g.NOT_B, g.AND, g.NOR)
+    expected = _kernels.gate_counts(table, [tt.outputs for tt in gate_set], 1e-9)
+    routes = _count_routes(monkeypatch)
+    for tt, total in zip(gate_set, expected):
+        routes.clear()
+        count, blocks = _kernels.gate_quadruples(table, tt.outputs, 1e-9)
+        assert routes == [route], tt.name
+        hits = [tuple(row) for block in blocks for row in block.tolist()]
+        assert count == len(hits) == total, tt.name
+        assert hits == list(oracle_quadruples(table, tt.outputs)), tt.name
+        assert total, tt.name
+    # A and XOR need h(x, y) for x != y: they keep the histograms
+    for tt in (g.A, g.XOR):
+        routes.clear()
+        _kernels.gate_quadruples(table, tt.outputs, 1e-9)
+        assert routes == ["level_pair_counts"], tt.name
+
+
+def test_diagonal_pair_counts_hold_a_few_row_pair_arrays():
+    # 96 x 40 cells, 3 levels: the sort's block of 2^16 cells alone is
+    # 0.5 MiB per int64 array, and it keeps a few
+    na, nb = 96, 40
+    labels = np.random.default_rng(4).integers(0, 3, size=(na, nb))
+    for slot in DIAGONAL_SLOTS:
+        tracemalloc.start()
+        try:
+            counts = _kernels._diagonal_pair_counts(labels, slot)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.shape == (na, na)
+        # three (nA, nA) float64 arrays and the int64 result, one more to
+        # spare, and the indicator
+        assert peak < (5 * na + nb) * na * 8 + 4096, (slot, peak)
+
+
 def test_jittered_table_takes_the_pairwise_fallback():
     case = len(ORACLE_CASES) - 1
     table, tol = ORACLE_CASES[case]
