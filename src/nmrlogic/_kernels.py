@@ -18,6 +18,14 @@ counts the hits of every row pair from histograms of column label pairs
 own rows' labels, and streams the hits of the row pairs that hold any in
 cache-sized blocks (`gate_quadruples`), holding one n^3 boolean.
 `gate_counts` counts hits per truth table from either, holding none.
+The histograms count only the orbit sums asked for: a search its gate's
+representative, `gate_counts` the union of its gates' (all five for the
+16 gates).  T is always counted, as the others subtract it; A and B add
+a reduce each, XOR a lookup of h(y, x) for the entries with x < y, and
+AND a column by column compare of the two rows.  The label pair keys
+x*m + y sort in the narrowest signed dtype that holds m^2 - 1 (int16 up
+to 181 levels), and the sums symmetric in (i0, i1), all but AND, are
+counted on one triangle of row pairs and mirrored.
 A search for one gate in the T, B or AND orbit, on a table with no more
 levels than columns, needs only h(x, x): it takes it from one float64
 indicator gemm per level (`_diagonal_pair_counts`) instead of the sort.
@@ -197,8 +205,9 @@ def orbit_representative(outputs):
     return 3, False
 
 
-def level_pair_counts(labels):
-    """(5, nA, nA) int64 hits per row pair (i0, i1) of each representative.
+def level_pair_counts(labels, slots=range(5)):
+    """(len(slots), nA, nA) int64 hits per row pair (i0, i1) of the
+    representatives `slots` names, in its order (0-4: T, A, B, XOR, AND).
 
     With h(x, y) the row pair's histogram of column label pairs and r(x)
     the count of label x in row i0:
@@ -207,45 +216,45 @@ def level_pair_counts(labels):
       B:   (sum h(x, x))^2 - sum h(x, x)^2
       XOR: sum over x != y of h(x, y) h(y, x)
       AND: sum h(x, x) (r(x) - h(x, x))
+    Only the sums asked for are counted.  T always is, as the others
+    subtract it; A adds one reduce of h^2, B one of h(x, x), and XOR a
+    lookup of h(y, x) for each entry with x < y.  Only AND compares the
+    two rows' labels column by column, each column weighted by r(x).
+    The keys x*m + y sort in the narrowest signed dtype that holds m^2 - 1:
+    int16 up to 181 levels, then int32, then int64.  T, A, B and XOR are
+    symmetric in (i0, i1), so a block of rows counts them only against
+    the rows from its own first row on and mirrors the rest from the
+    blocks before it; AND weights by row i0's r(x) and counts both orders.
     Row pairs go in blocks of about `_BLOCK_QUADRUPLES` cells.
     """
+    slots = list(slots)
     na, nb = labels.shape
     m = int(labels.max()) + 1
-    counts = np.empty((5, na * na), dtype=np.int64)
+    sums = {slot: np.empty((na, na), dtype=np.int64) for slot in {0, *slots}}
+    dtype = next(t for t in (np.int16, np.int32, np.int64) if m * m - 1 <= np.iinfo(t).max)
+    labels = labels.astype(dtype)
     step = max(1, _BLOCK_QUADRUPLES // (na * nb))
     for start in range(0, na, step):
-        stop = min(start + step, na)
-        sums = counts[:, start * na:stop * na]
-        _block_pair_counts(labels[start:stop], labels, m, sums)
-    return counts.reshape(5, na, na)
+        _block_pair_counts(labels, start, min(start + step, na), m, sums)
+    return np.stack([sums[slot] for slot in slots])
 
 
-def _block_pair_counts(top, labels, m, sums):
-    """Fill `sums`, (5, len(top) * nA), with `level_pair_counts` for the row
-    pairs (i0, i1) with i0 in `top`.
+def _block_pair_counts(labels, start, stop, m, sums):
+    """Fill rows `start:stop` of each (nA, nA) array in `sums`, keyed by
+    slot, with `level_pair_counts`, once the rows before `start` are filled.
 
-    The label counts r(x) of `top`'s rows take len(top) * m int64, and
-    entry-sized arrays are freed or overwritten once read, so the peak is a
-    few of them.
+    Row i0's symmetric sums are counted for i1 >= `start` and mirrored
+    for i1 < `start`.  The label counts r(x) of the block's rows take
+    (stop - start) * m int64, and entry-sized arrays are freed once
+    read, so the peak is a few of them.
     """
+    top = labels[start:stop]
+    rest = labels[start:]
     b, nb = top.shape
-    na = len(labels)
-    # r[i, j]: the count of columns in row i with the label of column j
-    flat = top + m * np.arange(b)[:, None]
-    r = np.bincount(flat.ravel(), minlength=b * m)[flat]
-    keys = np.empty((b, na, nb), dtype=np.int64)
-    # the columns whose two labels agree give sum h(x, x) and, each
-    # weighted by r(x), sum h(x, x) r(x)
-    same = top[:, None, :] == labels[None, :, :]
-    np.sum(same, axis=2, out=sums[2].reshape(b, na))
-    np.multiply(same, r[:, None, :], out=keys)
-    np.sum(keys, axis=2, out=sums[4].reshape(b, na))
-    del same
+    pairs = b * len(rest)
     # one sorted row of column label pairs x*m + y per row pair; each run
     # of one key is one histogram entry, so a row pair has at least one
-    np.multiply(top[:, None, :], m, out=keys)
-    keys += labels[None, :, :]
-    keys = keys.reshape(-1, nb)
+    keys = np.add((top * m)[:, None, :], rest[None, :, :]).reshape(pairs, nb)
     keys.sort(axis=1)
     new = np.empty(keys.shape, dtype=bool)
     new[:, 0] = True
@@ -254,41 +263,69 @@ def _block_pair_counts(top, labels, m, sums):
     del new
     cell = keys.ravel()[runs]
     del keys
-    firsts = np.searchsorted(runs, np.arange(0, b * na * nb, nb))
+    firsts = np.searchsorted(runs, np.arange(0, pairs * nb, nb))
     h = np.empty_like(runs)
     np.subtract(runs[1:], runs[:-1], out=h[:-1])
-    h[-1] = b * na * nb - runs[-1]
-    # entry keys pair*m*m + x*m + y ascend, and (y, x) has key
-    # key + (y - x)(m - 1): look up h(y, x), 0 where it is absent
-    key = runs
-    key //= nb
-    key *= m * m
-    key += cell
-    x = cell // m
-    mirror_key = np.remainder(cell, m, out=cell)  # y
-    on = x == mirror_key  # the diagonal x == y
-    mirror_key -= x
-    del x
-    mirror_key *= m - 1
-    mirror_key += key
-    where = np.searchsorted(key, mirror_key)
-    np.minimum(where, len(key) - 1, out=where)
-    found = key[where] == mirror_key
-    del runs, key, cell, mirror_key  # two buffers under two names each
-    mirror = h[where]
-    del where
-    mirror *= found
-    del found
-    # sum the entries of each row pair.  T is sum h(x, x)^2, and the sums
-    # over all x, y (A, XOR), the square of sum h(x, x) (B) and
-    # sum h(x, x) r(x) (AND) each hold it once, so it comes off all four
-    np.add.reduceat(np.multiply(mirror, h, out=mirror), firsts, out=sums[3])
-    del mirror
-    on = h * on
-    np.add.reduceat(np.square(h, out=h), firsts, out=sums[1])
-    np.add.reduceat(np.square(on, out=on), firsts, out=sums[0])
-    sums[2] *= sums[2]
-    sums[1:] -= sums[0]
+    h[-1] = pairs * nb - runs[-1]
+    found = {}
+    square = np.square(h)
+    if 1 in sums:
+        found[1] = np.add.reduceat(square, firsts)
+    # y - x of each entry's key x*m + y: 0 on the diagonal x == y
+    offset = cell // m
+    offset *= -(m + 1)
+    offset += cell
+    diagonal = offset == 0
+    square *= diagonal
+    found[0] = np.add.reduceat(square, firsts)
+    if 2 in sums:
+        # B is the square of sum h(x, x), less T
+        s = np.add.reduceat(np.multiply(h, diagonal, out=square), firsts)
+        found[2] = s * s - found[0]
+    del square, diagonal
+    if 3 in sums:
+        # each entry with x < y looks up h(y, x), 0 where it is absent: the
+        # entry keys pair*m*m + x*m + y ascend, and (y, x) has key
+        # key + (y - x)(m - 1)
+        key = runs
+        key //= nb
+        key *= m * m
+        key += cell
+        lower = offset > 0
+        mirror_key = np.multiply(offset[lower], m - 1, dtype=np.int64)
+        mirror_key += key[lower]
+        where = np.searchsorted(key, mirror_key)
+        np.minimum(where, len(key) - 1, out=where)
+        hit = key[where] == mirror_key
+        del key, mirror_key
+        mirror = h[where]
+        del where
+        mirror *= hit
+        del hit
+        # the sum over x != y of h(x, y) h(y, x) is twice that over x < y
+        mirror *= h[lower]
+        entries = np.zeros_like(h)
+        entries[lower] = mirror
+        del lower, mirror
+        found[3] = 2 * np.add.reduceat(entries, firsts)
+        del entries
+    del runs, cell, h, offset
+    if 1 in sums:
+        found[1] -= found[0]  # the sum over all x, y holds T once
+    for slot, sum_ in found.items():
+        out = sums[slot]
+        out[start:stop, start:] = sum_.reshape(b, -1)
+        out[start:stop, :start] = out[:start, start:stop].T
+    if 4 in sums:
+        # AND weights by row i0's r(x), so it takes both orders: the
+        # columns whose two labels agree, each weighted by r(x), give
+        # sum h(x, x) r(x), which holds T once.  r[i, j] is the count of
+        # columns in row i with the label of column j
+        flat = top + m * np.arange(b)[:, None]
+        r = np.bincount(flat.ravel(), minlength=b * m)[flat]
+        same = top[:, None, :] == labels[None, :, :]
+        np.einsum("ikj,ij->ik", same, r, out=sums[4][start:stop])
+        sums[4][start:stop] -= sums[0][start:stop]
 
 
 def _diagonal_pair_counts(labels, slot):
@@ -332,8 +369,10 @@ def gate_counts(values, outputs_seq, tol):
     labels = level_labels(values, tol)
     if labels is None:
         return [gate_quadruples(values, outputs, tol)[0] for outputs in outputs_seq]
-    totals = level_pair_counts(labels).sum(axis=(1, 2)).tolist()
-    return [totals[orbit_representative(outputs)[0]] for outputs in outputs_seq]
+    slots = [orbit_representative(outputs)[0] for outputs in outputs_seq]
+    wanted = sorted(set(slots))
+    totals = dict(zip(wanted, level_pair_counts(labels, wanted).sum(axis=(1, 2)).tolist()))
+    return [totals[slot] for slot in slots]
 
 
 def gate_quadruples(values, outputs, tol):
@@ -375,7 +414,7 @@ def _search(values, outputs, tol):
     if slot in (0, 2, 4) and top < labels.shape[1]:
         counts = _diagonal_pair_counts(labels, slot)
     else:
-        counts = level_pair_counts(labels)[slot]
+        counts = level_pair_counts(labels, (slot,))[0]
     table = labels.astype(np.min_scalar_type(top))
     candidates = (counts.T if transposed else counts) > 0
     return int(counts.sum()), lambda: _quadruple_blocks(table, outputs, np.equal, candidates)

@@ -349,6 +349,27 @@ def test_synthesize_without_hits_on_three_levels_matches_golden(capsys):
     assert_same_text(out, golden.read_text(encoding="utf-8"))
 
 
+@pytest.mark.parametrize(
+    "argv,golden",
+    [
+        # 27 levels over 48 columns and 11 over 64: each search counts only
+        # its XOR-orbit sum, on int16 label pair keys
+        (("XNOR", "--observable", "mx", "--grid=5/8pi:1/8pi:48"),
+         "synthesize_xnor_x_mx_eighth_pi_48.txt"),
+        (("XOR", "--observable", "mxy", "--grid=4/8pi:1/8pi:64"),
+         "synthesize_xor_x_mxy_eighth_pi_64.txt"),
+    ],
+)
+def test_synthesize_xor_orbit_without_hits_matches_golden(capsys, argv, golden):
+    gate, *rest = argv
+    code, out, err = run(
+        capsys, "synthesize", gate, "--initial", "x", "--pulses", "1",
+        "--inputs", "phi,beta", *rest,
+    )
+    assert (code, err) == (3, "")
+    assert_same_text(out, (GOLDEN / golden).read_text(encoding="utf-8"))
+
+
 def test_synthesize_pairwise_route_matches_golden(capsys):
     # at tol 0.02 the thermal mx table has a level spanning more than tol,
     # so the search compares float gaps, not level labels

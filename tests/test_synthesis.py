@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nmrlogic import _kernels
 from nmrlogic import gates as g
@@ -507,14 +507,19 @@ def test_diagonal_pair_counts_equal_level_pair_counts_about_the_level_rule(
 
 
 def _count_routes(monkeypatch):
-    """List that gets the name of each label counter `_kernels` runs."""
+    """List that gets (name, slots) for each label counter `_kernels` runs:
+    the counter's name and the orbit slots it was asked for."""
     routes = []
-    for name in ("level_pair_counts", "_diagonal_pair_counts"):
+    requested = {
+        "level_pair_counts": lambda labels, slots=range(5): tuple(slots),
+        "_diagonal_pair_counts": lambda labels, slot: (slot,),
+    }
+    for name, slots_of in requested.items():
         original = getattr(_kernels, name)
 
-        def counted(*args, name=name, original=original):
-            routes.append(name)
-            return original(*args)
+        def counted(*args, name=name, original=original, slots_of=slots_of, **kwargs):
+            routes.append((name, slots_of(*args, **kwargs)))
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(_kernels, name, counted)
     return routes
@@ -543,16 +548,36 @@ def test_gate_quadruples_count_t_b_and_orbits_by_the_level_rule(
     for tt, total in zip(gate_set, expected):
         routes.clear()
         count, blocks = _kernels.gate_quadruples(table, tt.outputs, 1e-9)
-        assert routes == [route], tt.name
+        slot = _kernels.orbit_representative(tt.outputs)[0]
+        assert routes == [(route, (slot,))], tt.name
         hits = [tuple(row) for block in blocks for row in block.tolist()]
         assert count == len(hits) == total, tt.name
         assert hits == list(oracle_quadruples(table, tt.outputs)), tt.name
         assert total, tt.name
-    # A and XOR need h(x, y) for x != y: they keep the histograms
-    for tt in (g.A, g.XOR):
+    # A and XOR need h(x, y) for x != y: they keep the histograms, and
+    # ask for their own sum only
+    for tt, slot in ((g.A, 1), (g.NOT_A, 1), (g.XOR, 3), (g.XNOR, 3)):
         routes.clear()
         _kernels.gate_quadruples(table, tt.outputs, 1e-9)
-        assert routes == ["level_pair_counts"], tt.name
+        assert routes == [("level_pair_counts", (slot,))], tt.name
+
+
+@pytest.mark.parametrize(
+    "gate_set,slots",
+    [
+        ((g.A, g.NOT_A), (1,)),
+        ((g.XNOR, g.AND, g.NOR), (3, 4)),
+        ((g.B, g.T, g.F, g.NOT_B), (0, 2)),
+        (g.ALL_GATES, (0, 1, 2, 3, 4)),
+    ],
+    ids=["a-orbit", "xor-and-orbits", "t-b-orbits", "all-16"],
+)
+def test_gate_counts_ask_for_the_union_of_their_gates_slots(monkeypatch, gate_set, slots):
+    table = np.random.default_rng(6).integers(0, 5, size=(9, 7)) / 8
+    routes = _count_routes(monkeypatch)
+    counts = _kernels.gate_counts(table, [tt.outputs for tt in gate_set], 1e-9)
+    assert routes == [("level_pair_counts", slots)]
+    assert counts == [sum(1 for _ in oracle_quadruples(table, tt.outputs)) for tt in gate_set]
 
 
 def test_diagonal_pair_counts_hold_a_few_row_pair_arrays():
@@ -731,6 +756,69 @@ def test_level_pair_counts_peak_is_a_few_blocks():
         # every row took 17 MB on the distinct table
         block = _kernels._BLOCK_QUADRUPLES * 8
         assert peak < 8 * block, (levels, peak)
+
+
+def test_xor_pair_counts_peak_is_below_all_five():
+    # the 65-level table above: XOR alone needs T, the entry keys and one
+    # lookup per entry with x < y, not AND's column compare
+    rng = np.random.default_rng(3)
+    labels = _kernels.level_labels(np.round(rng.uniform(-1, 1, size=(64, 64)) * 32) / 32, 1e-9)
+    assert labels.max() + 1 == 65
+    tracemalloc.start()
+    try:
+        counts = _kernels.level_pair_counts(labels, (3,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(counts, _formula_pair_counts(labels)[[3]])
+    # measured at 2.2 MB; all five sums may take 8 blocks of 0.5 MiB
+    block = _kernels._BLOCK_QUADRUPLES * 8
+    assert peak < 5 * block, peak
+
+
+# every non-empty subset of the five orbit slots
+SLOT_SUBSETS = [
+    subset for size in range(1, 6) for subset in itertools.combinations(range(5), size)
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    levels=st.sampled_from(["one", "fewer", "columns", "more", "181", "182"]),
+    rows_per_block=st.integers(1, 4),
+    data=st.data(),
+)
+def test_level_pair_counts_of_every_slot_subset_equal_the_formulas(
+    levels, rows_per_block, data
+):
+    # 181 levels are the most whose keys x*m + y fit int16, 182 the fewest
+    # that take int32
+    sizes = st.integers(13, 16) if levels in ("181", "182") else st.integers(1, 7)
+    na, nb = data.draw(st.tuples(sizes, sizes), label="shape")
+    m = {
+        "one": 1,
+        "fewer": data.draw(st.integers(2, max(2, nb - 1))),
+        "columns": nb,
+        "more": data.draw(st.integers(nb + 1, max(nb + 1, na * nb))),
+        "181": 181,
+        "182": 182,
+    }[levels]
+    assume(2 <= m < nb if levels == "fewer" else m <= na * nb)
+    cells = data.draw(st.lists(st.integers(0, m - 1), min_size=na * nb, max_size=na * nb))
+    cells[:m] = range(m)  # every level appears at least once
+    cells = data.draw(st.permutations(cells))
+    labels = _kernels.level_labels(np.array(cells, dtype=np.float64).reshape(na, nb) / 8, 1e-9)
+    assert labels.max() + 1 == m
+    expected = _formula_pair_counts(labels)
+    # blocks of 1 to 4 rows: each block mirrors the symmetric sums of the
+    # blocks before it
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernels, "_BLOCK_QUADRUPLES", rows_per_block * na * nb)
+        for subset in SLOT_SUBSETS:
+            slots = data.draw(st.permutations(subset))
+            counts = _kernels.level_pair_counts(labels, slots)
+            assert counts.dtype == np.int64
+            assert np.array_equal(counts, expected[list(slots)]), slots
 
 
 @SEARCH_LIMITS
