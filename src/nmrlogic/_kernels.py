@@ -26,10 +26,12 @@ AND a column by column compare of the two rows.  The label pair keys
 x*m + y sort in the narrowest signed dtype that holds m^2 - 1 (int16 up
 to 181 levels), and the sums symmetric in (i0, i1), all but AND, are
 counted on one triangle of row pairs and mirrored.
-A search for one gate in the T, B or AND orbit, on a table with no more
-levels than columns, needs only h(x, x): it takes it from one float64
-indicator gemm per level (`_diagonal_pair_counts`) instead of the sort.
-A and XOR need h(x, y) for x != y, and keep the histograms.
+`level_pair_counts` is the one label counter.  Asked for AND alone on a
+table with no more levels than columns, it counts AND from h(x, x) by
+one float64 indicator gemm per level (`_and_pair_counts`): 0.07-0.11 ms
+against 0.74-1.30 ms for the sort on 3-level 48x48 and 64x64 tables.
+T and B take the sort too: their gemm would save under 1 ms on commands
+that write every hit.
 
 `observables` and `synthesis` look both up on this module at call time, so a
 wrapper set on the module attribute (as `perfbench/tracing.py` does) sees
@@ -169,7 +171,7 @@ def level_labels(values, tol):
     """Int level label per cell, or None when some level spans more than `tol`."""
     values = np.asarray(values, dtype=np.float64)
     flat = values.ravel()
-    order = np.argsort(flat, kind="stable")
+    order = np.argsort(flat)
     ordered = flat[order]
     if not np.isfinite(ordered).all():
         return None
@@ -225,11 +227,14 @@ def level_pair_counts(labels, slots=range(5)):
     symmetric in (i0, i1), so a block of rows counts them only against
     the rows from its own first row on and mirrors the rest from the
     blocks before it; AND weights by row i0's r(x) and counts both orders.
-    Row pairs go in blocks of about `_BLOCK_QUADRUPLES` cells.
+    Row pairs go in blocks of about `_BLOCK_QUADRUPLES` cells.  AND alone,
+    on a table with no more levels than columns, takes `_and_pair_counts`.
     """
     slots = list(slots)
     na, nb = labels.shape
     m = int(labels.max()) + 1
+    if slots == [4] and m <= nb:
+        return _and_pair_counts(labels)[None]
     sums = {slot: np.empty((na, na), dtype=np.int64) for slot in {0, *slots}}
     dtype = next(t for t in (np.int16, np.int32, np.int64) if m * m - 1 <= np.iinfo(t).max)
     labels = labels.astype(dtype)
@@ -328,35 +333,26 @@ def _block_pair_counts(labels, start, stop, m, sums):
         sums[4][start:stop] -= sums[0][start:stop]
 
 
-def _diagonal_pair_counts(labels, slot):
-    """(nA, nA) int64 hits per row pair (i0, i1) of T, B or AND (`slot` 0,
-    2 or 4): `level_pair_counts(labels)[slot]` from h(x, x) alone.
+def _and_pair_counts(labels):
+    """(nA, nA) int64 AND hits per row pair (i0, i1), as
+    `level_pair_counts(labels, (4,))[0]`, from h(x, x) alone.
 
     With O_x the float64 indicator of label x per cell, h(x, x) is
-    O_x O_x^T for every row pair at once, and r(x) is its diagonal.  Each
-    level adds h^2 (T), h (B: the square of the sum, less T) or h (r - h)
-    (AND).  Every term and sum is an integer of at most nB^2, so the float
-    sums are exact.  One gemm of nA^2 nB per level beats the sort while
-    there are no more levels than columns; the memory is a few (nA, nA)
+    O_x O_x^T for every row pair at once, and r(x) is its diagonal; each
+    level adds h (r - h).  Every term and sum is an integer of at most
+    nB^2, so the float sums are exact.  The memory is a few (nA, nA)
     arrays and the (nA, nB) indicator.
     """
     na, nb = labels.shape
     counts = np.zeros((na, na))
-    other = np.zeros((na, na))
     h = np.empty((na, na))
+    other = np.empty((na, na))
     indicator = np.empty((na, nb))
     for x in range(int(labels.max()) + 1):
         np.equal(labels, x, out=indicator)
         np.matmul(indicator, indicator.T, out=h)
-        if slot == 2:
-            other += h
-        if slot == 4:
-            h *= np.subtract(h.diagonal()[:, None], h, out=other)
-        else:
-            h *= h
+        h *= np.subtract(h.diagonal()[:, None], h, out=other)
         counts += h
-    if slot == 2:
-        counts = np.subtract(np.square(other, out=other), counts, out=counts)
     return counts.astype(np.int64)
 
 
@@ -408,14 +404,8 @@ def _search(values, outputs, tol):
 
         return None, lambda: _quadruple_blocks(values, outputs, close)
     slot, transposed = orbit_representative(outputs)
-    top = int(labels.max())
-    # T, B and AND need only h(x, x); their gemm per level beats the sort
-    # while there are no more levels than columns
-    if slot in (0, 2, 4) and top < labels.shape[1]:
-        counts = _diagonal_pair_counts(labels, slot)
-    else:
-        counts = level_pair_counts(labels, (slot,))[0]
-    table = labels.astype(np.min_scalar_type(top))
+    counts = level_pair_counts(labels, (slot,))[0]
+    table = labels.astype(np.min_scalar_type(labels.max()))
     candidates = (counts.T if transposed else counts) > 0
     return int(counts.sum()), lambda: _quadruple_blocks(table, outputs, np.equal, candidates)
 
@@ -465,8 +455,12 @@ def _quadruple_blocks(table, outputs, close, candidates=None):
         bottom(ok, rows[a1], out=ok)
         if diagonal:
             ok &= close(table[a0, :, None], table[a1, None, :])
-        k, cell = np.divmod(np.flatnonzero(ok), nb * nb)
-        j0, j1 = np.divmod(cell, nb)
+        # `//` and a product back: numpy's integer `divmod` is slower
+        flat = np.flatnonzero(ok)
+        k = flat // (nb * nb)
+        cell = flat - k * (nb * nb)
+        j0 = cell // nb
+        j1 = cell - j0 * nb
         i0, i1 = a0[k], a1[k]
         keep = close(table[i0, j0], table[i1, j1]) == (o00 == o11)
         keep &= close(table[i0, j1], table[i1, j0]) == (o01 == o10)

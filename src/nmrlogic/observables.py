@@ -182,10 +182,10 @@ class GridSpec:
         return self.start + self.step * np.arange(self.count, dtype=np.float64)
 
 
-def default_axis(param: str, count: int = 101) -> GridSpec:
-    """Axis of `count` points spanning 4pi: phases from 0, flip angles from -2pi."""
+def default_axis(param: str) -> GridSpec:
+    """Axis of 101 points spanning 4pi: phases from 0, flip angles from -2pi."""
     start = 0.0 if param.startswith("phi") else -2 * math.pi
-    return GridSpec(start, 4 * math.pi / count, count)
+    return GridSpec(start, 4 * math.pi / 101, 101)
 
 
 def validate_binding(pulses: int, inputs, fixed: Mapping[str, float]) -> None:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 import os
@@ -347,6 +348,37 @@ def test_synthesize_without_hits_on_three_levels_matches_golden(capsys):
     assert (code, err) == (3, "")
     golden = GOLDEN / "synthesize_and_x_two_pulse_half_pi_48.txt"
     assert_same_text(out, golden.read_text(encoding="utf-8"))
+
+
+def test_synthesize_b_orbit_keeps_its_bytes(tmp_path, capsys, monkeypatch):
+    # B's orbit is counted by the sort on any table: one level with no
+    # hits, and three levels over 16 columns with 13,312
+    levels = []
+    original = _kernels.level_pair_counts
+
+    def counted(labels, slots=range(5)):
+        levels.append((int(labels.max()) + 1, labels.shape[1], tuple(slots)))
+        return original(labels, slots)
+
+    monkeypatch.setattr(_kernels, "level_pair_counts", counted)
+    monkeypatch.setattr(_kernels, "_and_pair_counts", None)  # no gemm runs
+    code, out, err = run(capsys, "synthesize", "B", "--lambda", "0", "--grid", "0:1/8pi:16")
+    assert (code, err) == (3, "")
+    golden = GOLDEN / "synthesize_b_lambda_0_eighth_pi_16.txt"
+    assert_same_text(out, golden.read_text(encoding="utf-8"))
+    out_path = tmp_path / "not_b.csv"
+    code, out, err = run(
+        capsys, "synthesize", "NOT B", "--initial", "x", "--pulses", "2",
+        "--inputs", "phi2,phi1", "--fix", "beta1=1/2pi", "--fix", "beta2=1/2pi",
+        "--grid", "0:1/2pi:16", "--out", str(out_path),
+    )
+    assert (code, err) == (0, "")
+    assert levels == [(1, 16, (2,)), (3, 16, (2,))]
+    digests = [hashlib.sha256(text).hexdigest() for text in (out.encode(), out_path.read_bytes())]
+    assert digests == [
+        "dc0f0b0dbf4d0e9c9e6a9e7da7671ed010d363feb7f63efa9816a482913319c4",
+        "5119ecddfbeffbafe94b267e04f187360e696313165b855061905304c472d195",
+    ]
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nmrlogic import _kernels as k
 
@@ -48,6 +49,26 @@ def test_level_labels_need_finite_values_and_tight_levels():
     assert k.level_labels(np.array([[0.0, np.inf]]), 1e-9) is None
     # 0 ~ 0.6 ~ 1.2 chain into one level that spans more than tol
     assert k.level_labels(np.array([[0.0, 0.6, 1.2]]), 1.0) is None
+
+
+@settings(max_examples=60)
+@given(
+    shape=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+    data=st.data(),
+    tol=st.sampled_from([0.0, 1e-9, 0.04]),
+)
+def test_level_labels_equal_a_stable_sort_on_exact_ties(shape, data, tol):
+    # a few multiples of 1/8, -0.0 among them: most cells tie exactly
+    eighths = st.sampled_from([-0.25, -0.125, -0.0, 0.0, 0.125, 0.375])
+    cells = data.draw(st.lists(eighths, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+    table = np.array(cells).reshape(shape)
+    flat = table.ravel()
+    order = np.argsort(flat, kind="stable")
+    expected = np.empty(flat.size, dtype=np.int64)
+    expected[order] = np.concatenate(([0], np.cumsum(np.diff(flat[order]) > tol)))
+    labels = k.level_labels(table, tol)
+    assert labels.dtype == np.int64
+    assert np.array_equal(labels, expected.reshape(shape))
 
 
 def test_chunked_numpy_search_matches_full_broadcast(monkeypatch):

@@ -465,22 +465,16 @@ def test_level_pair_counts_equal_oracle_hits_per_row_pair():
     assert transitive == 6  # the tol=1e-9 tables; the others chain gaps at tol
 
 
-# the representatives counted from h(x, x) alone: T, B and AND
-DIAGONAL_SLOTS = (0, 2, 4)
-
-
-def test_diagonal_pair_counts_equal_level_pair_counts_on_oracle_cases():
+def test_and_pair_counts_equal_level_pair_counts_on_oracle_cases():
     labelled = 0
     for table, tol in ORACLE_CASES:
         labels = _kernels.level_labels(table, tol)
         if labels is None:
             continue
         labelled += 1
-        expected = _kernels.level_pair_counts(labels)
-        for slot in DIAGONAL_SLOTS:
-            counts = _kernels._diagonal_pair_counts(labels, slot)
-            assert counts.dtype == np.int64
-            assert np.array_equal(counts, expected[slot]), slot
+        counts = _kernels._and_pair_counts(labels)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, _kernels.level_pair_counts(labels)[4])
     assert labelled == 6
 
 
@@ -490,9 +484,7 @@ def test_diagonal_pair_counts_equal_level_pair_counts_on_oracle_cases():
     levels=st.sampled_from(["one", "columns", "columns + 1"]),
     data=st.data(),
 )
-def test_diagonal_pair_counts_equal_level_pair_counts_about_the_level_rule(
-    shape, levels, data
-):
+def test_and_pair_counts_equal_level_pair_counts_about_the_level_rule(shape, levels, data):
     na, nb = shape
     m = {"one": 1, "columns": nb, "columns + 1": nb + 1}[levels]
     cells = data.draw(st.lists(st.integers(0, m - 1), min_size=na * nb, max_size=na * nb))
@@ -501,9 +493,10 @@ def test_diagonal_pair_counts_equal_level_pair_counts_about_the_level_rule(
     table = np.array(cells, dtype=np.float64).reshape(na, nb) / 8
     labels = _kernels.level_labels(table, 1e-9)
     assert labels.max() + 1 == m
-    expected = _kernels.level_pair_counts(labels)
-    for slot in DIAGONAL_SLOTS:
-        assert np.array_equal(_kernels._diagonal_pair_counts(labels, slot), expected[slot])
+    # all five sums take the sort; AND alone takes the gemm up to m = nB
+    expected = _kernels.level_pair_counts(labels)[4]
+    assert np.array_equal(_kernels._and_pair_counts(labels), expected)
+    assert np.array_equal(_kernels.level_pair_counts(labels, (4,))[0], expected)
 
 
 def _count_routes(monkeypatch):
@@ -512,7 +505,7 @@ def _count_routes(monkeypatch):
     routes = []
     requested = {
         "level_pair_counts": lambda labels, slots=range(5): tuple(slots),
-        "_diagonal_pair_counts": lambda labels, slot: (slot,),
+        "_and_pair_counts": lambda labels: (4,),
     }
     for name, slots_of in requested.items():
         original = getattr(_kernels, name)
@@ -526,16 +519,12 @@ def _count_routes(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "shape,levels,route",
-    [
-        ((9, 9), 5, "_diagonal_pair_counts"),
-        ((8, 4), 4, "_diagonal_pair_counts"),
-        ((8, 3), 5, "level_pair_counts"),
-    ],
+    "shape,levels,gemm",
+    [((9, 9), 5, True), ((8, 4), 4, True), ((8, 3), 5, False)],
     ids=["fewer-levels", "levels-equal-columns", "more-levels"],
 )
-def test_gate_quadruples_count_t_b_and_orbits_by_the_level_rule(
-    monkeypatch, shape, levels, route
+def test_gate_quadruples_count_the_and_orbit_by_the_level_rule(
+    monkeypatch, shape, levels, gemm
 ):
     rng = np.random.default_rng(levels)
     table = rng.integers(0, levels, size=shape) / 8
@@ -549,13 +538,14 @@ def test_gate_quadruples_count_t_b_and_orbits_by_the_level_rule(
         routes.clear()
         count, blocks = _kernels.gate_quadruples(table, tt.outputs, 1e-9)
         slot = _kernels.orbit_representative(tt.outputs)[0]
-        assert routes == [(route, (slot,))], tt.name
+        # every search asks the one entry point for its own sum; only AND
+        # on a table with no more levels than columns runs the gemm
+        taken = [("_and_pair_counts", (4,))] if slot == 4 and gemm else []
+        assert routes == [("level_pair_counts", (slot,))] + taken, tt.name
         hits = [tuple(row) for block in blocks for row in block.tolist()]
         assert count == len(hits) == total, tt.name
         assert hits == list(oracle_quadruples(table, tt.outputs)), tt.name
         assert total, tt.name
-    # A and XOR need h(x, y) for x != y: they keep the histograms, and
-    # ask for their own sum only
     for tt, slot in ((g.A, 1), (g.NOT_A, 1), (g.XOR, 3), (g.XNOR, 3)):
         routes.clear()
         _kernels.gate_quadruples(table, tt.outputs, 1e-9)
@@ -580,22 +570,36 @@ def test_gate_counts_ask_for_the_union_of_their_gates_slots(monkeypatch, gate_se
     assert counts == [sum(1 for _ in oracle_quadruples(table, tt.outputs)) for tt in gate_set]
 
 
-def test_diagonal_pair_counts_hold_a_few_row_pair_arrays():
+def test_and_orbit_counts_take_the_gemm(monkeypatch):
+    table = np.random.default_rng(7).integers(0, 3, size=(9, 7)) / 8
+    assert _kernels.level_labels(table, 1e-9).max() + 1 == 3
+    routes = _count_routes(monkeypatch)
+    gemm = [("level_pair_counts", (4,)), ("_and_pair_counts", (4,))]
+    counts = _kernels.gate_counts(table, [g.AND.outputs, g.NOR.outputs], 1e-9)
+    assert routes == gemm
+    assert counts == [sum(1 for _ in oracle_quadruples(table, tt.outputs)) for tt in (g.AND, g.NOR)]
+    # count_assignments goes through gate_counts: the thermal mx table on
+    # the pi/2 grid has 3 levels over 8 columns
+    routes.clear()
+    assert syn.count_assignments(THERMAL_MX, g.AND, HALF_PI_GRID) == 256
+    assert routes == gemm
+
+
+def test_and_pair_counts_hold_a_few_row_pair_arrays():
     # 96 x 40 cells, 3 levels: the sort's block of 2^16 cells alone is
     # 0.5 MiB per int64 array, and it keeps a few
     na, nb = 96, 40
     labels = np.random.default_rng(4).integers(0, 3, size=(na, nb))
-    for slot in DIAGONAL_SLOTS:
-        tracemalloc.start()
-        try:
-            counts = _kernels._diagonal_pair_counts(labels, slot)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert counts.shape == (na, na)
-        # three (nA, nA) float64 arrays and the int64 result, one more to
-        # spare, and the indicator
-        assert peak < (5 * na + nb) * na * 8 + 4096, (slot, peak)
+    tracemalloc.start()
+    try:
+        counts = _kernels._and_pair_counts(labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.shape == (na, na)
+    # three (nA, nA) float64 arrays and the int64 result, one more to
+    # spare, and the indicator
+    assert peak < (5 * na + nb) * na * 8 + 4096, peak
 
 
 def test_jittered_table_takes_the_pairwise_fallback():
