@@ -6,10 +6,15 @@ search for gate-realizing parameter quadruples over a candidate grid.
 
 Propagation builds each pulse's rotations on that pulse's own broadcast
 shape, so a grid passed as `a[:, None]` and `b[None, :]` takes O(n)
-trigonometry per pulse.  In a product, points that share a right-hand
-matrix go through one row-stacked gemm, and products where both factors
-vary per point keep a per-point product; either way the bits are those of
-the stacked per-point `np.matmul` (`_product`).
+trigonometry per pulse.  `_product` runs all three 2x2 products, R2 R1,
+U rho0 and (U rho0) U†.  Points that share a right-hand matrix go through
+one row-stacked gemm.  Where each right-hand matrix serves one point,
+four points go through one gemm, their left factors on the diagonal of an
+8x8 zero matrix times their right factors stacked 8x2
+(`_grouped_product`).  Each padding product adds an exact zero, so every
+entry that is not zero keeps the bits of the per-point `np.matmul`; the
+points where the sign of a zero could reach a later product or a readout
+take the per-point call again.
 
 The search tests corner pairs with one comparator: equal level labels
 where the table has levels (`level_labels`), else |x - y| <= tol.  It
@@ -70,22 +75,52 @@ def _rotation_stack(phi: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+# `_grouped_product` runs `_GROUP` points per gemm, `(2G x 2G) @ (2G x 2)`,
+# and takes `_CHUNK_GROUPS` groups at a time through one reused buffer.
+_GROUP = 4
+_CHUNK_GROUPS = 256
+
+
+def _any_zero(out):
+    """(n,) bool: the points of an (n, 2, 2) stack with an exactly zero
+    real or imaginary part in any entry."""
+    return (out.reshape(len(out), 4).view(np.float64) == 0).any(axis=1)
+
+
+def _readout_zeros(rho):
+    """(n,) bool: the points of an (n, 2, 2) stack of rho where a readout
+    combines two exactly zero parts, so that their signs reach it: the
+    real parts of both coherences (mx, my) or their imaginary parts (my).
+    mz reads the real parts of the populations, which sum to the trace, 1,
+    so one of them is never zero."""
+    zero = rho.reshape(len(rho), 4).view(np.float64) == 0
+    return (zero[:, 2] & zero[:, 4]) | (zero[:, 3] & zero[:, 5])
+
+
+def _product(left: np.ndarray, right: np.ndarray, redo=_any_zero) -> np.ndarray:
     """`left @ right` over broadcast stacks of 2x2 matrices, bit for bit.
 
-    Points that share a right-hand matrix go through one row-stacked gemm,
-    `(rows, 2) @ (2, 2)`, which rounds each row as the per-point call
-    does; products where both factors vary per point keep a per-point
-    product.  The axes along which `right` varies come first, so one `@`
-    over `(distinct, rows, 2)` runs both; the other point axes follow in
-    `left`'s memory order, so a `left` that is a transposed view is
-    reshaped without a copy.
+    When every right-hand matrix serves one point, the product comes out
+    C-ordered from `_grouped_product`, four points per gemm, and `redo`
+    marks the points whose signs of zero matter: `_any_zero` for a
+    product that feeds later products, `_readout_zeros` for rho.
+
+    Otherwise the points that share a right-hand matrix go through one
+    row-stacked gemm, `(rows, 2) @ (2, 2)`, which rounds each row as the
+    per-point call does.  The axes along which `right` varies come first,
+    so one `@` over `(distinct, rows, 2)` makes one gemm per distinct
+    right-hand matrix; the other point axes follow in `left`'s memory
+    order, so a `left` that is a transposed view is reshaped without a
+    copy.
     """
     shape = np.broadcast_shapes(left.shape, right.shape)
     right = right.reshape((1,) * (len(shape) - right.ndim) + right.shape)
     left = np.broadcast_to(left, shape)
     varies = [axis for axis in range(len(shape) - 2) if right.shape[axis] != 1]
     points = [axis for axis in range(len(shape) - 2) if axis not in varies]
+    if math.prod(shape[axis] for axis in points) == 1:
+        right = np.broadcast_to(right, shape).reshape(-1, 2, 2)
+        return _grouped_product(left.reshape(-1, 2, 2), right, redo).reshape(shape)
     points.sort(key=lambda axis: -abs(left.strides[axis]))
     order = varies + points + [len(shape) - 2, len(shape) - 1]
     left = left.transpose(order)
@@ -94,6 +129,35 @@ def _product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     out = left.reshape(distinct, rows, 2) @ right.transpose(order).reshape(distinct, 2, 2)
     inverse = sorted(range(len(order)), key=order.__getitem__)
     return out.reshape(left.shape).transpose(inverse)
+
+
+def _grouped_product(left, right, redo):
+    """(n, 2, 2) C-ordered `left @ right` of two (n, 2, 2) stacks, with
+    the bits of the per-point `@`.
+
+    N stays 2 and each padding product adds an exact zero to a sum over
+    K = 2G, so an entry that is not zero keeps its per-point bits; a zero
+    may take the other sign.  The points that `redo` marks, and the 0-3 left over
+    after the groups, take the per-point `@` on the same strides.
+    """
+    n = len(left)
+    out = np.empty((n, 2, 2), dtype=np.complex128)
+    grouped = n - n % _GROUP
+    size = 2 * _GROUP
+    buffer = np.zeros((min(grouped // _GROUP, _CHUNK_GROUPS), size, size), dtype=np.complex128)
+    # a writable view of the diagonal 2x2 blocks; the rest stays zero
+    blocks = np.einsum("gjajb->gjab", buffer.reshape(len(buffer), _GROUP, 2, _GROUP, 2))
+    step = _CHUNK_GROUPS * _GROUP
+    for start in range(0, grouped, step):
+        stop = min(start + step, grouped)
+        g = (stop - start) // _GROUP
+        blocks[:g] = left[start:stop].reshape(g, _GROUP, 2, 2)
+        np.matmul(
+            buffer[:g], right[start:stop].reshape(g, size, 2), out=out[start:stop].reshape(g, size, 2)
+        )
+    again = np.append(np.flatnonzero(redo(out[:grouped])), np.arange(grouped, n))
+    out[again] = left[again] @ right[again]
+    return out
 
 
 def two_pulse_components(phi2, beta2, phi1, beta1, lambda_b, from_x):
@@ -119,7 +183,10 @@ def two_pulse_components(phi2, beta2, phi1, beta1, lambda_b, from_x):
     phi2, beta2, phi1, beta1 = (
         np.asarray(v, dtype=np.float64) for v in (phi2, beta2, phi1, beta1)
     )
-    u = _product(_rotation_stack(phi2, beta2), _rotation_stack(phi1, beta1))
+    # in C order (R2 R1 is a transposed view when R1 varies along a later
+    # axis), so that U rho0 and U† flatten without a copy for the grouped
+    # product, and rho and the readouts come out C-ordered
+    u = np.ascontiguousarray(_product(_rotation_stack(phi2, beta2), _rotation_stack(phi1, beta1)))
 
     rho0 = np.zeros((2, 2), dtype=np.complex128)
     rho0[0, 0] = rho0[1, 1] = 0.5
@@ -129,10 +196,12 @@ def two_pulse_components(phi2, beta2, phi1, beta1, lambda_b, from_x):
         rho0[0, 0] += 0.25 * lambda_b
         rho0[1, 1] -= 0.25 * lambda_b
 
-    # C order whatever u's memory order, so the readouts come out C-ordered
-    rho = np.matmul(_product(u, rho0), u.conj().swapaxes(-1, -2), order="C")
+    u_rho0 = _product(u, rho0)
+    u_dagger = u.conj().swapaxes(-1, -2)
+    del u  # U† is a copy: three (..., 2, 2) stacks at a time, not four
+    rho = _product(u_rho0, u_dagger, _readout_zeros)
     mx = 0.5 * (rho[..., 0, 1] + rho[..., 1, 0]).real
-    my = (0.5j * (rho[..., 0, 1] - rho[..., 1, 0])).real
+    my = (0.5j * (rho[..., 0, 1] - rho[..., 1, 0])).real.copy()
     mz = 0.5 * (rho[..., 0, 0] - rho[..., 1, 1]).real
     return mx, my, mz
 

@@ -433,6 +433,23 @@ def test_synthesize_pairwise_route_matches_golden(capsys):
             ),
             "grid_x_two_pulse_quarter_pi_8.csv",
         ),
+        # every coherence real part is zero: rho is made per point
+        (
+            (
+                "--initial", "z", "--pulses", "2", "--inputs", "beta2,beta1",
+                "--fix", "phi2=0", "--fix", "phi1=0", "--grid", "0:1/4pi:8",
+            ),
+            "grid_z_two_pulse_beta2_beta1_quarter_pi_8.txt",
+        ),
+        # both inputs in pulse 1: R2 R1 is made per point
+        (
+            (
+                "--initial", "x", "--pulses", "2", "--inputs", "phi1,beta1",
+                "--fix", "phi2=1/2pi", "--fix", "beta2=1/2pi",
+                "--grid", "0:1/4pi:8", "--out", "OUT",
+            ),
+            "grid_x_two_pulse_phi1_beta1_quarter_pi_8.csv",
+        ),
     ],
 )
 def test_grid_output_matches_golden(tmp_path, capsys, argv, golden):

@@ -141,47 +141,68 @@ def _stacked_components(phi2, beta2, phi1, beta1, lambda_b, from_x):
     return mx, my, mz
 
 
+def _bits(values):
+    """uint64 bits of a float64 array or scalar: -0.0 differs from 0.0."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
 TWO_PULSE = ("phi2", "beta2", "phi1", "beta1")
-AXIS_A = PI / 100 * np.arange(41) - 1.3  # pi/100 steps, as grid exports use
-AXIS_B = np.random.default_rng(5).uniform(-7.0, 7.0, 29)
+# Angles whose rotations hold exactly zero parts, so that products sum
+# exact zeros of either sign
+ZERO_MAKERS = np.array([0.0, -0.0, PI, -PI, 2 * PI, -2 * PI, PI / 2])
+# pi/100 steps, as grid exports use
+AXIS_A = np.concatenate((ZERO_MAKERS, PI / 100 * np.arange(41) - 1.3))
+AXIS_B = np.concatenate((ZERO_MAKERS[::-1], np.random.default_rng(5).uniform(-7.0, 7.0, 29)))
 INPUT_FORMS = {
     "column-row": (AXIS_A[:, None], AXIS_B[None, :]),
     "row-column": (AXIS_A[None, :], AXIS_B[:, None]),
     "meshgrid": tuple(np.meshgrid(AXIS_A, AXIS_B, indexing="ij")),
-    "1-d": (AXIS_A[:29], AXIS_B),
+    "1-d": (AXIS_A[: len(AXIS_B)], AXIS_B),
     "scalar": (AXIS_A[7], AXIS_B[3]),
+}
+# The values of the two parameters that are not inputs, by the order of
+# TWO_PULSE.  "zeros" fixes both phases at +-0 (with beta2 and beta1 as
+# inputs, the z-state coherences are then all imaginary), and "zeros" and
+# "pis" fix the flips at multiples of pi, so that R2 R1 holds exact zeros.
+FIXED = {
+    "generic": (PI / 2, PI, 0.3, -1.1),
+    "zeros": (0.0, 2 * PI, -0.0, PI),
+    "pis": (PI, 2 * PI, PI, PI),
 }
 
 
+@pytest.mark.parametrize("fixed", FIXED)
 @pytest.mark.parametrize("form", INPUT_FORMS)
 @pytest.mark.parametrize("from_x", [False, True], ids=["z", "x"])
 @pytest.mark.parametrize(
     "inputs", list(itertools.permutations(TWO_PULSE, 2)), ids="-".join
 )
-def test_two_pulse_components_match_the_stacked_chain_bit_for_bit(inputs, from_x, form):
-    bound = dict(zip(TWO_PULSE, (PI / 2, PI, 0.3, -1.1)))
+def test_two_pulse_components_match_the_stacked_chain_bit_for_bit(inputs, from_x, form, fixed):
+    bound = dict(zip(TWO_PULSE, FIXED[fixed]))
     bound.update(zip(inputs, INPUT_FORMS[form]))
     args = [bound[p] for p in TWO_PULSE]
     for new, old in zip(
         k.two_pulse_components(*args, 0.8, from_x), _stacked_components(*args, 0.8, from_x)
     ):
         assert np.shape(new) == np.shape(old)
-        assert np.array_equal(new, old)
+        assert np.array_equal(_bits(new), _bits(old))
 
 
 @pytest.mark.parametrize("form", INPUT_FORMS)
 @pytest.mark.parametrize(
     "inputs", list(itertools.permutations(TWO_PULSE, 2)), ids="-".join
 )
-def test_two_pulse_components_keep_mx_and_mz_c_ordered(inputs, form):
-    # U is a transposed view on some layouts (R1 varying along a later
-    # axis than R2); the outputs still come out in C order
-    bound = dict(zip(TWO_PULSE, (PI / 2, PI, 0.3, -1.1)))
+def test_two_pulse_components_keep_mx_my_and_mz_c_ordered(inputs, form):
+    # R2 R1 comes out as a transposed view on some layouts (R1 varying
+    # along a later axis than R2); the outputs still come out in C order,
+    # and own their memory rather than view a complex array
+    bound = dict(zip(TWO_PULSE, FIXED["generic"]))
     bound.update(zip(inputs, INPUT_FORMS[form]))
     args = [bound[p] for p in TWO_PULSE]
     for from_x in (False, True):
-        mx, _, mz = k.two_pulse_components(*args, 0.8, from_x)
-        assert mx.flags.c_contiguous and mz.flags.c_contiguous
+        for component in k.two_pulse_components(*args, 0.8, from_x):
+            if isinstance(component, np.ndarray):
+                assert component.flags.c_contiguous and component.base is None
 
 
 def test_product_of_a_transposed_stack_and_a_constant_copies_nothing():
@@ -211,13 +232,14 @@ def test_product_of_a_transposed_stack_and_a_constant_copies_nothing():
 SLICE_AXIS_B = PI / 100 * np.arange(-150, 150) + 0.05
 
 
+@pytest.mark.parametrize("fixed", FIXED)
 @pytest.mark.parametrize("from_x", [False, True], ids=["z", "x"])
 @pytest.mark.parametrize(
     "inputs", list(itertools.permutations(TWO_PULSE, 2)), ids="-".join
 )
-def test_two_pulse_components_of_row_slices_equal_the_whole_grid_rows(inputs, from_x):
+def test_two_pulse_components_of_row_slices_equal_the_whole_grid_rows(inputs, from_x, fixed):
     def components(a, b):
-        bound = dict(zip(TWO_PULSE, (PI / 2, PI, 0.3, -1.1)))
+        bound = dict(zip(TWO_PULSE, FIXED[fixed]))
         bound.update(zip(inputs, (a, b)))
         return k.two_pulse_components(*(bound[p] for p in TWO_PULSE), 0.8, from_x)
 
@@ -226,4 +248,36 @@ def test_two_pulse_components_of_row_slices_equal_the_whole_grid_rows(inputs, fr
         for k0 in range(0, len(AXIS_A), rows):
             part = components(AXIS_A[k0 : k0 + rows, None], SLICE_AXIS_B[None, :])
             for new, old in zip(part, whole):
-                assert np.array_equal(new, old[k0 : k0 + rows]), (rows, k0)
+                assert np.array_equal(_bits(new), _bits(old[k0 : k0 + rows])), (rows, k0)
+
+
+def _grouped_product_factors(n, layout):
+    # half the points normal, half with parts drawn from a few values that
+    # make exact zeros of both signs in the factors and in the products
+    rng = np.random.default_rng(n)
+    normal = rng.standard_normal((2, n, 2, 2, 2))
+    few = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5, -2.0], size=(2, n, 2, 2, 2))
+    parts = np.where(np.arange(n)[:, None, None, None] % 2 == 1, few, normal)
+    # a view keeps the drawn signs of zero, which `re + 1j * im` would not
+    left, right = parts.view(np.complex128)[..., 0]
+    transposed = lambda m: np.ascontiguousarray(m.swapaxes(-1, -2)).swapaxes(-1, -2)
+    if layout == "left-transposed":
+        left = transposed(left)
+    elif layout == "right-transposed":
+        right = transposed(right)
+    return left, right
+
+
+CHUNK_POINTS = k._CHUNK_GROUPS * k._GROUP
+
+
+@pytest.mark.parametrize("layout", ["c", "left-transposed", "right-transposed"])
+@pytest.mark.parametrize(
+    "n", [*range(1, 10), *(CHUNK_POINTS + d for d in (-5, -4, -1, 0, 1, 3, 4)), 2 * CHUNK_POINTS + 7]
+)
+def test_grouped_product_keeps_the_per_point_bits(n, layout):
+    left, right = _grouped_product_factors(n, layout)
+    expected = np.stack([a @ b for a, b in zip(left, right)])
+    out = k._grouped_product(left, right, k._any_zero)
+    assert out.flags.c_contiguous
+    assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
