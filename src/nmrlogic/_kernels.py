@@ -109,9 +109,7 @@ def _product(left: np.ndarray, right: np.ndarray, redo=_any_zero) -> np.ndarray:
     row-stacked gemm, `(rows, 2) @ (2, 2)`, which rounds each row as the
     per-point call does.  The axes along which `right` varies come first,
     so one `@` over `(distinct, rows, 2)` makes one gemm per distinct
-    right-hand matrix; the other point axes follow in `left`'s memory
-    order, so a `left` that is a transposed view is reshaped without a
-    copy.
+    right-hand matrix.
     """
     shape = np.broadcast_shapes(left.shape, right.shape)
     right = right.reshape((1,) * (len(shape) - right.ndim) + right.shape)
@@ -121,7 +119,6 @@ def _product(left: np.ndarray, right: np.ndarray, redo=_any_zero) -> np.ndarray:
     if math.prod(shape[axis] for axis in points) == 1:
         right = np.broadcast_to(right, shape).reshape(-1, 2, 2)
         return _grouped_product(left.reshape(-1, 2, 2), right, redo).reshape(shape)
-    points.sort(key=lambda axis: -abs(left.strides[axis]))
     order = varies + points + [len(shape) - 2, len(shape) - 1]
     left = left.transpose(order)
     distinct = math.prod(left.shape[: len(varies)])

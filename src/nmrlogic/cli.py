@@ -5,6 +5,11 @@ Subcommands: ``grid`` (CSV export of observable grids), ``classify``
 (search gate realizations over a candidate grid) and ``verify``
 (recompute the built-in reference values and capability claims).
 
+Each subcommand's help, gate token and option flags come from one
+table, `_COMMANDS`, and each flag's `add_argument` keywords from
+`_FLAGS`.  A flag's name without "--" is also its key in a `--config`
+file of key=value lines; flags given on the command line win.
+
 Exit codes: 0 success, 1 usage/config error, 2 I/O error, 3 no solution
 found, 4 verification failure.
 
@@ -21,7 +26,7 @@ import contextlib
 import math
 import re
 import sys
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -98,162 +103,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 1 on bad usage, not argparse's 2
         raise _UsageError(message)
-
-
-def _add_flags(
-    parser: argparse.ArgumentParser,
-    *,
-    scenario: bool,
-    observable: bool = False,
-    tol_help: Optional[str] = None,
-) -> None:
-    """Add the option flags a subcommand reads.
-
-    `scenario` adds the flags that define the experiment plus --out,
-    `observable` adds --observable, and `tol_help` adds --tol with that
-    help text.  Each flag name without "--" is also a --config key.
-    """
-    if scenario:
-        parser.add_argument("--initial", choices=["z", "x"], help="initial state")
-        parser.add_argument("--pulses", type=int, choices=[1, 2], help="pulse count")
-        parser.add_argument(
-            "--inputs",
-            help="comma-separated parameters bound to logic inputs A,B "
-            "(phi,beta for 1 pulse; phi1,beta1,phi2,beta2 for 2 pulses)",
-        )
-        parser.add_argument(
-            "--fix",
-            action="append",
-            default=None,
-            metavar="PARAM=ANGLE",
-            help="fix a non-input parameter (repeatable)",
-        )
-    if observable:
-        parser.add_argument(
-            "--observable", choices=["mx", "my", "mxy"], help="detected quantity"
-        )
-    parser.add_argument(
-        "--lambda", dest="lambda_b", type=float, help="polarization scale"
-    )
-    parser.add_argument("--grid", help="candidate grid start:step:count")
-    if scenario:
-        parser.add_argument("--out", help="output path (default: stdout)")
-    if tol_help:
-        parser.add_argument("--tol", type=float, help=tol_help)
-    parser.add_argument("--config", help="key=value config file; flags win")
-
-
-_EPILOG = (
-    "gate ids read the truth-table output column for inputs "
-    "(0,0),(0,1),(1,0),(1,1) as binary, most significant bit first "
-    "(B=5, XOR=6, NAND=14); angles are radians or multiples of pi "
-    "like '3/2pi'; grids are start:step:count"
-)
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(
-        prog="nmrlogic", description=__doc__.splitlines()[0], epilog=_EPILOG
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_grid = sub.add_parser(
-        "grid", help="export an observable grid as CSV", epilog=_EPILOG
-    )
-    # grid writes the Mx, My and Mxy columns, so it takes no --observable
-    _add_flags(p_grid, scenario=True)
-    p_grid.set_defaults(run=cmd_grid)
-
-    p_classify = sub.add_parser(
-        "classify", help="classify a boolean gate", epilog=_EPILOG
-    )
-    p_classify.add_argument("gate", help="gate name or id 0-15")
-    p_classify.set_defaults(run=cmd_classify)
-
-    p_synth = sub.add_parser(
-        "synthesize", help="search gate realizations", epilog=_EPILOG
-    )
-    p_synth.add_argument("gate", help="gate name or id 0-15")
-    _add_flags(
-        p_synth, scenario=True, observable=True, tol_help="numeric tolerance override"
-    )
-    p_synth.set_defaults(run=cmd_synthesize)
-
-    p_verify = sub.add_parser(
-        "verify", help="recompute built-in reference values", epilog=_EPILOG
-    )
-    _add_flags(
-        p_verify,
-        scenario=False,
-        tol_help="tolerance of the reference-table checks only "
-        f"(default {synthesis.DEFAULT_REFERENCE_TOL:g}); "
-        "the capability claims always run at the search tolerance "
-        f"DEFAULT_LEVEL_TOL = {synthesis.DEFAULT_LEVEL_TOL:g}",
-    )
-    p_verify.set_defaults(run=cmd_verify)
-    parser.commands = sub.choices  # name -> subcommand parser, for --config keys
-    return parser
-
-
-def _load_config(path: str) -> dict:
-    values: dict = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for raw in handle:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"config line is not key=value: {line!r}")
-            key, value = line.split("=", 1)
-            key = key.strip().lower()
-            value = value.strip()
-            if key == "fix":
-                values.setdefault("fix", []).append(value)
-            elif key in values:
-                raise ValueError(f"config key {key!r} is given more than once")
-            else:
-                values[key] = value
-    return values
-
-
-def _merge_config(
-    args: argparse.Namespace, parser: argparse.ArgumentParser
-) -> argparse.Namespace:
-    """Fill the flags left unset from the --config file; `parser` is the
-    subcommand's, so a key it has no flag for is an error."""
-    if not getattr(args, "config", None):
-        return args
-    actions = {
-        action.option_strings[0][2:]: action
-        for action in parser._actions
-        if action.option_strings and action.dest not in ("help", "config")
-    }
-    for key, value in _load_config(args.config).items():
-        if key not in actions:
-            raise ValueError(
-                f"unknown config key {key!r} for {args.command}; "
-                f"valid: {', '.join(actions)}"
-            )
-        action = actions[key]
-        if getattr(args, action.dest) is None:
-            setattr(args, action.dest, _config_value(key, action, value))
-    return args
-
-
-def _config_value(key: str, action: argparse.Action, value):
-    """`value` converted and checked as the flag behind `key` would be."""
-    where = f"config key {key!r} (--{key})"
-    if action.type is not None:
-        try:
-            value = action.type(value)
-        except ValueError:
-            raise ValueError(
-                f"{where}: invalid {action.type.__name__} value: {value!r}"
-            ) from None
-    if action.choices is not None and value not in action.choices:
-        choices = ", ".join(map(str, action.choices))
-        raise ValueError(f"{where}: invalid choice: {value!r} (choose from {choices})")
-    return value
 
 
 def _scenario_from_args(args: argparse.Namespace) -> synthesis.Scenario:
@@ -477,16 +326,160 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if failures == 0 else EXIT_VERIFY_FAILED
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+# `add_argument` keywords of each option flag, keyed by the flag name
+# without "--", which is also its --config key
+_FLAGS = {
+    "initial": dict(choices=["z", "x"], help="initial state"),
+    "pulses": dict(type=int, choices=[1, 2], help="pulse count"),
+    "inputs": dict(
+        help="comma-separated parameters bound to logic inputs A,B "
+        "(phi,beta for 1 pulse; phi1,beta1,phi2,beta2 for 2 pulses)"
+    ),
+    "fix": dict(
+        action="append",
+        default=None,
+        metavar="PARAM=ANGLE",
+        help="fix a non-input parameter (repeatable)",
+    ),
+    "observable": dict(choices=["mx", "my", "mxy"], help="detected quantity"),
+    "lambda": dict(dest="lambda_b", type=float, help="polarization scale"),
+    "grid": dict(help="candidate grid start:step:count"),
+    "out": dict(help="output path (default: stdout)"),
+    "tol": dict(type=float),  # its help is the subcommand's `tol_help`
+    "config": dict(help="key=value config file; flags win"),
+}
+
+
+class _Command(NamedTuple):
+    help: str
+    run: Callable[[argparse.Namespace], int]
+    gate: bool = False  # takes a gate token
+    flags: Sequence[str] = ()  # keys of _FLAGS, in help order
+    tol_help: Optional[str] = None
+
+
+# every subcommand, in help order
+_COMMANDS = {
+    # grid writes the Mx, My and Mxy columns, so it takes no --observable
+    "grid": _Command(
+        "export an observable grid as CSV",
+        cmd_grid,
+        flags="initial pulses inputs fix lambda grid out config".split(),
+    ),
+    "classify": _Command("classify a boolean gate", cmd_classify, gate=True),
+    "synthesize": _Command(
+        "search gate realizations",
+        cmd_synthesize,
+        gate=True,
+        flags="initial pulses inputs fix observable lambda grid out tol config".split(),
+        tol_help="numeric tolerance override",
+    ),
+    "verify": _Command(
+        "recompute built-in reference values",
+        cmd_verify,
+        flags="lambda grid tol config".split(),
+        tol_help="tolerance of the reference-table checks only "
+        f"(default {synthesis.DEFAULT_REFERENCE_TOL:g}); "
+        "the capability claims always run at the search tolerance "
+        f"DEFAULT_LEVEL_TOL = {synthesis.DEFAULT_LEVEL_TOL:g}",
+    ),
+}
+
+_EPILOG = (
+    "gate ids read the truth-table output column for inputs "
+    "(0,0),(0,1),(1,0),(1,1) as binary, most significant bit first "
+    "(B=5, XOR=6, NAND=14); angles are radians or multiples of pi "
+    "like '3/2pi'; grids are start:step:count"
+)
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(
+        prog="nmrlogic", description=__doc__.splitlines()[0], epilog=_EPILOG
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
+        p_command = sub.add_parser(name, help=command.help, epilog=_EPILOG)
+        if command.gate:
+            p_command.add_argument("gate", help="gate name or id 0-15")
+        for flag in command.flags:
+            keywords = _FLAGS[flag]
+            if flag == "tol":
+                keywords = dict(keywords, help=command.tol_help)
+            p_command.add_argument(f"--{flag}", **keywords)
+    return parser
+
+
+def _load_config(path: str) -> dict:
     try:
-        args = parser.parse_args(argv)
+        # utf-8-sig drops the byte-order mark that some editors write first
+        with open(path, "r", encoding="utf-8-sig") as handle:
+            lines = list(handle)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read config {path}: {exc}") from None
+    values: dict = {}
+    for raw in lines:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"config line is not key=value: {line!r}")
+        key, value = line.split("=", 1)
+        key = key.strip().lower()
+        value = value.strip()
+        if key == "fix":
+            values.setdefault("fix", []).append(value)
+        elif key in values:
+            raise ValueError(f"config key {key!r} is given more than once")
+        else:
+            values[key] = value
+    return values
+
+
+def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
+    """Fill the flags left unset from the --config file; a key that is not
+    one of the subcommand's flags is an error."""
+    if not getattr(args, "config", None):
+        return args
+    keys = [flag for flag in _COMMANDS[args.command].flags if flag != "config"]
+    for key, value in _load_config(args.config).items():
+        if key not in keys:
+            raise ValueError(
+                f"unknown config key {key!r} for {args.command}; "
+                f"valid: {', '.join(keys)}"
+            )
+        dest = _FLAGS[key].get("dest", key)
+        if getattr(args, dest) is None:
+            setattr(args, dest, _config_value(key, value))
+    return args
+
+
+def _config_value(key: str, value):
+    """`value` converted and checked as the flag behind `key` would be."""
+    where = f"config key {key!r} (--{key})"
+    convert = _FLAGS[key].get("type")
+    if convert is not None:
+        try:
+            value = convert(value)
+        except ValueError:
+            raise ValueError(
+                f"{where}: invalid {convert.__name__} value: {value!r}"
+            ) from None
+    choices = _FLAGS[key].get("choices")
+    if choices is not None and value not in choices:
+        choices = ", ".join(map(str, choices))
+        raise ValueError(f"{where}: invalid choice: {value!r} (choose from {choices})")
+    return value
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    try:
+        args = build_parser().parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        args = _merge_config(args, parser.commands[args.command])
-        return args.run(args)
+        return _COMMANDS[args.command].run(_merge_config(args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

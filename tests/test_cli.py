@@ -285,6 +285,21 @@ def test_help_documents_gate_id_convention(capsys):
     assert "XOR=6" in out
 
 
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11),
+    reason="argparse lays help out differently on each Python minor; the goldens are from 3.11",
+)
+@pytest.mark.parametrize("command", ["", "grid", "classify", "synthesize", "verify"])
+def test_help_matches_golden(capsys, monkeypatch, command):
+    # argparse wraps help to the COLUMNS width; the goldens are 80 wide
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main([command, "--help"] if command else ["--help"])
+    assert excinfo.value.code == 0
+    golden = f"help_{command}.txt" if command else "help.txt"
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
 # verify subcommand -----------------------------------------------------------
 
 
@@ -717,6 +732,28 @@ def test_config_keys_follow_the_flags(tmp_path, capsys):
     assert out.splitlines()[0] == (
         "verification run: lambda=0.5, tol=1e-12, search grid 0:1.57079632679:8"
     )
+
+
+def test_config_with_a_byte_order_mark_reads_as_without(tmp_path, capsys):
+    # some Windows editors start a UTF-8 file with a byte-order mark
+    text = "initial=x\ngrid=0:1/2pi:4\n"
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbfinitial=x")
+    expected = run(capsys, "grid", "--config", str(plain))
+    assert expected[0] == 0
+    assert run(capsys, "grid", "--config", str(marked)) == expected
+
+
+def test_config_that_is_not_utf8_names_its_path(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"grid=0:1/2pi:4\n\xff\n")
+    code, out, err = run(capsys, "synthesize", "XOR", "--config", str(config))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read config {config}: ")
+    assert "can't decode byte 0xff" in err
+    assert err.count("\n") == 1
 
 
 def test_config_bad_line(tmp_path, capsys):
