@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import re
 import sys
@@ -393,7 +394,16 @@ _EPILOG = (
 )
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI parser, built on the first call and shared by every later
+    call in the process; callers must not mutate it.
+
+    Reuse is safe because `parse_args` keeps no state on the parser: each
+    call fills a fresh namespace, `--fix` appends to a list that starts as
+    None, `--config` is merged into the namespace only, and the help
+    width is read from COLUMNS each time help is formatted.
+    """
     parser = _Parser(
         prog="nmrlogic", description=__doc__.splitlines()[0], epilog=_EPILOG
     )

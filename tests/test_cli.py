@@ -2,6 +2,7 @@ import hashlib
 import io
 import math
 import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -285,19 +286,85 @@ def test_help_documents_gate_id_convention(capsys):
     assert "XOR=6" in out
 
 
-@pytest.mark.skipif(
+help_goldens = pytest.mark.skipif(
     sys.version_info[:2] != (3, 11),
     reason="argparse lays help out differently on each Python minor; the goldens are from 3.11",
 )
+
+
+def run_help(capsys, *argv):
+    """The help screen `main` prints for `argv`, which must exit 0."""
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main([*argv, "--help"])
+    assert excinfo.value.code == 0
+    return capsys.readouterr().out
+
+
+@help_goldens
 @pytest.mark.parametrize("command", ["", "grid", "classify", "synthesize", "verify"])
 def test_help_matches_golden(capsys, monkeypatch, command):
     # argparse wraps help to the COLUMNS width; the goldens are 80 wide
     monkeypatch.setenv("COLUMNS", "80")
-    with pytest.raises(SystemExit) as excinfo:
-        cli.main([command, "--help"] if command else ["--help"])
-    assert excinfo.value.code == 0
+    out = run_help(capsys, *command.split())
     golden = f"help_{command}.txt" if command else "help.txt"
-    assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+# one parser per process ------------------------------------------------------
+
+
+def run_fresh(*argv):
+    """Exit code, stdout and stderr of `argv` in a new interpreter."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nmrlogic.cli", *argv],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+
+
+def test_repeated_main_calls_do_not_affect_each_other(tmp_path, capsys):
+    cli.build_parser.cache_clear()
+    # calls with --fix, --config, a bad choice and --help on the shared parser
+    code, out, _ = run(
+        capsys, "grid", "--initial", "x", "--pulses", "2", "--inputs", "phi2,phi1",
+        "--fix", "beta1=1/2pi", "--fix", "beta2=1/2pi", "--grid", "0:1/4pi:8",
+    )
+    assert (code, out.splitlines()[0]) == (0, "phi2,phi1,Mx,My,Mxy")
+    config = tmp_path / "run.cfg"
+    config.write_text("initial=x\nobservable=my\ngrid=0:1/2pi:4\n")
+    code, out, _ = run(capsys, "synthesize", "XOR", "--config", str(config))
+    assert (code, out) == (3, "no XOR assignments on grid 0:1.57079632679:4\n")
+    code, out, err = run(capsys, "synthesize", "XOR", "--observable", "mz")
+    assert (code, out) == (1, "")
+    assert "invalid choice: 'mz'" in err
+    assert "--observable" in run_help(capsys, "synthesize")
+    # none of them may leak into later calls, which must match a fresh process
+    goldens = {
+        ("classify", "XOR"): "classify_xor.txt",
+        ("synthesize", "XOR", "--grid", "0:1/4pi:16"): "synthesize_xor_quarter_pi_16.txt",
+    }
+    no_fix = ("grid", "--pulses", "2", "--inputs", "phi2,phi1", "--grid", "0:1/4pi:8")
+    for argv in [*goldens, no_fix]:
+        result = run(capsys, *argv)
+        assert result == run_fresh(*argv)
+        if argv in goldens:
+            assert result == (0, (GOLDEN / goldens[argv]).read_text(encoding="utf-8"), "")
+        else:  # fails naming the parameters it needs fixed
+            assert result[:2] == (1, "")
+            assert "['beta1', 'beta2']" in result[2]
+    assert cli.build_parser.cache_info().misses == 1
+
+
+@help_goldens
+def test_help_width_follows_columns_on_each_call(capsys, monkeypatch):
+    golden = (GOLDEN / "help_synthesize.txt").read_text(encoding="utf-8")
+    for columns, matches in (("80", True), ("120", False), ("80", True)):
+        monkeypatch.setenv("COLUMNS", columns)
+        assert (run_help(capsys, "synthesize") == golden) is matches
 
 
 # verify subcommand -----------------------------------------------------------
