@@ -4,15 +4,9 @@ from .spincore import (
     DensityMatrix,
     Magnetization,
     Pulse,
-    commutator,
-    commutes,
     magnetization,
     propagate,
-    rot_axis,
     rot_phi,
-    sequence_propagator,
-    spin_operator,
-    spin_vector,
     superposition_x_state,
     thermal_state,
 )
@@ -29,7 +23,6 @@ from .gates import (
     TruthTable,
     canalising_counts,
     gate_class,
-    is_canalising_value,
     orbit,
     parse_gate,
     truth_table,
@@ -40,7 +33,6 @@ from .synthesis import (
     achievable_classes,
     assignment_realizes,
     capability_checks,
-    evaluate_scenario,
     synthesize,
     verify_reference_tables,
 )
@@ -64,20 +56,12 @@ __all__ = [
     "assignment_realizes",
     "canalising_counts",
     "capability_checks",
-    "commutator",
-    "commutes",
-    "evaluate_scenario",
     "gate_class",
-    "is_canalising_value",
     "magnetization",
     "orbit",
     "parse_gate",
     "propagate",
-    "rot_axis",
     "rot_phi",
-    "sequence_propagator",
-    "spin_operator",
-    "spin_vector",
     "superposition_x_state",
     "synthesize",
     "thermal_state",

@@ -477,7 +477,8 @@ def _search(values, outputs, tol):
 
 
 def _quadruple_blocks(table, outputs, close, candidates=None):
-    """Yield the realizing quadruples of `table` in non-empty blocks.
+    """An iterator over the realizing quadruples of `table` in non-empty
+    blocks.
 
     A corner pair passes when `close` holds exactly when its two bits
     agree.  `candidates[i0, i1]` marks the row pairs that may hold hits;
@@ -486,19 +487,26 @@ def _quadruple_blocks(table, outputs, close, candidates=None):
     (nA, nB, nB) boolean built a block of rows at a time.  Stage 2 takes
     row pairs (i0, i1) in blocks of about `_BLOCK_QUADRUPLES` quadruples,
     tests their columns from their two rows, and the two diagonals of the
-    survivors.
+    survivors.  Both arrays are allocated here, not at the first block, so
+    a search too large for memory fails before `gate_quadruples` returns.
     """
     na, nb = table.shape
+    rows = np.empty((na, nb, nb), dtype=bool)
     pairwise = candidates is None
     if pairwise:
         candidates = np.empty((na, na), dtype=bool)
+    return _blocks(table, outputs, close, rows, candidates, pairwise)
 
+
+def _blocks(table, outputs, close, rows, candidates, pairwise):
+    """Yield the blocks of `_quadruple_blocks`, filling its row test
+    `rows` and, when `pairwise`, its `candidates`."""
+    na, nb = table.shape
     o00, o01, o10, o11 = outputs
     # rows[i, j0, j1]: columns j0 and j1 of row i are close.  Rows i0 and
     # i1 read it, negated where their two bits differ: x & ~y is x > y.
     top = np.logical_and if o00 == o01 else np.greater
     bottom = np.logical_and if o10 == o11 else np.greater
-    rows = np.empty((na, nb, nb), dtype=bool)
     step = max(1, _BLOCK_QUADRUPLES // (max(na, nb) * nb))
     for start in range(0, na, step):
         block = table[start:start + step]

@@ -1,9 +1,9 @@
 """Exact spin-1/2 algebra on 2x2 complex matrices.
 
-Everything here is closed-form: spin operators, rotation propagators about
-an axis in the transverse plane, thermal / x-polarised initial states,
-unitary propagation of density matrices and magnetization readout.  All
-values are immutable after construction and all functions are pure.
+Everything here is closed-form: rotation propagators about an axis in the
+transverse plane, thermal / x-polarised initial states, unitary
+propagation of density matrices and magnetization readout.  All values
+are immutable after construction and all functions are pure.
 """
 
 from __future__ import annotations
@@ -21,21 +21,11 @@ IX = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=np.complex128)
 IY = np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=np.complex128)
 IZ = np.array([[0.5, 0.0], [0.0, -0.5]], dtype=np.complex128)
 
-_OPERATORS = {"x": IX, "y": IY, "z": IZ, "i": IDENTITY, "identity": IDENTITY}
-
 
 def _require_finite(*values: float) -> None:
     for v in values:
         if not math.isfinite(v):
             raise ValueError(f"angle must be finite, got {v!r}")
-
-
-def spin_operator(axis: str) -> np.ndarray:
-    """Half-Pauli operator for 'x', 'y', 'z', or the identity for 'i'."""
-    key = axis.strip().lower()
-    if key not in _OPERATORS:
-        raise ValueError(f"unknown spin operator axis {axis!r}")
-    return _OPERATORS[key].copy()
 
 
 def rot_axis(axis: str, beta: float) -> np.ndarray:
@@ -202,19 +192,3 @@ def commutator(a, b) -> np.ndarray:
     a = np.asarray(getattr(a, "matrix", a), dtype=np.complex128)
     b = np.asarray(getattr(b, "matrix", b), dtype=np.complex128)
     return a @ b - b @ a
-
-
-def commutes(a, b, tol: float = DEFAULT_TOL) -> bool:
-    """True when the max-entry magnitude of [A, B] is within tol."""
-    return bool(np.max(np.abs(commutator(a, b))) <= tol)
-
-
-def spin_vector(theta_s: float, phi_s: float) -> np.ndarray:
-    """Cartesian expectation vector of a pure state at polar/azimuth angles."""
-    return 0.5 * np.array(
-        [
-            math.sin(theta_s) * math.cos(phi_s),
-            math.sin(theta_s) * math.sin(phi_s),
-            math.cos(theta_s),
-        ]
-    )

@@ -1,3 +1,8 @@
+import importlib
+import types
+
+import pytest
+
 import nmrlogic
 
 PUBLIC_NAMES = [
@@ -17,20 +22,12 @@ PUBLIC_NAMES = [
     "assignment_realizes",
     "canalising_counts",
     "capability_checks",
-    "commutator",
-    "commutes",
-    "evaluate_scenario",
     "gate_class",
-    "is_canalising_value",
     "magnetization",
     "orbit",
     "parse_gate",
     "propagate",
-    "rot_axis",
     "rot_phi",
-    "sequence_propagator",
-    "spin_operator",
-    "spin_vector",
     "superposition_x_state",
     "synthesize",
     "thermal_state",
@@ -44,3 +41,36 @@ def test_public_names_are_pinned_and_resolve():
     assert sorted(nmrlogic.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(nmrlogic, name) is not None, name
+    # a name dropped from __all__ must not linger as an import; submodules
+    # are attributes once imported, by the package or by a test
+    public = {
+        name
+        for name, value in vars(nmrlogic).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set(PUBLIC_NAMES)
+
+
+# each name dropped from __all__: the module it still lives in, or None
+# where the helper is deleted
+DROPPED = {
+    "commutator": "spincore",
+    "commutes": None,
+    "evaluate_scenario": "synthesis",
+    "is_canalising_value": "gates",
+    "rot_axis": "spincore",
+    "sequence_propagator": "spincore",
+    "spin_operator": None,
+    "spin_vector": None,
+}
+
+
+@pytest.mark.parametrize("name", sorted(DROPPED))
+def test_dropped_name_lives_only_in_its_module(name):
+    with pytest.raises(ImportError):
+        exec(f"from nmrlogic import {name}", {})
+    module = DROPPED[name]
+    if module is None:
+        assert not hasattr(importlib.import_module("nmrlogic.spincore"), name)
+    else:
+        assert callable(getattr(importlib.import_module(f"nmrlogic.{module}"), name))

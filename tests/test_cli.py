@@ -2,6 +2,7 @@ import hashlib
 import io
 import math
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -313,14 +314,26 @@ def test_help_matches_golden(capsys, monkeypatch, command):
 # one parser per process ------------------------------------------------------
 
 
-def run_fresh(*argv):
-    """Exit code, stdout and stderr of `argv` in a new interpreter."""
+def run_fresh(*argv, limit=None):
+    """Exit code, stdout and stderr of `argv` in a new interpreter, with
+    its address space capped at `limit` bytes when one is given."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    cap = None
+    if limit is not None:
+        # each BLAS thread reserves its own buffers, so the cap would
+        # depend on the core count
+        env["OPENBLAS_NUM_THREADS"] = "1"
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
     proc = subprocess.run(
         [sys.executable, "-m", "nmrlogic.cli", *argv],
         capture_output=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=env,
+        preexec_fn=cap,
         timeout=120,
     )
     return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
@@ -581,6 +594,15 @@ def test_out_of_memory_is_a_usage_error(capsys, monkeypatch):
     monkeypatch.setattr(synthesis, "candidate_table", candidate_table)
     code, out, err = run(capsys, "synthesize", "T", "--grid", "0:1:60000")
     assert (code, out, err) == (1, "", "error: out of memory\n")
+
+
+def test_search_too_large_for_memory_fails_before_the_count_line():
+    # the hit count fits under the cap, but the (n, n, n) boolean row test
+    # needs 954 MiB: it is allocated before the count line is printed.  A
+    # child process takes the cap, so this one never asks for that array
+    code, out, err = run_fresh("synthesize", "T", "--grid", "0:1/4pi:1000", limit=600 * 10**6)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
 
 
 def test_synthesize_csv_write_error_is_an_io_error(capsys, monkeypatch):

@@ -13,13 +13,6 @@ angles = st.floats(min_value=-15.0, max_value=15.0, allow_nan=False)
 polarizations = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
-def test_spin_operator_matrices():
-    assert np.array_equal(sc.spin_operator("z"), np.diag([0.5, -0.5]))
-    assert np.array_equal(sc.spin_operator("x"), [[0, 0.5], [0.5, 0]])
-    assert np.array_equal(sc.spin_operator("identity"), np.eye(2))
-    assert np.array_equal(sc.spin_operator("y"), [[0, -0.5j], [0.5j, 0]])
-
-
 def test_spin_operator_algebra():
     for op in (sc.IX, sc.IY, sc.IZ):
         assert np.allclose(op, op.conj().T)
@@ -28,11 +21,6 @@ def test_spin_operator_algebra():
     assert np.allclose(sc.commutator(sc.IX, sc.IY), 1j * sc.IZ, atol=1e-15)
     assert np.allclose(sc.commutator(sc.IY, sc.IZ), 1j * sc.IX, atol=1e-15)
     assert np.allclose(sc.commutator(sc.IZ, sc.IX), 1j * sc.IY, atol=1e-15)
-
-
-def test_spin_operator_unknown_axis():
-    with pytest.raises(ValueError):
-        sc.spin_operator("q")
 
 
 def test_rot_axis_examples():
@@ -214,8 +202,8 @@ def test_magnetization_rejects_corrupt_state():
 def test_commutator_with_x_state():
     rho_x = sc.superposition_x_state(1.0)
     for beta in (0.5, PI / 2, PI, -1.0):
-        assert sc.commutes(sc.rot_phi(0.0, beta), rho_x, tol=1e-12)
-        assert sc.commutes(sc.rot_phi(PI, beta), rho_x, tol=1e-12)
+        for phi in (0.0, PI):
+            assert np.max(np.abs(sc.commutator(sc.rot_phi(phi, beta), rho_x))) <= 1e-12
     c = sc.commutator(sc.rot_phi(PI / 2, PI), rho_x)
     assert np.allclose(c, -sc.IZ, atol=1e-15)
 
@@ -227,25 +215,6 @@ def test_commutator_closed_form(phi, beta, lam):
     c = sc.commutator(sc.rot_phi(phi, beta), sc.superposition_x_state(lam))
     expected = -lam * math.sin(phi) * math.sin(beta / 2) * sc.IZ
     assert np.max(np.abs(c - expected)) <= 1e-10
-
-
-def test_spin_vector_examples():
-    assert np.allclose(sc.spin_vector(0.0, 2.3), [0, 0, 0.5], atol=1e-15)
-    assert np.allclose(sc.spin_vector(PI / 2, 0.0), [0.5, 0, 0], atol=1e-15)
-    assert np.allclose(sc.spin_vector(PI / 2, PI / 2), [0, 0.5, 0], atol=1e-15)
-
-
-@given(theta=angles, phi=angles)
-def test_spin_vector_matches_pure_state_expectations(theta, phi):
-    # oracle: expectation values of the explicit two-component state
-    ket = np.array(
-        [
-            math.cos(theta / 2) * np.exp(-0.5j * phi),
-            math.sin(theta / 2) * np.exp(0.5j * phi),
-        ]
-    )
-    expect = [float((ket.conj() @ op @ ket).real) for op in (sc.IX, sc.IY, sc.IZ)]
-    assert np.allclose(sc.spin_vector(theta, phi), expect, atol=1e-12)
 
 
 def test_pulse_validation():

@@ -441,6 +441,45 @@ def test_a_label_route_count_of_0_runs_no_search_pass(monkeypatch):
     assert passes == []
 
 
+def _refuse_row_tests(monkeypatch):
+    """Make every 3-D `np.empty` (the (nA, nB, nB) row test) fail as a
+    search too large for memory would, and list the shapes refused."""
+    refused = []
+    empty = np.empty
+
+    def guarded(shape, *args, **kwargs):
+        if np.ndim(shape) == 1 and len(shape) == 3:
+            refused.append(tuple(shape))
+            raise MemoryError("row test refused")
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", guarded)
+    return refused
+
+
+@pytest.mark.parametrize("labelled", [True, False], ids=["labels", "pairwise"])
+def test_gate_quadruples_allocates_its_row_test_before_it_returns(monkeypatch, labelled):
+    # `synthesize` prints the count once this returns: a row test that
+    # cannot be allocated must fail here, not at the first block
+    tol = 1e-9 if labelled else 0.01
+    spacing = PI / 8 if labelled else 0.37 * PI / 8
+    _, table = syn.candidate_table(THERMAL_MX, GridSpec(0.0, spacing, 16), tol)
+    assert (_kernels.level_labels(table, tol) is not None) == labelled
+    assert _kernels.gate_quadruples(table, g.AND.outputs, tol)[0] > 0
+    refused = _refuse_row_tests(monkeypatch)
+    with pytest.raises(MemoryError):
+        _kernels.gate_quadruples(table, g.AND.outputs, tol)
+    assert refused == [(16, 16, 16)]
+
+
+def test_a_label_route_count_of_0_allocates_no_row_test(monkeypatch):
+    tol = syn.DEFAULT_LEVEL_TOL
+    _, table = syn.candidate_table(x_scenario(ObservableKind.MX), GridSpec(0.0, PI / 8, 12), tol)
+    refused = _refuse_row_tests(monkeypatch)
+    count, blocks = _kernels.gate_quadruples(table, g.XOR.outputs, tol)
+    assert (count, list(blocks), refused) == (0, [], [])
+
+
 def _gate_pair_counts(labels, outputs):
     """(nA, nA) label-route hits per row pair (i0, i1) for one truth table."""
     slot, transposed = _kernels.orbit_representative(outputs)
