@@ -21,8 +21,10 @@ where the table has levels (`level_labels`), else |x - y| <= tol.  It
 counts the hits of every row pair from histograms of column label pairs
 (`level_pair_counts`) a block of rows at a time, each block counting its
 own rows' labels, and streams the hits of the row pairs that hold any in
-cache-sized blocks (`gate_quadruples`), holding one n^3 boolean.
-`gate_counts` counts hits per truth table from either, holding none.
+cache-sized blocks (`gate_quadruples`), holding one n^3 boolean row
+test that a search allocates once and each of its passes fills.
+`gate_counts` counts one gate per orbit: from the histograms, holding
+none, or on a table without levels by one `gate_quadruples` count each.
 The histograms count only the orbit sums asked for: a search its gate's
 representative, `gate_counts` the union of its gates' (all five for the
 16 gates).  T is always counted, as the others subtract it; A and B add
@@ -425,15 +427,18 @@ def _and_pair_counts(labels):
 def gate_counts(values, outputs_seq, tol):
     """Realizing quadruples over `values` for each truth table in `outputs_seq`.
 
-    A table with levels (`level_labels`) takes one counting pass for all of
-    them; any other takes the count of each `gate_quadruples`, one at a time.
+    Gates of one orbit have one count, so each orbit slot is counted once:
+    on a table with levels (`level_labels`) in one counting pass for all
+    of them, on any other by the count of one `gate_quadruples` per slot.
     """
     labels = level_labels(values, tol)
-    if labels is None:
-        return [gate_quadruples(values, outputs, tol)[0] for outputs in outputs_seq]
     slots = [orbit_representative(outputs)[0] for outputs in outputs_seq]
-    wanted = sorted(set(slots))
-    totals = dict(zip(wanted, level_pair_counts(labels, wanted).sum(axis=(1, 2)).tolist()))
+    if labels is None:
+        by_slot = dict(zip(slots, outputs_seq))  # one gate of each orbit
+        totals = {slot: gate_quadruples(values, outputs, tol)[0] for slot, outputs in by_slot.items()}
+    else:
+        wanted = sorted(set(slots))
+        totals = dict(zip(wanted, level_pair_counts(labels, wanted).sum(axis=(1, 2)).tolist()))
     return [totals[slot] for slot in slots]
 
 
@@ -459,7 +464,10 @@ def gate_quadruples(values, outputs, tol):
 
 def _search(values, outputs, tol):
     """(count, search) for `gate_quadruples`: the count on a table with
-    levels, else None, and a function that starts a pass over the blocks."""
+    levels, else None, and a function that starts a pass over the blocks.
+    Every pass fills one (nA, nB, nB) row test, allocated here unless the
+    count is 0, so a search too large for memory fails before
+    `gate_quadruples` returns."""
     values = np.asarray(values, dtype=np.float64)
     labels = level_labels(values, tol)
     if labels is None:
@@ -468,40 +476,32 @@ def _search(values, outputs, tol):
             gaps = np.subtract(x, y)
             return np.abs(gaps, out=gaps) <= tol
 
-        return None, lambda: _quadruple_blocks(values, outputs, close)
-    slot, transposed = orbit_representative(outputs)
-    counts = level_pair_counts(labels, (slot,))[0]
-    table = labels.astype(np.min_scalar_type(labels.max()))
-    candidates = (counts.T if transposed else counts) > 0
-    return int(counts.sum()), lambda: _quadruple_blocks(table, outputs, np.equal, candidates)
+        count, table, candidates = None, values, None
+    else:
+        slot, transposed = orbit_representative(outputs)
+        counts = level_pair_counts(labels, (slot,))[0]
+        count, close = int(counts.sum()), np.equal
+        table = labels.astype(np.min_scalar_type(labels.max()))
+        candidates = (counts.T if transposed else counts) > 0
+    na, nb = table.shape
+    rows = np.empty((na, nb, nb), dtype=bool) if count != 0 else None
+    return count, lambda: _blocks(table, outputs, close, rows, candidates)
 
 
-def _quadruple_blocks(table, outputs, close, candidates=None):
-    """An iterator over the realizing quadruples of `table` in non-empty
-    blocks.
+def _blocks(table, outputs, close, rows, candidates=None):
+    """Yield the realizing quadruples of `table` in non-empty blocks.
 
     A corner pair passes when `close` holds exactly when its two bits
-    agree.  `candidates[i0, i1]` marks the row pairs that may hold hits;
-    when it is None, stage 1 marks the row pairs with a passing column j0
-    and one for j1.  Stage 1 tests the column pairs of each row, one
-    (nA, nB, nB) boolean built a block of rows at a time.  Stage 2 takes
-    row pairs (i0, i1) in blocks of about `_BLOCK_QUADRUPLES` quadruples,
-    tests their columns from their two rows, and the two diagonals of the
-    survivors.  Both arrays are allocated here, not at the first block, so
-    a search too large for memory fails before `gate_quadruples` returns.
+    agree.  Stage 1 fills the row test `rows` a block of rows at a time;
+    without `candidates`, the row pairs that may hold hits, it also marks
+    in a new (nA, nA) array the row pairs with a passing column j0 and one
+    for j1.  Stage 2 takes row pairs (i0, i1) in blocks of about
+    `_BLOCK_QUADRUPLES` quadruples, tests their columns from their two
+    rows, and the two diagonals of the survivors.
     """
     na, nb = table.shape
-    rows = np.empty((na, nb, nb), dtype=bool)
     pairwise = candidates is None
-    if pairwise:
-        candidates = np.empty((na, na), dtype=bool)
-    return _blocks(table, outputs, close, rows, candidates, pairwise)
-
-
-def _blocks(table, outputs, close, rows, candidates, pairwise):
-    """Yield the blocks of `_quadruple_blocks`, filling its row test
-    `rows` and, when `pairwise`, its `candidates`."""
-    na, nb = table.shape
+    candidates = np.empty((na, na), dtype=bool) if pairwise else candidates
     o00, o01, o10, o11 = outputs
     # rows[i, j0, j1]: columns j0 and j1 of row i are close.  Rows i0 and
     # i1 read it, negated where their two bits differ: x & ~y is x > y.

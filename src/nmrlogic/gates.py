@@ -183,18 +183,8 @@ def negate_output(tt: TruthTable) -> TruthTable:
 
 
 def orbit(tt: TruthTable) -> FrozenSet[TruthTable]:
-    """Closure under input swap, per-input negation and output negation."""
-    seen = {tt}
-    frontier = [tt]
-    while frontier:
-        current = frontier.pop()
-        for image in (
-            swap_inputs(current),
-            negate_input(current, "A"),
-            negate_input(current, "B"),
-            negate_output(current),
-        ):
-            if image not in seen:
-                seen.add(image)
-                frontier.append(image)
-    return frozenset(seen)
+    """Closure under input swap, per-input and output negation; a move is a swap, then negations."""
+    images = {tt, swap_inputs(tt)}
+    for negate in (lambda t: negate_input(t, "A"), lambda t: negate_input(t, "B"), negate_output):
+        images |= {negate(image) for image in images}
+    return frozenset(images)

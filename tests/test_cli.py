@@ -497,7 +497,7 @@ def test_synthesize_xor_orbit_without_hits_matches_golden(capsys, argv, golden):
     assert_same_text(out, (GOLDEN / golden).read_text(encoding="utf-8"))
 
 
-def test_synthesize_pairwise_route_matches_golden(capsys):
+def test_synthesize_pairwise_route_matches_golden(tmp_path, capsys):
     # at tol 0.02 the thermal mx table has a level spanning more than tol,
     # so the search compares float gaps, not level labels
     candidates = cli.parse_grid("0:1/8pi:12").values()
@@ -505,10 +505,20 @@ def test_synthesize_pairwise_route_matches_golden(capsys):
         synthesis.reference_single_pulse_scenario(), candidates, candidates
     )
     assert _kernels.level_labels(table, 0.02) is None
-    code, out, err = run(capsys, "synthesize", "XOR", "--grid", "0:1/8pi:12", "--tol", "0.02")
+    argv = ("synthesize", "XOR", "--grid", "0:1/8pi:12", "--tol", "0.02")
+    code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     golden = GOLDEN / "synthesize_xor_eighth_pi_12_tol_0.02.txt"
     assert_same_text(out, golden.read_text(encoding="utf-8"))
+    # with --out, the count pass and the write pass fill one row test
+    out_path = tmp_path / "xor.csv"
+    code, out, err = run(capsys, *argv, "--out", str(out_path))
+    assert (code, err) == (0, "")
+    assert_same_text(out, golden.read_text(encoding="utf-8"))
+    assert_same_text(
+        out_path.read_bytes().decode(),
+        (GOLDEN / "synthesize_xor_eighth_pi_12_tol_0.02.csv").read_bytes().decode(),
+    )
 
 
 @pytest.mark.parametrize(
@@ -682,6 +692,16 @@ def test_grid_rejects_a_parameter_fixed_twice(tmp_path, capsys):
     assert (code, out) == (1, "")
     assert err == "error: parameter 'beta1' is fixed more than once\n"
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_fix_without_an_angle_is_usage_error(tmp_path, capsys, source):
+    config = tmp_path / "run.cfg"
+    config.write_text("fix=beta1\n")
+    argv = ("--fix", "beta1") if source == "flag" else ("--config", str(config))
+    code, out, err = run(capsys, "grid", *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: --fix expects param=angle, got 'beta1'\n"
 
 
 # config files ----------------------------------------------------------------

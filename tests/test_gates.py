@@ -33,6 +33,8 @@ def test_truth_table_range_check():
         g.truth_table(16)
     with pytest.raises(ValueError):
         g.truth_table(-1)
+    with pytest.raises(ValueError, match="exactly 4 outputs"):
+        g.TruthTable((1, 0, 1))
 
 
 def test_named_constants_behave():
@@ -115,6 +117,17 @@ def test_orbit_examples():
     assert g.orbit(g.XOR) == frozenset({g.XOR, g.XNOR})
 
 
+def test_orbit_is_closed_under_every_move():
+    moves = (
+        g.swap_inputs, lambda t: g.negate_input(t, "A"), lambda t: g.negate_input(t, "B"),
+        g.negate_output,
+    )
+    for tt in g.ALL_GATES:
+        orbit = g.orbit(tt)
+        assert tt in orbit
+        assert all(move(image) in orbit for move in moves for image in orbit), tt.name
+
+
 def test_orbits_partition_all_gates():
     orbits = {g.orbit(tt) for tt in g.ALL_GATES}
     sizes = sorted(len(o) for o in orbits)
@@ -147,12 +160,16 @@ def test_transforms_are_involutions():
         assert g.swap_inputs(g.swap_inputs(tt)) == tt
         assert g.negate_input(g.negate_input(tt, "A"), "A") == tt
         assert g.negate_output(g.negate_output(tt)) == tt
+    with pytest.raises(ValueError, match="variable must be 'A' or 'B', got 'C'"):
+        g.negate_input(g.T, "C")
 
 
 def test_ignores():
     assert g.T.ignores("A") and g.T.ignores("B")
     assert g.B.ignores("A") and not g.B.ignores("B")
     assert not g.XOR.ignores("A") and not g.XOR.ignores("B")
+    with pytest.raises(ValueError, match="variable must be 'A' or 'B', got 'C'"):
+        g.T.ignores("C")
 
 
 def test_gate_class_guards_impossible_profile(monkeypatch):

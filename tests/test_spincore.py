@@ -59,6 +59,11 @@ def test_rot_rejects_non_finite():
         sc.rot_phi(math.inf, 1.0)
 
 
+def test_rot_axis_rejects_an_unknown_axis():
+    with pytest.raises(ValueError, match="unknown rotation axis 'w'"):
+        sc.rot_axis("w", 1.0)
+
+
 @given(phi=angles, beta=angles)
 def test_rot_phi_unitary_and_special(phi, beta):
     u = sc.rot_phi(phi, beta)
@@ -150,6 +155,8 @@ def test_density_matrix_validation():
         sc.DensityMatrix(np.array([[0.9, 0.0], [0.0, 0.0]]))  # trace != 1
     with pytest.raises(ValueError):
         sc.DensityMatrix(np.eye(3) / 3)
+    with pytest.raises(ValueError, match="entries must be finite"):
+        sc.DensityMatrix(np.array([[math.nan, 0.0], [0.0, 0.5]]))
 
 
 def test_density_matrix_is_immutable():

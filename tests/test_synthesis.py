@@ -406,14 +406,26 @@ def test_gate_quadruples_count_equals_its_blocks_and_gate_counts(tol, labelled):
 def _count_passes(monkeypatch):
     """List that gets one entry per search pass `_kernels` runs."""
     passes = []
-    original = _kernels._quadruple_blocks
+    original = _kernels._blocks
 
     def counted(*args):
         passes.append(args)
         yield from original(*args)
 
-    monkeypatch.setattr(_kernels, "_quadruple_blocks", counted)
+    monkeypatch.setattr(_kernels, "_blocks", counted)
     return passes
+
+
+def test_gate_counts_on_the_pairwise_route_searches_once_per_orbit(monkeypatch):
+    tol = 0.02
+    _, table = syn.candidate_table(x_scenario(ObservableKind.MX), GridSpec(0.0, PI / 8, 24), tol)
+    assert _kernels.level_labels(table, tol) is None
+    outputs = [tt.outputs for tt in g.ALL_GATES]
+    expected = [_kernels.gate_quadruples(table, gate, tol)[0] for gate in outputs]
+    passes = _count_passes(monkeypatch)
+    assert _kernels.gate_counts(table, outputs, tol) == expected
+    # one pass per orbit slot: T, A, B, XOR and AND
+    assert len(passes) <= 5
 
 
 @pytest.mark.parametrize("tt", [g.AND, g.XOR], ids=["AND", "XOR"])
@@ -441,20 +453,22 @@ def test_a_label_route_count_of_0_runs_no_search_pass(monkeypatch):
     assert passes == []
 
 
-def _refuse_row_tests(monkeypatch):
-    """Make every 3-D `np.empty` (the (nA, nB, nB) row test) fail as a
-    search too large for memory would, and list the shapes refused."""
-    refused = []
+def _row_tests(monkeypatch, refuse=True):
+    """List the shapes of every 3-D `np.empty` (the (nA, nB, nB) row
+    test), and when `refuse`, make each fail as a search too large for
+    memory would."""
+    shapes = []
     empty = np.empty
 
     def guarded(shape, *args, **kwargs):
         if np.ndim(shape) == 1 and len(shape) == 3:
-            refused.append(tuple(shape))
-            raise MemoryError("row test refused")
+            shapes.append(tuple(shape))
+            if refuse:
+                raise MemoryError("row test refused")
         return empty(shape, *args, **kwargs)
 
     monkeypatch.setattr(np, "empty", guarded)
-    return refused
+    return shapes
 
 
 @pytest.mark.parametrize("labelled", [True, False], ids=["labels", "pairwise"])
@@ -466,7 +480,7 @@ def test_gate_quadruples_allocates_its_row_test_before_it_returns(monkeypatch, l
     _, table = syn.candidate_table(THERMAL_MX, GridSpec(0.0, spacing, 16), tol)
     assert (_kernels.level_labels(table, tol) is not None) == labelled
     assert _kernels.gate_quadruples(table, g.AND.outputs, tol)[0] > 0
-    refused = _refuse_row_tests(monkeypatch)
+    refused = _row_tests(monkeypatch)
     with pytest.raises(MemoryError):
         _kernels.gate_quadruples(table, g.AND.outputs, tol)
     assert refused == [(16, 16, 16)]
@@ -475,9 +489,19 @@ def test_gate_quadruples_allocates_its_row_test_before_it_returns(monkeypatch, l
 def test_a_label_route_count_of_0_allocates_no_row_test(monkeypatch):
     tol = syn.DEFAULT_LEVEL_TOL
     _, table = syn.candidate_table(x_scenario(ObservableKind.MX), GridSpec(0.0, PI / 8, 12), tol)
-    refused = _refuse_row_tests(monkeypatch)
+    refused = _row_tests(monkeypatch)
     count, blocks = _kernels.gate_quadruples(table, g.XOR.outputs, tol)
     assert (count, list(blocks), refused) == (0, [], [])
+
+
+def test_a_pairwise_search_fills_one_row_test_in_both_passes(monkeypatch):
+    tol = 0.01
+    _, table = syn.candidate_table(THERMAL_MX, GridSpec(0.0, 0.37 * PI / 8, 16), tol)
+    assert _kernels.level_labels(table, tol) is None
+    shapes = _row_tests(monkeypatch, refuse=False)
+    count, blocks = _kernels.gate_quadruples(table, g.AND.outputs, tol)
+    assert count == sum(len(hits) for hits in blocks) > 0
+    assert shapes == [(16, 16, 16)]
 
 
 def _gate_pair_counts(labels, outputs):
