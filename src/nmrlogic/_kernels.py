@@ -6,15 +6,16 @@ search for gate-realizing parameter quadruples over a candidate grid.
 
 Propagation builds each pulse's rotations on that pulse's own broadcast
 shape, so a grid passed as `a[:, None]` and `b[None, :]` takes O(n)
-trigonometry per pulse.  `_product` runs all three 2x2 products, R2 R1,
-U rho0 and (U rho0) U†.  Points that share a right-hand matrix go through
-one row-stacked gemm.  Where each right-hand matrix serves one point,
-four points go through one gemm, their left factors on the diagonal of an
-8x8 zero matrix times their right factors stacked 8x2
-(`_grouped_product`).  Each padding product adds an exact zero, so every
-entry that is not zero keeps the bits of the per-point `np.matmul`; the
-points where the sign of a zero could reach a later product or a readout
-take the per-point call again.
+trigonometry per pulse.  Each 2x2 product takes its route where it is
+made.  Points that share a right-hand matrix go through one row-stacked
+gemm: U rho0 always does, and R2 R1 (`_product`) does per distinct R1.
+Where each right-hand matrix serves one point, as in (U rho0) U† and R2
+R1 with both inputs in pulse 1, four points go through one gemm, their
+left factors on the diagonal of an 8x8 zero matrix times their right
+factors stacked 8x2 (`_grouped_product`).  Each padding product adds an
+exact zero, so every entry that is not zero keeps the bits of the
+per-point `np.matmul`; the points where the sign of a zero could reach a
+later product or a readout take the per-point call again.
 
 The search tests corner pairs with one comparator: equal level labels
 where the table has levels (`level_labels`), else |x - y| <= tol.  It
@@ -23,8 +24,9 @@ counts the hits of every row pair from histograms of column label pairs
 own rows' labels, and streams the hits of the row pairs that hold any in
 cache-sized blocks (`gate_quadruples`), holding one n^3 boolean row
 test that a search allocates once and each of its passes fills.
-`gate_counts` counts one gate per orbit: from the histograms, holding
-none, or on a table without levels by one `gate_quadruples` count each.
+`gate_counts` labels the table once and counts one gate per orbit: from
+the histograms, holding none, or on a table without levels by one pass
+of `_search` each.
 The histograms count only the orbit sums asked for: a search its gate's
 representative, `gate_counts` the union of its gates' (all five for the
 16 gates).  T is always counted, as the others subtract it; A and B add
@@ -99,19 +101,17 @@ def _readout_zeros(rho):
     return (zero[:, 2] & zero[:, 4]) | (zero[:, 3] & zero[:, 5])
 
 
-def _product(left: np.ndarray, right: np.ndarray, redo=_any_zero) -> np.ndarray:
-    """`left @ right` over broadcast stacks of 2x2 matrices, bit for bit.
+def _product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """R2 R1: C-ordered `left @ right` over broadcast stacks of 2x2
+    matrices, bit for bit.
 
-    When every right-hand matrix serves one point, the product comes out
-    C-ordered from `_grouped_product`, four points per gemm, and `redo`
-    marks the points whose signs of zero matter: `_any_zero` for a
-    product that feeds later products, `_readout_zeros` for rho.
-
+    When every right-hand matrix serves one point, four points go through
+    each gemm (`_grouped_product`); U feeds later products, so every point
+    with a zero part takes the per-point call again (`_any_zero`).
     Otherwise the points that share a right-hand matrix go through one
     row-stacked gemm, `(rows, 2) @ (2, 2)`, which rounds each row as the
     per-point call does.  The axes along which `right` varies come first,
-    so one `@` over `(distinct, rows, 2)` makes one gemm per distinct
-    right-hand matrix.
+    so one `@` over `(distinct, rows, 2)` makes one gemm per distinct R1.
     """
     shape = np.broadcast_shapes(left.shape, right.shape)
     right = right.reshape((1,) * (len(shape) - right.ndim) + right.shape)
@@ -120,14 +120,14 @@ def _product(left: np.ndarray, right: np.ndarray, redo=_any_zero) -> np.ndarray:
     points = [axis for axis in range(len(shape) - 2) if axis not in varies]
     if math.prod(shape[axis] for axis in points) == 1:
         right = np.broadcast_to(right, shape).reshape(-1, 2, 2)
-        return _grouped_product(left.reshape(-1, 2, 2), right, redo).reshape(shape)
+        return _grouped_product(left.reshape(-1, 2, 2), right, _any_zero).reshape(shape)
     order = varies + points + [len(shape) - 2, len(shape) - 1]
     left = left.transpose(order)
     distinct = math.prod(left.shape[: len(varies)])
     rows = math.prod(left.shape[len(varies) : -1])
     out = left.reshape(distinct, rows, 2) @ right.transpose(order).reshape(distinct, 2, 2)
     inverse = sorted(range(len(order)), key=order.__getitem__)
-    return out.reshape(left.shape).transpose(inverse)
+    return np.ascontiguousarray(out.reshape(left.shape).transpose(inverse))
 
 
 def _grouped_product(left, right, redo):
@@ -182,10 +182,7 @@ def two_pulse_components(phi2, beta2, phi1, beta1, lambda_b, from_x):
     phi2, beta2, phi1, beta1 = (
         np.asarray(v, dtype=np.float64) for v in (phi2, beta2, phi1, beta1)
     )
-    # in C order (R2 R1 is a transposed view when R1 varies along a later
-    # axis), so that U rho0 and U† flatten without a copy for the grouped
-    # product, and rho and the readouts come out C-ordered
-    u = np.ascontiguousarray(_product(_rotation_stack(phi2, beta2), _rotation_stack(phi1, beta1)))
+    u = _product(_rotation_stack(phi2, beta2), _rotation_stack(phi1, beta1))
 
     rho0 = np.zeros((2, 2), dtype=np.complex128)
     rho0[0, 0] = rho0[1, 1] = 0.5
@@ -195,10 +192,12 @@ def two_pulse_components(phi2, beta2, phi1, beta1, lambda_b, from_x):
         rho0[0, 0] += 0.25 * lambda_b
         rho0[1, 1] -= 0.25 * lambda_b
 
-    u_rho0 = _product(u, rho0)
+    # U rho0 as one row-stacked gemm; (U rho0) U† four points per gemm
+    u_rho0 = (u.reshape(-1, 2) @ rho0).reshape(-1, 2, 2)
     u_dagger = u.conj().swapaxes(-1, -2)
     del u  # U† is a copy: three (..., 2, 2) stacks at a time, not four
-    rho = _product(u_rho0, u_dagger, _readout_zeros)
+    rho = _grouped_product(u_rho0, u_dagger.reshape(-1, 2, 2), _readout_zeros)
+    rho = rho.reshape(u_dagger.shape)
     mx = 0.5 * (rho[..., 0, 1] + rho[..., 1, 0]).real
     my = (0.5j * (rho[..., 0, 1] - rho[..., 1, 0])).real.copy()
     mz = 0.5 * (rho[..., 0, 0] - rho[..., 1, 1]).real
@@ -427,15 +426,16 @@ def _and_pair_counts(labels):
 def gate_counts(values, outputs_seq, tol):
     """Realizing quadruples over `values` for each truth table in `outputs_seq`.
 
-    Gates of one orbit have one count, so each orbit slot is counted once:
-    on a table with levels (`level_labels`) in one counting pass for all
-    of them, on any other by the count of one `gate_quadruples` per slot.
+    The table is labelled once (`level_labels`), and gates of one orbit
+    have one count, so each orbit slot is counted once: on a table with
+    levels in one counting pass for all of them, on any other by one
+    pass of `_search` over the blocks of one gate per slot.
     """
     labels = level_labels(values, tol)
     slots = [orbit_representative(outputs)[0] for outputs in outputs_seq]
     if labels is None:
         by_slot = dict(zip(slots, outputs_seq))  # one gate of each orbit
-        totals = {slot: gate_quadruples(values, outputs, tol)[0] for slot, outputs in by_slot.items()}
+        totals = {slot: sum(map(len, _search(values, None, o, tol)[1]())) for slot, o in by_slot.items()}
     else:
         wanted = sorted(set(slots))
         totals = dict(zip(wanted, level_pair_counts(labels, wanted).sum(axis=(1, 2)).tolist()))
@@ -456,20 +456,19 @@ def gate_quadruples(values, outputs, tol):
     scenario table is; `outputs` holds the bits for inputs (0,0), (0,1),
     (1,0), (1,1); `tol` is the level clustering/separation tolerance.
     """
-    count, search = _search(values, outputs, tol)
+    count, search = _search(values, level_labels(values, tol), outputs, tol)
     if count is None:
-        count = sum(len(hits) for hits in search())
+        count = sum(map(len, search()))
     return count, (search() if count else iter(()))
 
 
-def _search(values, outputs, tol):
-    """(count, search) for `gate_quadruples`: the count on a table with
-    levels, else None, and a function that starts a pass over the blocks.
-    Every pass fills one (nA, nB, nB) row test, allocated here unless the
-    count is 0, so a search too large for memory fails before
-    `gate_quadruples` returns."""
+def _search(values, labels, outputs, tol):
+    """(count, search) for `gate_quadruples`, given `values`' level labels
+    (`level_labels`): the count on a table with levels, else None, and a
+    function that starts a pass over the blocks.  Every pass fills one
+    (nA, nB, nB) row test, allocated here unless the count is 0, so a
+    search too large for memory fails before `gate_quadruples` returns."""
     values = np.asarray(values, dtype=np.float64)
-    labels = level_labels(values, tol)
     if labels is None:
 
         def close(x, y):
@@ -547,6 +546,6 @@ def find_gate_quadruples(values, outputs, tol):
     """All realizing quadruples, in lexicographic (i0, i1, j0, j1) order:
     the blocks of `gate_quadruples` as one (N, 4) int64 array, searched in
     one pass on any route."""
-    count, search = _search(values, outputs, tol)
+    count, search = _search(values, level_labels(values, tol), outputs, tol)
     empty = np.empty((0, 4), dtype=np.int64)
     return np.concatenate([empty, *(search() if count != 0 else ())], axis=0)

@@ -427,6 +427,8 @@ def _load_config(path: str) -> dict:
             lines = list(handle)
     except UnicodeDecodeError as exc:
         raise ValueError(f"cannot read config {path}: {exc}") from None
+    except OSError as exc:  # an I/O error, as for --out
+        raise OSError(f"cannot read config {path}: {exc}") from None
     values: dict = {}
     for raw in lines:
         line = raw.strip()

@@ -865,6 +865,17 @@ def test_config_that_is_not_utf8_names_its_path(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_config_that_cannot_be_opened_is_an_io_error(tmp_path, capsys, kind):
+    config = tmp_path / "run.cfg"
+    if kind == "directory":
+        config.mkdir()
+    code, out, err = run(capsys, "synthesize", "XOR", "--config", str(config))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read config {config}: ")
+    assert err.count("\n") == 1
+
+
 def test_config_bad_line(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("initial x\n")

@@ -428,6 +428,29 @@ def test_gate_counts_on_the_pairwise_route_searches_once_per_orbit(monkeypatch):
     assert len(passes) <= 5
 
 
+def test_gate_counts_label_a_table_without_levels_once(monkeypatch):
+    tol = 0.02
+    _, table = syn.candidate_table(x_scenario(ObservableKind.MX), GridSpec(0.0, PI / 8, 24), tol)
+    calls = []
+    original = _kernels.level_labels
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(_kernels, "level_labels", counted)
+    counts = _kernels.gate_counts(table, [tt.outputs for tt in g.ALL_GATES], tol)
+    assert counts == [
+        34056, 8415, 8415, 30258, 8415, 52578, 0, 8415,
+        8415, 0, 52578, 8415, 30258, 8415, 8415, 34056,
+    ]
+    # one labelling finds no levels; the five orbit slots search without one
+    assert len(calls) == 1
+    _kernels.gate_quadruples(table, g.XOR.outputs, tol)
+    _kernels.find_gate_quadruples(table, g.XOR.outputs, tol)
+    assert len(calls) == 3
+
+
 @pytest.mark.parametrize("tt", [g.AND, g.XOR], ids=["AND", "XOR"])
 def test_find_gate_quadruples_searches_the_pairwise_route_once(monkeypatch, tt):
     tol = 0.01
