@@ -11,7 +11,8 @@ table, `_COMMANDS`, and each flag's `add_argument` keywords from
 file of key=value lines; flags given on the command line win.
 
 Exit codes: 0 success, 1 usage/config error, 2 I/O error, 3 no solution
-found, 4 verification failure.
+found, 4 verification failure.  An output pipe whose reader closes early
+ends the run with exit 2 and no message.
 
 Angles are accepted as decimal radians or as rational multiples of pi
 ("pi", "3/2pi", "-1/2pi").  Gate ids follow the truth-table ordering
@@ -25,6 +26,7 @@ import argparse
 import contextlib
 import functools
 import math
+import os
 import re
 import sys
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -97,13 +99,9 @@ def parse_fix(text: str) -> tuple:
     return name.strip(), parse_angle(value)
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # exit 1 on bad usage, not argparse's 2
-        raise _UsageError(message)
+    def error(self, message):  # a usage error like any other: exit 1, not argparse's 2
+        raise ValueError(message)
 
 
 def _scenario_from_args(args: argparse.Namespace) -> synthesis.Scenario:
@@ -132,13 +130,13 @@ def _scenario_from_args(args: argparse.Namespace) -> synthesis.Scenario:
 def _open_out(path: Optional[str]):
     """A context for the `--out` file: None when `path` is None, else the
     file opened for writing.  A file that cannot be opened raises an
-    OSError naming it, which `main` reports as an I/O error."""
+    OSError naming it once, which `main` reports as an I/O error."""
     if path is None:
         return contextlib.nullcontext()
     try:
         return open(path, "w", encoding="utf-8", newline="")
     except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from None
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
@@ -182,18 +180,8 @@ def cmd_grid(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_gate(token: str) -> gates.TruthTable:
-    try:
-        return gates.parse_gate(token)
-    except ValueError:
-        raise ValueError(
-            f"unknown gate {token!r}\nvalid tokens: "
-            + ", ".join(gates.valid_gate_tokens())
-        ) from None
-
-
 def cmd_classify(args: argparse.Namespace) -> int:
-    tt = _parse_gate(args.gate)
+    tt = gates.parse_gate(args.gate)
     profile = gates.canalising_counts(tt)
     cls = gates.gate_class(tt)
     members = sorted(gates.orbit(tt), key=lambda g: g.gate_id)
@@ -268,7 +256,7 @@ def _row_block(literals, fields) -> str:
 
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
-    tt = _parse_gate(args.gate)
+    tt = gates.parse_gate(args.gate)
     scenario = _scenario_from_args(args)
     grid = parse_grid(args.grid) if args.grid is not None else synthesis.DEFAULT_SYNTH_GRID
     tol = args.tol if args.tol is not None else synthesis.DEFAULT_LEVEL_TOL
@@ -428,7 +416,7 @@ def _load_config(path: str) -> dict:
     except UnicodeDecodeError as exc:
         raise ValueError(f"cannot read config {path}: {exc}") from None
     except OSError as exc:  # an I/O error, as for --out
-        raise OSError(f"cannot read config {path}: {exc}") from None
+        raise OSError(f"cannot read config {path}: {exc.strerror or exc}") from None
     values: dict = {}
     for raw in lines:
         line = raw.strip()
@@ -487,11 +475,9 @@ def _config_value(key: str, value):
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
         return _COMMANDS[args.command].run(_merge_config(args))
+    except BrokenPipeError:  # the reader has gone, and with it anyone to tell
+        return EXIT_IO
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -505,7 +491,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entry_point() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:  # send what no reader takes to devnull, not to the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_IO
+    sys.exit(code)
 
 
 if __name__ == "__main__":

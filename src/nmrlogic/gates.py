@@ -106,20 +106,15 @@ _TOKEN_ALIASES.update({
 })
 
 
-def valid_gate_tokens() -> Tuple[str, ...]:
-    return tuple(sorted(_TOKEN_ALIASES)) + tuple(str(i) for i in range(16))
-
-
 def parse_gate(token: str) -> TruthTable:
-    """Gate from a case-insensitive name token or a numeric id 0-15."""
+    """Gate from a case-insensitive name token or a numeric id 0-15; any
+    other token raises a ValueError whose message lists the valid tokens."""
     key = token.strip().lower()
-    if key in _TOKEN_ALIASES:
-        return truth_table(_TOKEN_ALIASES[key])
     try:
-        gate_id = int(key)
+        return truth_table(int(_TOKEN_ALIASES.get(key, key)))
     except ValueError:
-        raise ValueError(f"unknown gate token {token!r}") from None
-    return truth_table(gate_id)
+        valid = [*sorted(_TOKEN_ALIASES), *map(str, range(16))]
+        raise ValueError(f"unknown gate {token!r}\nvalid tokens: {', '.join(valid)}") from None
 
 
 class GateClass(enum.IntEnum):

@@ -136,7 +136,7 @@ def test_grid_unwritable_path(capsys, tmp_path):
     target = tmp_path / "missing-dir" / "out.csv"
     code, _, err = run(capsys, "grid", "--grid", "0:1:4", "--out", str(target))
     assert code == 2
-    assert "cannot write" in err
+    assert err == f"error: cannot write {target}: No such file or directory\n"
 
 
 def test_synthesize_unwritable_path(capsys, tmp_path):
@@ -145,7 +145,7 @@ def test_synthesize_unwritable_path(capsys, tmp_path):
         capsys, "synthesize", "XOR", "--grid", "0:1/4pi:16", "--out", str(target)
     )
     assert code == 2
-    assert "cannot write" in err
+    assert err == f"error: cannot write {target}: No such file or directory\n"
     assert out == ""
 
 
@@ -314,12 +314,17 @@ def test_help_matches_golden(capsys, monkeypatch, command):
 # one parser per process ------------------------------------------------------
 
 
+def fresh_env():
+    """The environment of a new interpreter that imports this nmrlogic."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def run_fresh(*argv, limit=None):
     """Exit code, stdout and stderr of `argv` in a new interpreter, with
     its address space capped at `limit` bytes when one is given."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    env = fresh_env()
     cap = None
     if limit is not None:
         # each BLAS thread reserves its own buffers, so the cap would
@@ -646,6 +651,32 @@ def test_out_to_a_full_device_is_an_io_error(capsys, argv):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv,first",
+    [
+        (
+            ("synthesize", "T", "--lambda", "0", "--grid", "0:1/8pi:16"),
+            "65536 T assignment(s), class 0",
+        ),
+        (("grid", "--grid", "0:1/100pi:400"), "phi,beta,Mx,My,Mxy"),
+    ],
+    ids=["synthesize", "grid"],
+)
+def test_a_reader_that_closes_early_ends_the_run_quietly(argv, first):
+    # each output runs to megabytes, far past a pipe's buffer, so a write
+    # fails once the reader has closed its end after the first line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nmrlogic.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=fresh_env(),
+    )
+    line = proc.stdout.readline().decode()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, line, err.decode()) == (2, first + "\n", "")
+
+
 # flags each subcommand does not read -----------------------------------------
 
 
@@ -865,15 +896,19 @@ def test_config_that_is_not_utf8_names_its_path(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("kind", ["missing", "directory"])
-def test_config_that_cannot_be_opened_is_an_io_error(tmp_path, capsys, kind):
+@pytest.mark.parametrize(
+    "kind,reason",
+    [("missing", "No such file or directory"), ("directory", "Is a directory")],
+    ids=["missing", "directory"],
+)
+def test_config_that_cannot_be_opened_is_an_io_error(tmp_path, capsys, kind, reason):
     config = tmp_path / "run.cfg"
     if kind == "directory":
         config.mkdir()
     code, out, err = run(capsys, "synthesize", "XOR", "--config", str(config))
     assert (code, out) == (2, "")
-    assert err.startswith(f"error: cannot read config {config}: ")
-    assert err.count("\n") == 1
+    # the path is named once, in the message, not again in the reason
+    assert err == f"error: cannot read config {config}: {reason}\n"
 
 
 def test_config_bad_line(tmp_path, capsys):
@@ -1315,6 +1350,10 @@ INVALID_NUMBER_MESSAGES = {
         ("synthesize", "AND", "--grid", "1e308:1e308:3"),
         ("verify", "--grid", "1e308:1e308:2"),
         *INVALID_NUMBER_MESSAGES,
+        # argparse's own errors take the same one-line handler
+        ("synthesize",),
+        ("synthesize", "XOR", "--pulses", "3"),
+        ("synthesize", "XOR", "--frobnicate"),
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -1327,4 +1366,5 @@ def test_invalid_numbers_are_usage_errors(tmp_path, capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith(INVALID_NUMBER_MESSAGES.get(argv, "error: "))
+    assert err.count("\n") == 1
     assert not out_path.exists()

@@ -153,6 +153,69 @@ CASES = [
 ]
 
 
+# Every table the benchmark's search workloads build at seeds 0-2, each once,
+# with the grids that perfbench/workloads.py gave each slot.  An id names the
+# workload, the seeds and the slot: slots c00-c02 of search-sparse run verify
+# on their grid, and every other slot runs synthesize on its table.
+CASES += [
+    *(
+        _case(f"bench-synth-dense-{tag}", THERMAL, cli.parse_grid(grid), _thermal_mx)
+        for tag, grid in [
+            ("s0-c00", "4/8pi:1/8pi:40"),
+            ("s1-c00", "10/8pi:1/8pi:40"),
+            ("s2-c00", "0/8pi:1/8pi:40"),
+            ("s0-c01", "5/8pi:1/8pi:48"),
+            ("s1-c01", "4/8pi:1/8pi:48"),
+            ("s2-c01", "10/8pi:1/8pi:48"),
+        ]
+    ),
+    *(
+        _case(f"bench-synth-dense-{tag}", PHI2_BETA1, cli.parse_grid(grid), _phi2_beta1_beta2_pi)
+        for tag, grid in [
+            ("s0-c02", "12/8pi:1/8pi:40"),
+            ("s1-c02", "14/8pi:1/8pi:40"),
+            ("s2-c02", "15/8pi:1/8pi:40"),
+        ]
+    ),
+    *(
+        case
+        for tag, grid in [
+            ("s0-c00", "13/8pi:1/8pi:24"),
+            ("s1-c00", "4/8pi:1/8pi:24"),
+            ("s2-c00", "2/8pi:1/8pi:24"),
+            ("s0-s1-c01", "9/8pi:1/8pi:28"),
+            ("s2-c01", "5/8pi:1/8pi:28"),
+            ("s0-c02", "12/8pi:1/8pi:32"),
+            ("s1-c02", "4/8pi:1/8pi:32"),
+            ("s2-c02", "3/8pi:1/8pi:32"),
+        ]
+        for case in _verify_tables(f"bench-search-sparse-{tag}", cli.parse_grid(grid))
+    ),
+    *(
+        _case(f"bench-search-sparse-{tag}", scenario, cli.parse_grid(grid), form)
+        for tag, scenario, form, grid in [
+            ("s0-c03", X_STATE[ObservableKind.MX], _x_mx, "5/8pi:1/8pi:48"),
+            ("s1-c03", X_STATE[ObservableKind.MY], _x_my, "6/8pi:1/8pi:48"),
+            ("s2-c03", X_STATE[ObservableKind.MXY], _x_mxy, "14/8pi:1/8pi:48"),
+            ("s0-s2-c04", X_STATE[ObservableKind.MXY], _x_mxy, "4/8pi:1/8pi:64"),
+            ("s1-c04", X_STATE[ObservableKind.MY], _x_my, "6/8pi:1/8pi:64"),
+        ]
+    ),
+    *(
+        _case(f"bench-search-sparse-{tag}", PHI2_PHI1, cli.parse_grid(grid), _phi2_phi1)
+        for tag, grid in [
+            ("s0-s1-c05", "1/2pi:1/2pi:48"),
+            ("s2-c05", "2/2pi:1/2pi:48"),
+            ("s0-c06", "3/2pi:1/2pi:56"),
+            ("s1-c06", "1/2pi:1/2pi:56"),
+            ("s2-c06", "0/2pi:1/2pi:56"),
+            ("s0-c07", "3/2pi:1/2pi:64"),
+            ("s1-s2-c07", "0/2pi:1/2pi:64"),
+        ]
+    ),
+]
+
+
 def _exact_levels(scenario, grid, form):
     """(values, labels, gap): the exact table, flattened, its level label
     per cell in ascending order of level, and the smallest gap between

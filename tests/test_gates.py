@@ -59,10 +59,11 @@ def test_parse_gate_tokens():
     assert g.parse_gate(">=") == g.GREATER_EQUAL
     assert g.parse_gate("5") == g.B
     assert g.parse_gate(" t ") == g.T
-    with pytest.raises(ValueError):
-        g.parse_gate("frobnicate")
-    with pytest.raises(ValueError):
-        g.parse_gate("17")
+    # ids are read by int(), with its signs, padding and underscores
+    assert [g.parse_gate(t) for t in ("-0", "+5", " 05 ", "1_0")] == [g.F, g.B, g.B, g.NOT_B]
+    for token in ("frobnicate", "16", "17", "-1"):
+        with pytest.raises(ValueError, match=rf"^unknown gate '{token}'\nvalid tokens: <, <=, "):
+            g.parse_gate(token)
 
 
 def test_canalising_value_examples():
