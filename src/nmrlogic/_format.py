@@ -163,8 +163,10 @@ def packed_12g(values) -> np.ndarray:
 
     For the tables that rows index many times, so that each row carries
     fewer padding bytes than a `format_12g` slot.  One Python string per
-    value is built and dropped, and no array of bytes or positions.
+    distinct value is built and dropped, and the values index their texts.
+    Values are told apart by their bits, so -0.0 and 0.0 keep their signs.
     """
     values = np.asarray(values, dtype=np.float64)
-    text = [f"{v:.12g}" for v in values.ravel().tolist()]
-    return np.array(text, dtype="S").reshape(values.shape)
+    bits, inverse = np.unique(values.ravel().view(np.uint64), return_inverse=True)
+    text = [f"{v:.12g}" for v in bits.view(np.float64).tolist()]
+    return np.array(text, dtype="S")[inverse].reshape(values.shape)

@@ -24,6 +24,10 @@ counts the hits of every row pair from histograms of column label pairs
 own rows' labels, and streams the hits of the row pairs that hold any in
 cache-sized blocks (`gate_quadruples`), holding one n^3 boolean row
 test that a search allocates once and each of its passes fills.
+Equal labels are transitive, so on the label route a quadruple's four
+sides settle its diagonals, except for XOR and XNOR, which test both
+diagonals densely on either route; on the pairwise route the other gates
+re-test the diagonals of their hits.
 `gate_counts` labels the table once and counts one gate per orbit: from
 the histograms, holding none, or on a table without levels by one pass
 of `_search` each.
@@ -495,8 +499,9 @@ def _blocks(table, outputs, close, rows, candidates=None):
     without `candidates`, the row pairs that may hold hits, it also marks
     in a new (nA, nA) array the row pairs with a passing column j0 and one
     for j1.  Stage 2 takes row pairs (i0, i1) in blocks of about
-    `_BLOCK_QUADRUPLES` quadruples, tests their columns from their two
-    rows, and the two diagonals of the survivors.
+    `_BLOCK_QUADRUPLES` quadruples and tests their columns from their two
+    rows.  XOR and XNOR also test both diagonals of every quadruple; other
+    gates re-test the diagonals of their hits on the pairwise route only.
     """
     na, nb = table.shape
     pairwise = candidates is None
@@ -516,28 +521,45 @@ def _blocks(table, outputs, close, rows, candidates=None):
             some = {True: columns.any(axis=2), False: ~columns.all(axis=2)}
             candidates[start:start + step] = some[o00 == o10] & some[o01 == o11]
     pairs = np.argwhere(candidates)
-    # XOR and XNOR put equal levels on the diagonals only: test one densely
-    diagonal = o00 == o11 and o00 != o01
+    # The four sides join the ends of each diagonal by two paths.  A gate
+    # with equal bits on some side has them on one of each diagonal's paths,
+    # so a transitive test, as equal labels are, settles both diagonals from
+    # the sides.  XOR and XNOR differ on all four sides: they test both
+    # diagonals densely.  |x - y| <= tol is not transitive, so on the
+    # pairwise route every other gate re-tests both diagonals of its hits.
+    diagonals = o00 == o11 and o01 == o10 and o00 != o01
+    retest = pairwise and not diagonals
 
     step = max(1, _BLOCK_QUADRUPLES // (nb * nb))
     for start in range(0, len(pairs), step):
         a0, a1 = pairs[start:start + step].T
         columns = close(table[a0], table[a1])
         ok = (columns == (o00 == o10))[:, :, None] & (columns == (o01 == o11))[:, None, :]
+        del columns
         top(ok, rows[a0], out=ok)
         bottom(ok, rows[a1], out=ok)
-        if diagonal:
+        if diagonals:
             ok &= close(table[a0, :, None], table[a1, None, :])
+            ok &= close(table[a0, None, :], table[a1, :, None])
         # `//` and a product back: numpy's integer `divmod` is slower
         flat = np.flatnonzero(ok)
+        del ok
         k = flat // (nb * nb)
         cell = flat - k * (nb * nb)
+        del flat
         j0 = cell // nb
         j1 = cell - j0 * nb
+        del cell
         i0, i1 = a0[k], a1[k]
-        keep = close(table[i0, j0], table[i1, j1]) == (o00 == o11)
-        keep &= close(table[i0, j1], table[i1, j0]) == (o01 == o10)
-        hits = np.stack((i0, i1, j0, j1), axis=1, dtype=np.int64).compress(keep, axis=0)
+        del k
+        hits = np.stack((i0, i1, j0, j1), axis=1, dtype=np.int64)
+        if retest:
+            keep = close(table[i0, j0], table[i1, j1]) == (o00 == o11)
+            keep &= close(table[i0, j1], table[i1, j0]) == (o01 == o10)
+            hits = hits.compress(keep, axis=0)
+            del keep
+        # the writer builds its rows on top of what is live at `yield`
+        del i0, i1, j0, j1
         if len(hits):
             yield hits
 

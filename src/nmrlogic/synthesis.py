@@ -211,6 +211,10 @@ def count_assignments(
     return _kernels.gate_counts(table, [tt.outputs], tol)[0]
 
 
+# the class of each gate of ALL_GATES, in its order
+_GATE_CLASSES = tuple(map(gate_class, ALL_GATES))
+
+
 def achievable_classes(
     scenario: Scenario,
     grid: GridSpec = DEFAULT_SYNTH_GRID,
@@ -219,7 +223,7 @@ def achievable_classes(
     """Gate classes with at least one realizable member on the grid."""
     _, table = candidate_table(scenario, grid, tol)
     counts = _kernels.gate_counts(table, [tt.outputs for tt in ALL_GATES], tol)
-    return {gate_class(tt) for tt, count in zip(ALL_GATES, counts) if count}
+    return {cls for cls, count in zip(_GATE_CLASSES, counts) if count}
 
 
 # ---------------------------------------------------------------------------

@@ -1106,6 +1106,21 @@ def test_packed_equals_the_f_string_bytes(values):
     assert got.tolist() == expected.tolist()
 
 
+def test_packed_formats_each_bit_pattern_and_keeps_the_shape():
+    # repeats, both zeros (equal as floats, apart in their bits), nan,
+    # both infinities and a subnormal, in a 2-D table
+    values = np.array([
+        [0.25, -0.0, 0.0, 0.25, -0.0],
+        [math.nan, math.inf, -math.inf, 5e-324, 0.0],
+        [0.0, -0.0, 0.25, math.nan, -math.inf],
+    ])
+    got = _format.packed_12g(values)
+    assert got.shape == values.shape
+    expected = [f"{v:.12g}".encode("ascii") for v in values.ravel().tolist()]
+    assert got.ravel().tolist() == expected
+    assert got.dtype.itemsize == max(map(len, expected))
+
+
 def test_packed_peak_is_a_few_objects_per_value():
     rng = np.random.default_rng(7)
     values = rng.standard_normal(1 << 16) * 10.0 ** rng.integers(-300, 300, 1 << 16)

@@ -718,6 +718,32 @@ def test_label_counts_equal_kernel_and_oracle(levels, width, scale, tol):
         assert sum(1 for _ in oracle_quadruples(table, tt.outputs, tol)) == count
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), levels=st.integers(2, 6), na=st.integers(1, 6), nb=st.integers(1, 6))
+def test_label_route_hits_equal_the_oracle_in_order(data, levels, na, nb):
+    cells = st.lists(st.integers(0, levels - 1), min_size=na * nb, max_size=na * nb)
+    table = np.array(data.draw(cells), dtype=np.float64).reshape(na, nb) / 8
+    assert _kernels.level_labels(table, 1e-9) is not None
+    for tt in g.ALL_GATES:
+        found = _kernels.find_gate_quadruples(table, tt.outputs, 1e-9)
+        assert [tuple(row) for row in found.tolist()] == list(oracle_quadruples(table, tt.outputs)), tt.name
+
+
+@pytest.mark.parametrize("tt", [g.XOR, g.XNOR], ids=["XOR", "XNOR"])
+def test_xor_like_gates_test_the_anti_diagonal(tt):
+    # row pair (0, 1) holds the hit (0, 1, 0, 1), so the label route
+    # searches it; in (0, 1, 2, 1) all four sides join different labels and
+    # the main diagonal equal ones, but the anti-diagonal joins 1 and 2
+    table = np.array([[0, 1, 0], [1, 0, 2]]) / 8
+    labels = _kernels.level_labels(table, 1e-9)
+    (a, b), (c, d) = labels[np.ix_([0, 1], [2, 1])]
+    assert a != b and c != d and a != c and b != d
+    assert a == d and b != c
+    found = [tuple(row) for row in _kernels.find_gate_quadruples(table, tt.outputs, 1e-9).tolist()]
+    assert found == list(oracle_quadruples(table, tt.outputs))
+    assert (0, 1, 0, 1) in found and (0, 1, 2, 1) not in found
+
+
 def test_counts_keep_the_negations_but_not_the_input_swap():
     # x-state mx on a pi/8 grid; at n = 48 A has 469,800 hits and B 951,912
     scenario = x_scenario(ObservableKind.MX)
@@ -1056,6 +1082,45 @@ def test_capability_checks_build_one_table_per_scenario(monkeypatch):
     monkeypatch.setattr(syn, "scenario_table", counted)
     syn.capability_checks()
     assert len(calls) == 6  # thermal, three x-state readouts, two 2-pulse
+
+
+def test_capability_checks_classify_no_gate(monkeypatch):
+    # each gate's class is looked up, not derived from its truth table again
+    calls = []
+    original = g.canalising_counts
+
+    def counted(tt):
+        calls.append(tt)
+        return original(tt)
+
+    monkeypatch.setattr(g, "canalising_counts", counted)
+    syn.capability_checks()
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "table,tol",
+    [(np.zeros((16, 16)), 1e-9), (np.arange(256.0).reshape(16, 16) / 1000, 0.2)],
+    ids=["label-route", "pairwise-route"],
+)
+def test_stage_two_holds_only_its_hits_at_each_yield(table, tol):
+    # one level, or one cluster wider than tol: most quadruples realize T
+    assert (_kernels.level_labels(table, tol) is None) == (tol == 0.2)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        blocks = _kernels.gate_quadruples(table, g.T.outputs, tol)[1]
+        live = []
+        for block in blocks:
+            live.append((tracemalloc.get_traced_memory()[0] - base, block.nbytes))
+            del block
+    finally:
+        tracemalloc.stop()
+    assert live
+    # the block, the n^3 row test and a few row pair arrays; the corner
+    # indices and the flat positions of a block's hits took 3.5 MiB more
+    for held, hits in live:
+        assert held < hits + (1 << 16), (held, hits)
 
 
 def test_count_assignments_holds_one_block_of_hits(monkeypatch):
