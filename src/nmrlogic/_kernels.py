@@ -59,7 +59,7 @@ import numpy as np
 
 
 # ---------------------------------------------------------------------------
-# Two-pulse propagation: rho -> R2 R1 rho R1+ R2+, then the three traces.
+# Two-pulse propagation: rho -> R2 R1 rho R1+ R2+, then the mx and my traces.
 #
 # Rotation matrices are built from their closed-form entries
 #   [[cos(b/2), -i sin(b/2) e^{-i phi}], [-i sin(b/2) e^{+i phi}, cos(b/2)]]
@@ -98,9 +98,7 @@ def _any_zero(out):
 def _readout_zeros(rho):
     """(n,) bool: the points of an (n, 2, 2) stack of rho where a readout
     combines two exactly zero parts, so that their signs reach it: the
-    real parts of both coherences (mx, my) or their imaginary parts (my).
-    mz reads the real parts of the populations, which sum to the trace, 1,
-    so one of them is never zero."""
+    real parts of both coherences (mx, my) or their imaginary parts (my)."""
     zero = rho.reshape(len(rho), 4).view(np.float64) == 0
     return (zero[:, 2] & zero[:, 4]) | (zero[:, 3] & zero[:, 5])
 
@@ -181,7 +179,8 @@ def two_pulse_components(phi2, beta2, phi1, beta1, lambda_b, from_x):
 
     Returns
     -------
-    (mx, my, mz) : tuple of float64 ndarrays
+    (mx, my) : tuple of two C-ordered float64 ndarrays
+        The transverse readouts, each owning its memory.
     """
     phi2, beta2, phi1, beta1 = (
         np.asarray(v, dtype=np.float64) for v in (phi2, beta2, phi1, beta1)
@@ -204,8 +203,7 @@ def two_pulse_components(phi2, beta2, phi1, beta1, lambda_b, from_x):
     rho = rho.reshape(u_dagger.shape)
     mx = 0.5 * (rho[..., 0, 1] + rho[..., 1, 0]).real
     my = (0.5j * (rho[..., 0, 1] - rho[..., 1, 0])).real.copy()
-    mz = 0.5 * (rho[..., 0, 0] - rho[..., 1, 1]).real
-    return mx, my, mz
+    return mx, my
 
 
 # ---------------------------------------------------------------------------

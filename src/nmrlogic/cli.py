@@ -107,7 +107,7 @@ class _Parser(argparse.ArgumentParser):
 def _scenario_from_args(args: argparse.Namespace) -> synthesis.Scenario:
     initial = InitialState(args.initial or "z")
     pulses = args.pulses or 1
-    # grid reads all three readouts and has no --observable
+    # grid writes Mx, My and Mxy, so it has no --observable
     observable = ObservableKind(getattr(args, "observable", None) or "mx")
     if args.inputs:
         inputs = tuple(p.strip() for p in args.inputs.split(","))
@@ -158,14 +158,9 @@ def cmd_grid(args: argparse.Namespace) -> int:
     def blocks():
         for k0 in range(0, len(avals), step):
             mx, my = scenario_components(
-                scenario.initial,
-                scenario.pulses,
-                scenario.inputs,
-                scenario.fixed_values,
-                avals[k0 : k0 + step, None],
-                bvals[None, :],
-                scenario.lambda_b,
-            )[:2]
+                scenario.initial, scenario.pulses, scenario.inputs, scenario.fixed_values,
+                avals[k0 : k0 + step, None], bvals[None, :], scenario.lambda_b,
+            )
             yield [
                 np.repeat(a_text[k0 : k0 + step], count),
                 np.tile(b_text, len(mx)),

@@ -25,12 +25,6 @@ class TruthTable:
             raise ValueError("a two-input truth table has exactly 4 outputs")
         object.__setattr__(self, "outputs", tuple(bool(o) for o in self.outputs))
 
-    @classmethod
-    def from_id(cls, gate_id: int) -> "TruthTable":
-        if not 0 <= gate_id <= 15:
-            raise ValueError(f"gate id must be in 0..15, got {gate_id}")
-        return cls(tuple(bool((gate_id >> (3 - k)) & 1) for k in range(4)))
-
     @property
     def gate_id(self) -> int:
         return sum(int(o) << (3 - k) for k, o in enumerate(self.outputs))
@@ -52,7 +46,11 @@ class TruthTable:
 
 
 def truth_table(gate_id: int) -> TruthTable:
-    return TruthTable.from_id(gate_id)
+    """Truth table of gate id 0-15, in the module's id order; any other id
+    raises ValueError."""
+    if not 0 <= gate_id <= 15:
+        raise ValueError(f"gate id must be in 0..15, got {gate_id}")
+    return TruthTable(tuple(bool((gate_id >> (3 - k)) & 1) for k in range(4)))
 
 
 F = truth_table(0)

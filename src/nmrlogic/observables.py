@@ -1,22 +1,21 @@
 """Observable evaluation: parameter binding, closed forms and grid axes.
 
 `scenario_components` is the one evaluator: it binds two pulse parameters
-to logic inputs A and B, fixes the rest, and returns (mx, my, mz).  It
-uses the closed-form trigonometric expressions for one pulse and numeric
-matrix propagation (`_kernels`) for two; `spincore` propagates scalars
-independently, and the test suite pins both routes against it.
+to logic inputs A and B, fixes the rest, and returns the two detectable
+readouts (mx, my); the z readout lives only in the `spincore` oracle.
+It uses the closed-form trigonometric expressions for one pulse and
+numeric matrix propagation (`_kernels`) for two; `spincore` propagates
+scalars independently, and the test suite pins both routes against it.
 
 Single-pulse closed forms, starting state polarised along z:
 
     mx =  (lam/4) sin(phi) sin(beta)
     my = -(lam/4) cos(phi) sin(beta)
-    mz =  (lam/4) cos(beta)
 
 and starting polarised along x:
 
     mx =  (lam/4) (1 - 2 sin^2(phi) sin^2(beta/2))
     my =  (lam/4) sin(2 phi) sin^2(beta/2)
-    mz = -(lam/4) sin(phi) sin(beta)
 
 Two-pulse observables are evaluated numerically; closed forms for the
 special fixed-parameter families are kept as independent regression
@@ -58,7 +57,7 @@ TWO_PULSE_PARAMS = ("phi2", "beta2", "phi1", "beta1")
 
 
 def _single_pulse_components(phis, betas, lambda_b, from_x):
-    """Vectorised closed forms; arrays broadcast. Returns (mx, my, mz)."""
+    """Vectorised closed forms; arrays broadcast. Returns (mx, my)."""
     phis = np.asarray(phis, dtype=np.float64)
     betas = np.asarray(betas, dtype=np.float64)
     q = 0.25 * lambda_b
@@ -66,12 +65,10 @@ def _single_pulse_components(phis, betas, lambda_b, from_x):
         sh2 = np.sin(0.5 * betas) ** 2
         mx = q * (1.0 - 2.0 * np.sin(phis) ** 2 * sh2)
         my = q * np.sin(2.0 * phis) * sh2
-        mz = -q * np.sin(phis) * np.sin(betas)
     else:
         mx = q * np.sin(phis) * np.sin(betas)
         my = -q * np.cos(phis) * np.sin(betas)
-        mz = q * np.cos(betas)
-    return mx, my, mz
+    return mx, my
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +217,8 @@ def scenario_components(
     b_values,
     lambda_b: float = 1.0,
 ):
-    """(mx, my, mz) with inputs A/B bound to `a_values` / `b_values`.
+    """The detectable readouts (mx, my), with inputs A/B bound to
+    `a_values` / `b_values`.
 
     Arrays broadcast; scalars give scalars.  One-pulse scenarios use the
     closed forms, two-pulse scenarios numeric propagation.

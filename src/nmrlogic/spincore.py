@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -65,28 +65,14 @@ def rot_phi(phi: float, beta: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Pulse:
-    """A delta pulse: phase (rotation-axis azimuth) and flip angle, radians.
-
-    Amplitude (rad/s) and duration (s) are optional bookkeeping; when given,
-    their product must reproduce the flip angle.
-    """
+    """A delta pulse: phase (rotation-axis azimuth) and flip angle, radians,
+    both finite."""
 
     phase: float
     flip_angle: float
-    amplitude: Optional[float] = None
-    duration: Optional[float] = None
 
     def __post_init__(self) -> None:
         _require_finite(self.phase, self.flip_angle)
-        if (self.amplitude is None) != (self.duration is None):
-            raise ValueError("amplitude and duration must be given together")
-        if self.amplitude is not None:
-            _require_finite(self.amplitude, self.duration)
-            if abs(self.flip_angle - self.amplitude * self.duration) > DEFAULT_TOL:
-                raise ValueError(
-                    "flip_angle inconsistent with amplitude * duration: "
-                    f"{self.flip_angle} vs {self.amplitude * self.duration}"
-                )
 
     def propagator(self) -> np.ndarray:
         return rot_phi(self.phase, self.flip_angle)
@@ -105,10 +91,9 @@ def sequence_propagator(pulses: Iterable[Pulse]) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian unit-trace 2x2 state, tagged with its polarization scale."""
+    """Hermitian unit-trace 2x2 state."""
 
     matrix: np.ndarray
-    lambda_b: float = 1.0
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=np.complex128)
@@ -128,7 +113,7 @@ class DensityMatrix:
 def thermal_state(lambda_b: float = 1.0) -> DensityMatrix:
     """Thermal equilibrium state: identity/2 + (lambda_b/2) I_z."""
     _require_finite(lambda_b)
-    return DensityMatrix(0.5 * IDENTITY + 0.5 * lambda_b * IZ, lambda_b)
+    return DensityMatrix(0.5 * IDENTITY + 0.5 * lambda_b * IZ)
 
 
 def superposition_x_state(lambda_b: float = 1.0) -> DensityMatrix:
@@ -137,19 +122,19 @@ def superposition_x_state(lambda_b: float = 1.0) -> DensityMatrix:
     Equal to the thermal state after a (phi, beta) = (pi/2, pi/2) pulse.
     """
     _require_finite(lambda_b)
-    return DensityMatrix(0.5 * IDENTITY + 0.5 * lambda_b * IX, lambda_b)
+    return DensityMatrix(0.5 * IDENTITY + 0.5 * lambda_b * IX)
 
 
-def is_unitary(u: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+def propagate(rho: DensityMatrix, u: np.ndarray) -> DensityMatrix:
+    """Unitary conjugation u rho u+; trace and Hermiticity are preserved.
+
+    `u` must be a 2x2 matrix with u u+ within `DEFAULT_TOL` of the
+    identity, entry by entry; any other raises ValueError.
+    """
     u = np.asarray(u, dtype=np.complex128)
-    return u.shape == (2, 2) and np.max(np.abs(u @ u.conj().T - IDENTITY)) <= tol
-
-
-def propagate(rho: DensityMatrix, u: np.ndarray, tol: float = DEFAULT_TOL) -> DensityMatrix:
-    """Unitary conjugation u rho u+; trace and Hermiticity are preserved."""
-    if not is_unitary(u, tol):
+    if u.shape != (2, 2) or np.max(np.abs(u @ u.conj().T - IDENTITY)) > DEFAULT_TOL:
         raise ValueError("propagator is not unitary within tolerance")
-    return DensityMatrix(u @ rho.matrix @ u.conj().T, rho.lambda_b)
+    return DensityMatrix(u @ rho.matrix @ u.conj().T)
 
 
 @dataclass(frozen=True)
@@ -170,16 +155,16 @@ class Magnetization:
         return math.sqrt(self.mx**2 + self.my**2 + self.mz**2)
 
 
-def magnetization(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> Magnetization:
+def magnetization(rho: DensityMatrix) -> Magnetization:
     """Readout (Tr{rho I_x}, Tr{rho I_y}, Tr{rho I_z}).
 
-    The traces must be real; a residual imaginary part beyond `tol` signals
-    a corrupted state and raises.
+    The traces must be real; a residual imaginary part beyond `DEFAULT_TOL`
+    signals a corrupted state and raises.
     """
     components = []
     for op in (IX, IY, IZ):
         tr = np.trace(rho.matrix @ op)
-        if abs(tr.imag) > tol:
+        if abs(tr.imag) > DEFAULT_TOL:
             raise ArithmeticError(
                 f"magnetization trace has imaginary residue {tr.imag:.3e}"
             )

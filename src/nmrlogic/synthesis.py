@@ -73,11 +73,8 @@ def evaluate_scenario(scenario: Scenario, a_value: float, b_value: float) -> flo
 
 def scenario_table(scenario: Scenario, a_values, b_values) -> np.ndarray:
     """Observable over the Cartesian product of candidate values, A on rows."""
-    mx, my, _ = scenario_components(
-        scenario.initial,
-        scenario.pulses,
-        scenario.inputs,
-        scenario.fixed_values,
+    mx, my = scenario_components(
+        scenario.initial, scenario.pulses, scenario.inputs, scenario.fixed_values,
         np.asarray(a_values, dtype=np.float64).reshape(-1, 1),
         np.asarray(b_values, dtype=np.float64).reshape(1, -1),
         scenario.lambda_b,
@@ -276,12 +273,10 @@ def reference_single_pulse_scenario(lambda_b: float = 1.0) -> Scenario:
     )
 
 
-def reference_assignment(row: ReferenceGateRow, tol: float = DEFAULT_LEVEL_TOL) -> GateAssignment:
+def reference_assignment(row: ReferenceGateRow) -> GateAssignment:
     outputs = dict(zip(_CORNERS, row.outputs))
-    level_map = tuple(
-        (outputs[corner], bit) for bit, corner in level_corners(row.gate).items()
-    )
-    return GateAssignment(row.a_values, row.b_values, level_map, tol)
+    level_map = tuple((outputs[c], bit) for bit, c in level_corners(row.gate).items())
+    return GateAssignment(row.a_values, row.b_values, level_map)
 
 
 class CheckResult(NamedTuple):

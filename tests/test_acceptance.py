@@ -66,13 +66,12 @@ def test_criterion_2_closed_forms_match_propagation():
     phis, betas = np.meshgrid(PHI_AXIS.values(), BETA_AXIS.values(), indexing="ij")
 
     for from_x in (False, True):
-        cmx, cmy, cmz = obs._single_pulse_components(phis, betas, 1.0, from_x)
-        nmx, nmy, nmz = _kernels.two_pulse_components(phis, betas, 0.0, 0.0, 1.0, from_x)
+        cmx, cmy = obs._single_pulse_components(phis, betas, 1.0, from_x)
+        nmx, nmy = _kernels.two_pulse_components(phis, betas, 0.0, 0.0, 1.0, from_x)
         label = "x-state" if from_x else "thermal"
         for name, closed, numeric in (
             ("mx", cmx, nmx),
             ("my", cmy, nmy),
-            ("mz", cmz, nmz),
             ("mxy", np.hypot(cmx, cmy), np.hypot(nmx, nmy)),
         ):
             err = float(np.max(np.abs(closed - numeric)))
@@ -84,7 +83,7 @@ def test_criterion_2_closed_forms_match_propagation():
         avals, bvals = np.meshgrid(
             axis[free[0]].values(), axis[free[1]].values(), indexing="ij"
         )
-        mx, _, _ = obs.scenario_components(
+        mx, _ = obs.scenario_components(
             InitialState.SUPERPOSITION_X, 2, free, fixed, avals, bvals, 1.0
         )
         return avals, bvals, mx
@@ -219,24 +218,24 @@ def test_criterion_6_symmetry_relations():
     axis = np.linspace(-2 * PI, 4 * PI, 61)
     pa, pb = np.meshgrid(axis, axis, indexing="ij")
 
-    mx, my, _ = obs._single_pulse_components(pa, pb, 1.0, from_x=False)
-    mx_swap, _, _ = obs._single_pulse_components(pb, pa, 1.0, from_x=False)
+    mx, my = obs._single_pulse_components(pa, pb, 1.0, from_x=False)
+    mx_swap, _ = obs._single_pulse_components(pb, pa, 1.0, from_x=False)
     err = float(np.max(np.abs(mx - mx_swap)))
     crit.check(err <= 1e-12, f"thermal mx argument swap: max err {err:.3e}")
 
-    _, my_shift, _ = obs._single_pulse_components(pa + PI / 2, pb, 1.0, from_x=False)
+    _, my_shift = obs._single_pulse_components(pa + PI / 2, pb, 1.0, from_x=False)
     err = float(np.max(np.abs(mx - my_shift)))
     crit.check(err <= 1e-12, f"thermal mx = shifted my: max err {err:.3e}")
 
-    xmx, xmy, _ = obs._single_pulse_components(pa, pb, 1.0, from_x=True)
-    pmx, pmy, _ = obs._single_pulse_components(pa + PI, pb, 1.0, from_x=True)
+    xmx, xmy = obs._single_pulse_components(pa, pb, 1.0, from_x=True)
+    pmx, pmy = obs._single_pulse_components(pa + PI, pb, 1.0, from_x=True)
     for name, base, shifted in (
         ("mx", xmx, pmx), ("my", xmy, pmy), ("mxy", np.hypot(xmx, xmy), np.hypot(pmx, pmy)),
     ):
         err = float(np.max(np.abs(base - shifted)))
         crit.check(err <= 1e-12, f"x-state {name} pi-periodicity: max err {err:.3e}")
 
-    _, my_neg, _ = obs._single_pulse_components(pa, -pb, 1.0, from_x=True)
+    _, my_neg = obs._single_pulse_components(pa, -pb, 1.0, from_x=True)
     err = float(np.max(np.abs(xmy - my_neg)))
     crit.check(err <= 1e-12, f"x-state my flip-angle inversion: max err {err:.3e}")
 

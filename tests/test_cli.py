@@ -530,6 +530,8 @@ def test_synthesize_pairwise_route_matches_golden(tmp_path, capsys):
     "argv,golden",
     [
         (("--initial", "z", "--grid", "0:1/4pi:8"), "grid_z_quarter_pi_8.txt"),
+        # the x-state one-pulse closed forms, -0 and sub-1e-10 values included
+        (("--initial", "x", "--grid", "0:1/4pi:8"), "grid_x_quarter_pi_8.txt"),
         # "-0.000707106781187": sign, "0.000" prefix and 12 digits
         (
             ("--initial", "z", "--lambda", "0.004", "--grid", "0:1/4pi:8"),
@@ -1029,7 +1031,7 @@ def _reference_grid(scenario, grid_a, grid_b):
     """Grid CSV formatted one numpy scalar at a time."""
     avals, bvals = grid_a.values(), grid_b.values()
     mesh_a, mesh_b = np.meshgrid(avals, bvals, indexing="ij")
-    mx, my, _ = scenario_components(
+    mx, my = scenario_components(
         scenario.initial, scenario.pulses, scenario.inputs, scenario.fixed_values,
         mesh_a, mesh_b, scenario.lambda_b,
     )

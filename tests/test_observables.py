@@ -26,44 +26,42 @@ def numeric_two_pulse(phi2, beta2, phi1, beta1, lam, from_x):
 
 
 def closed_single_pulse(phi, beta, lam, from_x):
-    """One point of the vectorised closed forms, checked against the oracle."""
-    closed = sc.Magnetization(
-        *(float(c) for c in obs._single_pulse_components(phi, beta, lam, from_x))
-    )
+    """(mx, my) at one point of the vectorised closed forms, checked
+    against the oracle."""
+    mx, my = (float(c) for c in obs._single_pulse_components(phi, beta, lam, from_x))
     oracle = numeric_single_pulse(phi, beta, lam, from_x)
-    for got, want in ((closed.mx, oracle.mx), (closed.my, oracle.my), (closed.mz, oracle.mz)):
-        assert got == pytest.approx(want, abs=1e-12)
-    return closed
+    assert (mx, my) == pytest.approx((oracle.mx, oracle.my), abs=1e-12)
+    return mx, my
 
 
 def test_single_pulse_from_z_examples():
-    assert closed_single_pulse(PI / 2, PI / 2, 1.0, False).mx == pytest.approx(0.25, abs=1e-15)
-    assert closed_single_pulse(PI / 2, -PI / 2, 1.0, False).mx == pytest.approx(-0.25, abs=1e-15)
+    assert closed_single_pulse(PI / 2, PI / 2, 1.0, False)[0] == pytest.approx(0.25, abs=1e-15)
+    assert closed_single_pulse(PI / 2, -PI / 2, 1.0, False)[0] == pytest.approx(-0.25, abs=1e-15)
     for phi in (0.0, 1.3, -2.0):
-        m = closed_single_pulse(phi, 0.0, 0.8, False)
-        assert (m.mx, m.my, m.mz) == pytest.approx((0.0, 0.0, 0.2), abs=1e-15)
+        assert closed_single_pulse(phi, 0.0, 0.8, False) == pytest.approx((0.0, 0.0), abs=1e-15)
 
 
 def test_single_pulse_from_z_transverse_magnitude():
     for phi in (0.0, 0.7, 2.0):
         for beta in (-1.0, 0.4, PI / 2, 3.0):
-            m = closed_single_pulse(phi, beta, 1.0, False)
-            assert m.mxy == pytest.approx(0.25 * abs(math.sin(beta)), abs=1e-15)
+            mxy = math.hypot(*closed_single_pulse(phi, beta, 1.0, False))
+            assert mxy == pytest.approx(0.25 * abs(math.sin(beta)), abs=1e-15)
 
 
 def test_single_pulse_from_x_examples():
     for beta in (0.0, 0.5, PI, -2.5):
-        assert closed_single_pulse(0.0, beta, 1.0, True).mx == pytest.approx(0.25, abs=1e-15)
-    assert closed_single_pulse(PI / 2, PI, 1.0, True).mx == pytest.approx(-0.25, abs=1e-15)
-    assert closed_single_pulse(PI / 2, PI / 2, 1.0, True).mz == pytest.approx(-0.25, abs=1e-15)
+        assert closed_single_pulse(0.0, beta, 1.0, True)[0] == pytest.approx(0.25, abs=1e-15)
+    assert closed_single_pulse(PI / 2, PI, 1.0, True)[0] == pytest.approx(-0.25, abs=1e-15)
+    # a (pi/2, pi/2) pulse turns the x state onto -z: no transverse signal
+    assert closed_single_pulse(PI / 2, PI / 2, 1.0, True) == pytest.approx((0.0, 0.0), abs=1e-15)
 
 
 def test_single_pulse_from_x_transverse_magnitude():
     for phi in (0.0, 0.9, PI / 2):
         for beta in (-0.3, 1.1, PI):
-            m = closed_single_pulse(phi, beta, 1.0, True)
+            mxy = math.hypot(*closed_single_pulse(phi, beta, 1.0, True))
             expected = 0.25 * math.sqrt(1 - math.sin(phi) ** 2 * math.sin(beta) ** 2)
-            assert m.mxy == pytest.approx(expected, abs=1e-14)
+            assert mxy == pytest.approx(expected, abs=1e-14)
 
 
 @pytest.mark.parametrize("from_x", [False, True])
@@ -71,7 +69,7 @@ def test_closed_forms_match_scalar_propagation(from_x):
     phis = np.linspace(0, 4 * PI, 17)
     betas = np.linspace(-2 * PI, 2 * PI, 17)
     for lam in (0.3, 1.0):
-        mx, my, mz = np.broadcast_arrays(
+        mx, my = np.broadcast_arrays(
             *obs._single_pulse_components(phis[:, None], betas[None, :], lam, from_x)
         )
         for i, phi in enumerate(phis):
@@ -79,7 +77,6 @@ def test_closed_forms_match_scalar_propagation(from_x):
                 nm = numeric_single_pulse(phi, beta, lam, from_x)
                 assert abs(mx[i, j] - nm.mx) <= 1e-12
                 assert abs(my[i, j] - nm.my) <= 1e-12
-                assert abs(mz[i, j] - nm.mz) <= 1e-12
                 assert abs(math.hypot(mx[i, j], my[i, j]) - nm.mxy) <= 1e-12
 
 
@@ -111,7 +108,7 @@ def test_two_pulse_undo_pulse_reduces_to_thermal_case():
     table = syn.scenario_table(undo, phis, betas)
     for i, phi2 in enumerate(phis):
         for j, beta2 in enumerate(betas):
-            thermal = closed_single_pulse(phi2, beta2, 1.0, False).mx
+            thermal, _ = closed_single_pulse(phi2, beta2, 1.0, False)
             assert table[i, j] == pytest.approx(thermal, abs=1e-13)
             assert numeric_two_pulse(phi2, beta2, PI / 2, -PI / 2, 1.0, True).mx == pytest.approx(
                 thermal, abs=1e-13
@@ -143,7 +140,7 @@ def _check_forms_against_propagation(labels):
     for label in labels:
         free, fixed, _ = obs.TWO_PULSE_FORMS[label]
         avals, bvals = np.meshgrid(axes[free[0]], axes[free[1]], indexing="ij")
-        mx, _, _ = obs.scenario_components(
+        mx, _ = obs.scenario_components(
             obs.InitialState.SUPERPOSITION_X, 2, free, fixed, avals, bvals, 1.0
         )
         analytic = obs.two_pulse_closed_form(label, avals, bvals, 1.0)
@@ -176,7 +173,7 @@ def test_last_pulse_free_pair_is_negated_single_pulse():
     # -mx of the single-pulse thermal case; same for the mirrored binding
     for phi in np.linspace(0, 4 * PI, 15):
         for beta in np.linspace(-2 * PI, 2 * PI, 15):
-            base = closed_single_pulse(phi, beta, 0.7, False).mx
+            base, _ = closed_single_pulse(phi, beta, 0.7, False)
             assert obs.two_pulse_closed_form(
                 "phi2,beta2; others pi/2", phi, beta, 0.7
             ) == pytest.approx(-base, abs=1e-14)
@@ -231,49 +228,49 @@ def _xstate():
 
 
 def test_thermal_mx_symmetric_under_argument_swap():
-    mx, _, _ = _thermal()
-    mx_swapped, _, _ = obs._single_pulse_components(BETA_MESH, PHI_MESH, 1.0, from_x=False)
+    mx, _ = _thermal()
+    mx_swapped, _ = obs._single_pulse_components(BETA_MESH, PHI_MESH, 1.0, from_x=False)
     assert np.max(np.abs(mx - mx_swapped)) <= 1e-12
 
 
 def test_thermal_mx_is_shifted_my():
-    mx, _, _ = _thermal()
-    _, my_shifted, _ = obs._single_pulse_components(
+    mx, _ = _thermal()
+    _, my_shifted = obs._single_pulse_components(
         PHI_MESH + PI / 2, BETA_MESH, 1.0, from_x=False
     )
     assert np.max(np.abs(mx - my_shifted)) <= 1e-12
 
 
 def test_thermal_mx_sign_flips():
-    mx, _, _ = _thermal()
-    mx_neg_phi, _, _ = obs._single_pulse_components(-PHI_MESH, BETA_MESH, 1.0, from_x=False)
-    mx_neg_beta, _, _ = obs._single_pulse_components(PHI_MESH, -BETA_MESH, 1.0, from_x=False)
+    mx, _ = _thermal()
+    mx_neg_phi, _ = obs._single_pulse_components(-PHI_MESH, BETA_MESH, 1.0, from_x=False)
+    mx_neg_beta, _ = obs._single_pulse_components(PHI_MESH, -BETA_MESH, 1.0, from_x=False)
     assert np.max(np.abs(mx + mx_neg_phi)) <= 1e-12
     assert np.max(np.abs(mx + mx_neg_beta)) <= 1e-12
 
 
 def test_xstate_inversion_invariances():
-    mx, my, _ = _xstate()
+    mx, my = _xstate()
     mxy = np.hypot(mx, my)
     for flipped_mesh in ((-PHI_MESH, BETA_MESH), (PHI_MESH, -BETA_MESH)):
-        fmx, fmy, _ = obs._single_pulse_components(*flipped_mesh, 1.0, from_x=True)
+        fmx, fmy = obs._single_pulse_components(*flipped_mesh, 1.0, from_x=True)
         assert np.max(np.abs(mx - fmx)) <= 1e-12
         assert np.max(np.abs(mxy - np.hypot(fmx, fmy))) <= 1e-12
-    _, my_neg_beta, _ = obs._single_pulse_components(PHI_MESH, -BETA_MESH, 1.0, from_x=True)
+    _, my_neg_beta = obs._single_pulse_components(PHI_MESH, -BETA_MESH, 1.0, from_x=True)
     assert np.max(np.abs(my - my_neg_beta)) <= 1e-12
 
 
 def test_xstate_pi_periodicity_in_phase():
-    mx, my, _ = _xstate()
-    pmx, pmy, _ = obs._single_pulse_components(PHI_MESH + PI, BETA_MESH, 1.0, from_x=True)
+    mx, my = _xstate()
+    pmx, pmy = obs._single_pulse_components(PHI_MESH + PI, BETA_MESH, 1.0, from_x=True)
     assert np.max(np.abs(mx - pmx)) <= 1e-12
     assert np.max(np.abs(my - pmy)) <= 1e-12
 
 
 def test_observable_values_bounded_by_quarter_lambda():
     for from_x in (False, True):
-        mx, my, mz = obs._single_pulse_components(PHI_MESH, BETA_MESH, 0.9, from_x=from_x)
-        for comp in (mx, my, mz, np.hypot(mx, my)):
+        mx, my = obs._single_pulse_components(PHI_MESH, BETA_MESH, 0.9, from_x=from_x)
+        for comp in (mx, my, np.hypot(mx, my)):
             assert np.max(np.abs(comp)) <= 0.9 / 4 + 1e-12
 
 
@@ -374,7 +371,7 @@ def test_two_pulse_components_match_scalar_propagation():
         phi2, beta2, phi1, beta1 = rng.uniform(-7, 7, size=4)
         lam = rng.uniform(0, 1)
         for from_x in (False, True):
-            mx, my, mz = _kernels.two_pulse_components(
+            mx, my = _kernels.two_pulse_components(
                 phi2, beta2, phi1, beta1, lam, from_x
             )
             rho0 = sc.superposition_x_state(lam) if from_x else sc.thermal_state(lam)
@@ -382,4 +379,3 @@ def test_two_pulse_components_match_scalar_propagation():
             m = sc.magnetization(sc.propagate(rho0, u))
             assert float(mx) == pytest.approx(m.mx, abs=1e-13)
             assert float(my) == pytest.approx(m.my, abs=1e-13)
-            assert float(mz) == pytest.approx(m.mz, abs=1e-13)
