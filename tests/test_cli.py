@@ -530,8 +530,6 @@ def test_synthesize_pairwise_route_matches_golden(tmp_path, capsys):
     "argv,golden",
     [
         (("--initial", "z", "--grid", "0:1/4pi:8"), "grid_z_quarter_pi_8.txt"),
-        # the x-state one-pulse closed forms, -0 and sub-1e-10 values included
-        (("--initial", "x", "--grid", "0:1/4pi:8"), "grid_x_quarter_pi_8.txt"),
         # "-0.000707106781187": sign, "0.000" prefix and 12 digits
         (
             ("--initial", "z", "--lambda", "0.004", "--grid", "0:1/4pi:8"),
@@ -562,6 +560,8 @@ def test_synthesize_pairwise_route_matches_golden(tmp_path, capsys):
             ),
             "grid_x_two_pulse_phi1_beta1_quarter_pi_8.csv",
         ),
+        # the x-state one-pulse closed forms, -0 and sub-1e-10 values included
+        (("--initial", "x", "--grid", "0:1/4pi:8"), "grid_x_quarter_pi_8.txt"),
     ],
 )
 def test_grid_output_matches_golden(tmp_path, capsys, argv, golden):
