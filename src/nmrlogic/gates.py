@@ -36,14 +36,6 @@ class TruthTable:
     def __call__(self, a: int, b: int) -> bool:
         return self.outputs[2 * int(bool(a)) + int(bool(b))]
 
-    def ignores(self, variable: str) -> bool:
-        """True when the output never depends on the given input."""
-        if variable == "A":
-            return self(0, 0) == self(1, 0) and self(0, 1) == self(1, 1)
-        if variable == "B":
-            return self(0, 0) == self(0, 1) and self(1, 0) == self(1, 1)
-        raise ValueError(f"variable must be 'A' or 'B', got {variable!r}")
-
 
 def truth_table(gate_id: int) -> TruthTable:
     """Truth table of gate id 0-15, in the module's id order; any other id

@@ -1,4 +1,3 @@
-import hashlib
 import io
 import math
 import os
@@ -13,10 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import pinned_runs
 from nmrlogic import _format, _kernels, cli, gates, synthesis
 from nmrlogic.observables import GridSpec, scenario_components
 
 PI = math.pi
+GOLDEN = pinned_runs.GOLDEN
+STDERR_GOLDEN = "classify_frobnicate.err"  # the one golden of a stderr
 
 
 def run(capsys, *argv):
@@ -181,7 +183,6 @@ def test_classify_xor(capsys):
     assert "A=0, B=0" in out
     assert "XNOR" in out
     assert err == ""
-    assert_same_text(out, (GOLDEN / "classify_xor.txt").read_text(encoding="utf-8"))
 
 
 def test_classify_nand(capsys):
@@ -190,7 +191,6 @@ def test_classify_nand(capsys):
     assert "class: 2" in out
     assert "A=1, B=1" in out
     assert err == ""
-    assert_same_text(out, (GOLDEN / "classify_nand.txt").read_text(encoding="utf-8"))
 
 
 def test_classify_numeric_id(capsys):
@@ -211,7 +211,7 @@ def test_classify_unknown_token_message_matches_golden(capsys):
     code, out, err = run(capsys, "classify", "frobnicate")
     assert code == 1
     assert out == ""
-    golden = (GOLDEN / "classify_frobnicate.err").read_bytes().decode()
+    golden = (GOLDEN / STDERR_GOLDEN).read_bytes().decode()
     assert err == golden
 
 
@@ -301,16 +301,6 @@ def run_help(capsys, *argv):
     return capsys.readouterr().out
 
 
-@help_goldens
-@pytest.mark.parametrize("command", ["", "grid", "classify", "synthesize", "verify"])
-def test_help_matches_golden(capsys, monkeypatch, command):
-    # argparse wraps help to the COLUMNS width; the goldens are 80 wide
-    monkeypatch.setenv("COLUMNS", "80")
-    out = run_help(capsys, *command.split())
-    golden = f"help_{command}.txt" if command else "help.txt"
-    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
-
-
 # one parser per process ------------------------------------------------------
 
 
@@ -361,19 +351,16 @@ def test_repeated_main_calls_do_not_affect_each_other(tmp_path, capsys):
     assert "invalid choice: 'mz'" in err
     assert "--observable" in run_help(capsys, "synthesize")
     # none of them may leak into later calls, which must match a fresh process
-    goldens = {
-        ("classify", "XOR"): "classify_xor.txt",
-        ("synthesize", "XOR", "--grid", "0:1/4pi:16"): "synthesize_xor_quarter_pi_16.txt",
-    }
+    for row in (PINNED["classify_xor"], PINNED["synthesize_xor_quarter_pi_16"]):
+        code, out, err = run(capsys, *row.argv())
+        assert (code, out, err) == run_fresh(*row.argv())
+        assert pinned_runs.mismatches(row, code, out.encode(), err.encode(), None) == []
     no_fix = ("grid", "--pulses", "2", "--inputs", "phi2,phi1", "--grid", "0:1/4pi:8")
-    for argv in [*goldens, no_fix]:
-        result = run(capsys, *argv)
-        assert result == run_fresh(*argv)
-        if argv in goldens:
-            assert result == (0, (GOLDEN / goldens[argv]).read_text(encoding="utf-8"), "")
-        else:  # fails naming the parameters it needs fixed
-            assert result[:2] == (1, "")
-            assert "['beta1', 'beta2']" in result[2]
+    result = run(capsys, *no_fix)
+    assert result == run_fresh(*no_fix)
+    # fails naming the parameters it needs fixed
+    assert result[:2] == (1, "")
+    assert "['beta1', 'beta2']" in result[2]
     assert cli.build_parser.cache_info().misses == 1
 
 
@@ -401,56 +388,42 @@ def test_verify_fails_with_wrong_scale(capsys):
     assert "FAIL" in out
 
 
-GOLDEN = Path(__file__).parent / "golden"
+# pinned runs -----------------------------------------------------------------
+
+
+PINNED = {row.id: row for row in pinned_runs.ROWS}
 
 
 @pytest.mark.parametrize(
-    "argv,golden",
+    "row",
     [
-        ((), "verify_default.txt"),
-        (("--grid", "0:1/8pi:24"), "verify_grid_eighth_pi_24.txt"),
-        # the default grid, given explicitly
-        (("--grid", "0:1/4pi:16"), "verify_default.txt"),
+        pytest.param(row, id=row.id, marks=[help_goldens] if "--help" in row.argv() else [])
+        for row in pinned_runs.ROWS
     ],
 )
-def test_verify_stdout_matches_golden(capsys, argv, golden):
-    code, out, err = run(capsys, "verify", *argv)
-    assert code == 0
-    assert err == ""
-    assert_same_text(out, (GOLDEN / golden).read_text(encoding="utf-8"))
+def test_pinned_run(tmp_path, capsys, monkeypatch, row):
+    # the rows run back to back in this one process, on the parser that
+    # main builds once, so no run may leak into the next
+    monkeypatch.setenv("COLUMNS", "80")
+    out_path = tmp_path / "out"
+    try:
+        code = cli.main(row.argv(str(out_path)))
+    except SystemExit as exc:  # --help
+        code = exc.code
+    captured = capsys.readouterr()
+    written = out_path.read_bytes() if out_path.exists() else None
+    found = pinned_runs.mismatches(row, code, captured.out.encode(), captured.err.encode(), written)
+    assert found == []
 
 
-@pytest.mark.parametrize(
-    "argv,golden",
-    [
-        (("XOR", "--grid", "0:1/4pi:16"), "synthesize_xor_quarter_pi_16.txt"),
-        # a constant gate: its CSV has a nan level column
-        (("T", "--grid", "0:1/2pi:8", "--out", "OUT"), "synthesize_t_half_pi_8.csv"),
-    ],
-)
-def test_synthesize_output_matches_golden(tmp_path, capsys, argv, golden):
-    out_path = tmp_path / "out.csv"
-    code, out, err = run(
-        capsys, "synthesize", *(str(out_path) if a == "OUT" else a for a in argv)
-    )
-    assert (code, err) == (0, "")
-    written = out_path.read_bytes().decode() if "OUT" in argv else out
-    assert_same_text(written, (GOLDEN / golden).read_bytes().decode())
+def test_every_golden_file_is_pinned():
+    # a golden file that no row names checks nothing: put its run in the table
+    named = {pin for row in pinned_runs.ROWS for pin in (row.stdout, row.out)}
+    orphans = [p.name for p in GOLDEN.iterdir() if p.name not in named | {STDERR_GOLDEN}]
+    assert orphans == []
 
 
-def test_synthesize_without_hits_on_three_levels_matches_golden(capsys):
-    # three levels over 48 columns: AND is counted from the level indicators
-    argv = (
-        "AND", "--initial", "x", "--pulses", "2", "--inputs", "phi2,phi1",
-        "--fix", "beta1=1/2pi", "--fix", "beta2=1/2pi", "--grid", "0:1/2pi:48",
-    )
-    code, out, err = run(capsys, "synthesize", *argv)
-    assert (code, err) == (3, "")
-    golden = GOLDEN / "synthesize_and_x_two_pulse_half_pi_48.txt"
-    assert_same_text(out, golden.read_text(encoding="utf-8"))
-
-
-def test_synthesize_b_orbit_keeps_its_bytes(tmp_path, capsys, monkeypatch):
+def test_b_orbit_is_counted_by_the_sort_route(tmp_path, capsys, monkeypatch):
     # B's orbit is counted by the sort on any table: one level with no
     # hits, and three levels over 16 columns with 13,312
     levels = []
@@ -462,132 +435,22 @@ def test_synthesize_b_orbit_keeps_its_bytes(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(_kernels, "level_pair_counts", counted)
     monkeypatch.setattr(_kernels, "_and_pair_counts", None)  # no gemm runs
-    code, out, err = run(capsys, "synthesize", "B", "--lambda", "0", "--grid", "0:1/8pi:16")
-    assert (code, err) == (3, "")
-    golden = GOLDEN / "synthesize_b_lambda_0_eighth_pi_16.txt"
-    assert_same_text(out, golden.read_text(encoding="utf-8"))
-    out_path = tmp_path / "not_b.csv"
-    code, out, err = run(
-        capsys, "synthesize", "NOT B", "--initial", "x", "--pulses", "2",
-        "--inputs", "phi2,phi1", "--fix", "beta1=1/2pi", "--fix", "beta2=1/2pi",
-        "--grid", "0:1/2pi:16", "--out", str(out_path),
-    )
-    assert (code, err) == (0, "")
+    for row_id in ("synthesize_b_lambda_0_eighth_pi_16", "synthesize_not_b_x_two_pulse_half_pi_16_out"):
+        row = PINNED[row_id]
+        code, _, err = run(capsys, *row.argv(str(tmp_path / "out.csv")))
+        assert (code, err) == (row.code, "")
     assert levels == [(1, 16, (2,)), (3, 16, (2,))]
-    digests = [hashlib.sha256(text).hexdigest() for text in (out.encode(), out_path.read_bytes())]
-    assert digests == [
-        "dc0f0b0dbf4d0e9c9e6a9e7da7671ed010d363feb7f63efa9816a482913319c4",
-        "5119ecddfbeffbafe94b267e04f187360e696313165b855061905304c472d195",
-    ]
 
 
-@pytest.mark.parametrize(
-    "argv,golden",
-    [
-        # 27 levels over 48 columns and 11 over 64: each search counts only
-        # its XOR-orbit sum, on int16 label pair keys
-        (("XNOR", "--observable", "mx", "--grid=5/8pi:1/8pi:48"),
-         "synthesize_xnor_x_mx_eighth_pi_48.txt"),
-        (("XOR", "--observable", "mxy", "--grid=4/8pi:1/8pi:64"),
-         "synthesize_xor_x_mxy_eighth_pi_64.txt"),
-    ],
-)
-def test_synthesize_xor_orbit_without_hits_matches_golden(capsys, argv, golden):
-    gate, *rest = argv
-    code, out, err = run(
-        capsys, "synthesize", gate, "--initial", "x", "--pulses", "1",
-        "--inputs", "phi,beta", *rest,
-    )
-    assert (code, err) == (3, "")
-    assert_same_text(out, (GOLDEN / golden).read_text(encoding="utf-8"))
-
-
-def test_synthesize_pairwise_route_matches_golden(tmp_path, capsys):
-    # at tol 0.02 the thermal mx table has a level spanning more than tol,
-    # so the search compares float gaps, not level labels
+def test_tol_0_02_takes_the_pairwise_route():
+    # at tol 0.02 the thermal mx table of the synthesize_xor_eighth_pi_12_tol_0.02
+    # rows has a level spanning more than tol, so the search compares float
+    # gaps, not level labels
     candidates = cli.parse_grid("0:1/8pi:12").values()
     table = synthesis.scenario_table(
         synthesis.reference_single_pulse_scenario(), candidates, candidates
     )
     assert _kernels.level_labels(table, 0.02) is None
-    argv = ("synthesize", "XOR", "--grid", "0:1/8pi:12", "--tol", "0.02")
-    code, out, err = run(capsys, *argv)
-    assert (code, err) == (0, "")
-    golden = GOLDEN / "synthesize_xor_eighth_pi_12_tol_0.02.txt"
-    assert_same_text(out, golden.read_text(encoding="utf-8"))
-    # with --out, the count pass and the write pass fill one row test
-    out_path = tmp_path / "xor.csv"
-    code, out, err = run(capsys, *argv, "--out", str(out_path))
-    assert (code, err) == (0, "")
-    assert_same_text(out, golden.read_text(encoding="utf-8"))
-    assert_same_text(
-        out_path.read_bytes().decode(),
-        (GOLDEN / "synthesize_xor_eighth_pi_12_tol_0.02.csv").read_bytes().decode(),
-    )
-
-
-@pytest.mark.parametrize(
-    "argv,golden",
-    [
-        (("--initial", "z", "--grid", "0:1/4pi:8"), "grid_z_quarter_pi_8.txt"),
-        # "-0.000707106781187": sign, "0.000" prefix and 12 digits
-        (
-            ("--initial", "z", "--lambda", "0.004", "--grid", "0:1/4pi:8"),
-            "grid_z_lambda_0.004_quarter_pi_8.txt",
-        ),
-        (
-            (
-                "--initial", "x", "--pulses", "2", "--inputs", "phi2,phi1",
-                "--fix", "beta1=1/2pi", "--fix", "beta2=1/2pi",
-                "--grid", "0:1/4pi:8", "--out", "OUT",
-            ),
-            "grid_x_two_pulse_quarter_pi_8.csv",
-        ),
-        # every coherence real part is zero: rho is made per point
-        (
-            (
-                "--initial", "z", "--pulses", "2", "--inputs", "beta2,beta1",
-                "--fix", "phi2=0", "--fix", "phi1=0", "--grid", "0:1/4pi:8",
-            ),
-            "grid_z_two_pulse_beta2_beta1_quarter_pi_8.txt",
-        ),
-        # both inputs in pulse 1: R2 R1 is made per point
-        (
-            (
-                "--initial", "x", "--pulses", "2", "--inputs", "phi1,beta1",
-                "--fix", "phi2=1/2pi", "--fix", "beta2=1/2pi",
-                "--grid", "0:1/4pi:8", "--out", "OUT",
-            ),
-            "grid_x_two_pulse_phi1_beta1_quarter_pi_8.csv",
-        ),
-        # the x-state one-pulse closed forms, -0 and sub-1e-10 values included
-        (("--initial", "x", "--grid", "0:1/4pi:8"), "grid_x_quarter_pi_8.txt"),
-    ],
-)
-def test_grid_output_matches_golden(tmp_path, capsys, argv, golden):
-    out_path = tmp_path / "grid.csv"
-    code, out, err = run(
-        capsys, "grid", *(str(out_path) if a == "OUT" else a for a in argv)
-    )
-    assert (code, err) == (0, "")
-    written = out_path.read_bytes().decode() if "OUT" in argv else out
-    assert_same_text(written, (GOLDEN / golden).read_bytes().decode())
-
-
-def test_synthesize_out_run_matches_both_goldens(tmp_path, capsys):
-    # one run writes the CSV and stdout, block by block
-    out_path = tmp_path / "xor.csv"
-    code, out, err = run(
-        capsys, "synthesize", "XOR", "--grid", "0:1/4pi:16", "--out", str(out_path)
-    )
-    assert (code, err) == (0, "")
-    assert_same_text(
-        out, (GOLDEN / "synthesize_xor_quarter_pi_16.txt").read_bytes().decode()
-    )
-    assert_same_text(
-        out_path.read_bytes().decode(),
-        (GOLDEN / "synthesize_xor_quarter_pi_16.csv").read_bytes().decode(),
-    )
 
 
 class _FailingOut(io.StringIO):
@@ -962,15 +825,8 @@ def _reference_synthesize(scenario, tt, grid, tol=synthesis.DEFAULT_LEVEL_TOL):
 def assert_same_text(actual, expected):
     """Equality that reports the first differing line, not a full diff of
     outputs that run to megabytes."""
-    if actual == expected:
-        return
-    got, want = actual.splitlines(True), expected.splitlines(True)
-    k = next((k for k, pair in enumerate(zip(got, want)) if pair[0] != pair[1]),
-             min(len(got), len(want)))
-    pytest.fail(
-        f"line {k} differs: {got[k:k + 1]} != {want[k:k + 1]} "
-        f"({len(got)} vs {len(want)} lines)"
-    )
+    if actual != expected:
+        pytest.fail(pinned_runs.first_difference(actual.encode(), expected.encode()))
 
 
 THERMAL_FLAGS = ("--initial", "z")

@@ -165,14 +165,6 @@ def test_transforms_are_involutions():
         g.negate_input(g.T, "C")
 
 
-def test_ignores():
-    assert g.T.ignores("A") and g.T.ignores("B")
-    assert g.B.ignores("A") and not g.B.ignores("B")
-    assert not g.XOR.ignores("A") and not g.XOR.ignores("B")
-    with pytest.raises(ValueError, match="variable must be 'A' or 'B', got 'C'"):
-        g.T.ignores("C")
-
-
 def test_gate_class_guards_impossible_profile(monkeypatch):
     monkeypatch.setattr(g, "canalising_counts", lambda tt: g.CanalisingProfile(2, 1))
     with pytest.raises(RuntimeError):
