@@ -236,8 +236,15 @@ def two_pulse_components(phi2, beta2, phi1, beta1, lambda_b, from_x):
 _BLOCK_QUADRUPLES = 1 << 16
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
+
+
 def level_labels(values, tol):
-    """Int level label per cell, or None when some level spans more than `tol`."""
+    """Int level label per cell, or None when some level spans more than `tol`.
+    Every search labels its table first, so `tol` is checked here."""
+    _check_tol(tol)
     values = np.asarray(values, dtype=np.float64)
     flat = values.ravel()
     order = np.argsort(flat)

@@ -37,8 +37,6 @@ from . import _kernels, gates, synthesis
 from ._format import format_12g, packed_12g
 from .observables import (
     GridSpec,
-    InitialState,
-    ObservableKind,
     ONE_PULSE_PARAMS,
     default_axis,
     scenario_components,
@@ -100,15 +98,18 @@ def parse_fix(text: str) -> tuple:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own matcher takes "-1e-3" and "-1/2pi:4" for flags; no
+        # flag starts with "-" and a digit, or "-." and a digit
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):  # a usage error like any other: exit 1, not argparse's 2
         raise ValueError(message)
 
 
 def _scenario_from_args(args: argparse.Namespace) -> synthesis.Scenario:
-    initial = InitialState(args.initial or "z")
     pulses = args.pulses or 1
-    # grid writes Mx, My and Mxy, so it has no --observable
-    observable = ObservableKind(getattr(args, "observable", None) or "mx")
     if args.inputs:
         inputs = tuple(p.strip() for p in args.inputs.split(","))
     elif pulses == 1:
@@ -118,9 +119,10 @@ def _scenario_from_args(args: argparse.Namespace) -> synthesis.Scenario:
     fixed = tuple(parse_fix(item) for item in (args.fix or []))
     lambda_b = args.lambda_b if args.lambda_b is not None else 1.0
     return synthesis.Scenario(
-        initial=initial,
+        initial=args.initial or "z",
         pulses=pulses,
-        observable=observable,
+        # grid writes Mx, My and Mxy, so it has no --observable
+        observable=getattr(args, "observable", None) or "mx",
         inputs=inputs,
         fixed=fixed,
         lambda_b=lambda_b,
@@ -255,7 +257,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     scenario = _scenario_from_args(args)
     grid = parse_grid(args.grid) if args.grid is not None else synthesis.DEFAULT_SYNTH_GRID
     tol = args.tol if args.tol is not None else synthesis.DEFAULT_LEVEL_TOL
-    cand, table = synthesis.candidate_table(scenario, grid, tol)
+    cand, table = synthesis.candidate_table(scenario, grid)
     count, hits = _kernels.gate_quadruples(table, tt.outputs, tol)
 
     if not count:

@@ -221,12 +221,9 @@ def scenario_components(
     `a_values` / `b_values`.
 
     Arrays broadcast; scalars give scalars.  One-pulse scenarios use the
-    closed forms, two-pulse scenarios numeric propagation.
+    closed forms, two-pulse scenarios numeric propagation.  Callers pass a
+    `Scenario`'s fields, whose binding the `Scenario` has checked.
     """
-    validate_binding(pulses, inputs, fixed)
-    inputs = tuple(inputs)
-    a_values = np.asarray(a_values, dtype=np.float64)
-    b_values = np.asarray(b_values, dtype=np.float64)
     bound = dict(fixed)
     bound[inputs[0]] = a_values
     bound[inputs[1]] = b_values

@@ -84,14 +84,8 @@ def scenario_table(scenario: Scenario, a_values, b_values) -> np.ndarray:
     return mx if scenario.observable is ObservableKind.MX else my
 
 
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
-
-
-def candidate_table(scenario: Scenario, grid: GridSpec, tol: float):
-    """The grid's candidates and the observable over them, for a search at `tol`."""
-    _check_tol(tol)
+def candidate_table(scenario: Scenario, grid: GridSpec):
+    """The grid's candidates and the observable over them, A on rows."""
     cand = grid.values()
     return cand, scenario_table(scenario, cand, cand)
 
@@ -111,7 +105,7 @@ class GateAssignment:
     tolerance: float = DEFAULT_LEVEL_TOL
 
     def __post_init__(self) -> None:
-        _check_tol(self.tolerance)
+        _kernels._check_tol(self.tolerance)
         if not 1 <= len(self.level_map) <= 2:
             raise ValueError("level map needs one or two levels")
         bits = [bit for _, bit in self.level_map]
@@ -184,7 +178,7 @@ def synthesize(
     `tol` apart.  Returns the empty list when the scenario cannot express
     the gate on this grid.
     """
-    cand, table = candidate_table(scenario, grid, tol)
+    cand, table = candidate_table(scenario, grid)
     hits = _kernels.find_gate_quadruples(table, tt.outputs, tol)
     a0, a1, b0, b1 = cand[hits.T].tolist()
     levels = [
@@ -204,7 +198,7 @@ def count_assignments(
     tol: float = DEFAULT_LEVEL_TOL,
 ) -> int:
     """Number of realizing assignments, without holding them."""
-    _, table = candidate_table(scenario, grid, tol)
+    _, table = candidate_table(scenario, grid)
     return _kernels.gate_counts(table, [tt.outputs], tol)[0]
 
 
@@ -218,7 +212,7 @@ def achievable_classes(
     tol: float = DEFAULT_LEVEL_TOL,
 ) -> Set[GateClass]:
     """Gate classes with at least one realizable member on the grid."""
-    _, table = candidate_table(scenario, grid, tol)
+    _, table = candidate_table(scenario, grid)
     counts = _kernels.gate_counts(table, [tt.outputs for tt in ALL_GATES], tol)
     return {cls for cls, count in zip(_GATE_CLASSES, counts) if count}
 
@@ -290,7 +284,7 @@ def verify_reference_tables(
 ) -> List[CheckResult]:
     """Recompute the built-in gate exemplars and pin every two-pulse closed
     form against numeric propagation; one result entry per check."""
-    _check_tol(tol)
+    _kernels._check_tol(tol)
     results: List[CheckResult] = []
     scenario = reference_single_pulse_scenario(lambda_b)
     for row in REFERENCE_SINGLE_PULSE_GATES:
@@ -367,7 +361,7 @@ def capability_checks(
     def grid_tag(g: GridSpec) -> str:
         return f"grid {g.start:.6g}:{g.step:.6g}:{g.count}"
 
-    _, thermal = candidate_table(reference_single_pulse_scenario(lambda_b), grid, tol)
+    _, thermal = candidate_table(reference_single_pulse_scenario(lambda_b), grid)
     counts = _kernels.gate_counts(thermal, [tt.outputs for tt in ALL_GATES], tol)
     missing = [tt.name for tt, count in zip(ALL_GATES, counts) if not count]
     results = [

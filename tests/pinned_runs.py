@@ -108,6 +108,10 @@ ROWS = [
     # sign, "0.000" prefix and 12 digits in one value: -0.000707106781187
     Row("grid_z_lambda_0.004_quarter_pi_8", "grid --initial z --lambda 0.004 --grid 0:1/4pi:8", 0,
         "grid_z_lambda_0.004_quarter_pi_8.txt"),
+    # negative values given as the word after their flag, an exponent
+    # and a rational multiple of pi: the bytes of the "=" forms
+    Row("grid_lambda_-1e-3_space_form", "grid --lambda -1e-3 --grid -1/2pi:1/2pi:4", 0,
+        "f425e00663d429d441fd93ee257bd32cc8b9b379ca5838a9517e5fe87dad3502"),
     Row("grid_x_two_pulse_quarter_pi_8_out", f"grid {TWO_PULSE_X} --grid 0:1/4pi:8 --out OUT", 0,
         EMPTY, "grid_x_two_pulse_quarter_pi_8.csv"),
     # every coherence real part of this grid is zero, so every point of

@@ -230,6 +230,22 @@ def test_synthesize_xor_thermal(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "spaced,joined",
+    [
+        ("grid --lambda -1e-3 --grid -1/2pi:1/2pi:4", "grid --lambda=-1e-3 --grid=-1/2pi:1/2pi:4"),
+        ("grid --lambda -0.001 --grid 0:1/2pi:4", "grid --lambda=-0.001 --grid 0:1/2pi:4"),
+        ("synthesize XOR --lambda -.5 --grid -1/2pi:1/2pi:10",
+         "synthesize XOR --lambda=-.5 --grid=-1/2pi:1/2pi:10"),
+    ],
+)
+def test_negative_values_need_no_equals_sign(capsys, spaced, joined):
+    # a word after a flag that starts with "-" and a digit is its value
+    result = run(capsys, *spaced.split())
+    assert result[0] == 0 and result[1] and result[2] == ""
+    assert result == run(capsys, *joined.split())
+
+
 def test_synthesize_constant_true_contains_reference_values(capsys):
     code, out, _ = run(capsys, "synthesize", "T", "--initial", "z")
     assert code == 0
@@ -1193,8 +1209,13 @@ def test_grid_stdout_matches_reference(capsys, monkeypatch, block):
 # boundary validation -----------------------------------------------------------
 
 
-# cases that pin the whole message: a grid count that is not an integer
+# cases that pin the whole message: a tolerance the search rejects once
+# it has built the table, and a grid count that is not an integer
 INVALID_NUMBER_MESSAGES = {
+    ("synthesize", "XOR", "--initial", "z", "--tol", "nan"):
+        "error: tolerance must be finite and non-negative, got nan\n",
+    ("synthesize", "XOR", "--initial", "z", "--tol", "-1"):
+        "error: tolerance must be finite and non-negative, got -1.0\n",
     ("synthesize", "XOR", "--grid", "0:1:2.5"): "error: grid count must be an integer, got '2.5'",
     ("synthesize", "XOR", "--grid", "0:1:"): "error: grid count must be an integer, got ''",
     ("verify", "--grid", "0:1:2.5"): "error: grid count must be an integer, got '2.5'",
@@ -1204,8 +1225,6 @@ INVALID_NUMBER_MESSAGES = {
 @pytest.mark.parametrize(
     "argv",
     [
-        ("synthesize", "XOR", "--initial", "z", "--tol", "nan"),
-        ("synthesize", "XOR", "--initial", "z", "--tol", "-1"),
         ("synthesize", "T", "--initial", "z", "--lambda", "nan"),
         ("synthesize", "T", "--initial", "z", "--lambda", "inf"),
         ("grid", "--initial", "x", "--grid", "0:1/2pi:4", "--lambda", "nan"),

@@ -239,7 +239,7 @@ def _exact_levels(scenario, grid, form):
 @pytest.mark.parametrize("scenario,grid,form", CASES)
 def test_level_labels_give_the_exact_partition(scenario, grid, form):
     tol = syn.DEFAULT_LEVEL_TOL
-    _, table = syn.candidate_table(scenario, grid, tol)
+    _, table = syn.candidate_table(scenario, grid)
     values, exact_labels, gap = _exact_levels(scenario, grid, form)
     labels = _kernels.level_labels(table, tol)
     assert labels is not None

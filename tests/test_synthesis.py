@@ -390,7 +390,7 @@ def test_kernel_hits_equal_oracle_enumeration(monkeypatch, limit):
 )
 def test_gate_quadruples_count_equals_its_blocks_and_gate_counts(tol, labelled):
     scenario = x_scenario(ObservableKind.MX)
-    _, table = syn.candidate_table(scenario, GridSpec(0.0, PI / 8, 12), tol)
+    _, table = syn.candidate_table(scenario, GridSpec(0.0, PI / 8, 12))
     assert (_kernels.level_labels(table, tol) is not None) == labelled
     expected = _kernels.gate_counts(table, [tt.outputs for tt in g.ALL_GATES], tol)
     for tt, total in zip(g.ALL_GATES, expected):
@@ -418,7 +418,7 @@ def _count_passes(monkeypatch):
 
 def test_gate_counts_on_the_pairwise_route_searches_once_per_orbit(monkeypatch):
     tol = 0.02
-    _, table = syn.candidate_table(x_scenario(ObservableKind.MX), GridSpec(0.0, PI / 8, 24), tol)
+    _, table = syn.candidate_table(x_scenario(ObservableKind.MX), GridSpec(0.0, PI / 8, 24))
     assert _kernels.level_labels(table, tol) is None
     outputs = [tt.outputs for tt in g.ALL_GATES]
     expected = [_kernels.gate_quadruples(table, gate, tol)[0] for gate in outputs]
@@ -430,7 +430,7 @@ def test_gate_counts_on_the_pairwise_route_searches_once_per_orbit(monkeypatch):
 
 def test_gate_counts_label_a_table_without_levels_once(monkeypatch):
     tol = 0.02
-    _, table = syn.candidate_table(x_scenario(ObservableKind.MX), GridSpec(0.0, PI / 8, 24), tol)
+    _, table = syn.candidate_table(x_scenario(ObservableKind.MX), GridSpec(0.0, PI / 8, 24))
     calls = []
     original = _kernels.level_labels
 
@@ -454,7 +454,7 @@ def test_gate_counts_label_a_table_without_levels_once(monkeypatch):
 @pytest.mark.parametrize("tt", [g.AND, g.XOR], ids=["AND", "XOR"])
 def test_find_gate_quadruples_searches_the_pairwise_route_once(monkeypatch, tt):
     tol = 0.01
-    _, table = syn.candidate_table(THERMAL_MX, GridSpec(0.0, 0.37 * PI / 8, 16), tol)
+    _, table = syn.candidate_table(THERMAL_MX, GridSpec(0.0, 0.37 * PI / 8, 16))
     assert _kernels.level_labels(table, tol) is None
     count, blocks = _kernels.gate_quadruples(table, tt.outputs, tol)
     expected = np.concatenate([np.empty((0, 4), dtype=np.int64), *blocks])
@@ -468,7 +468,7 @@ def test_find_gate_quadruples_searches_the_pairwise_route_once(monkeypatch, tt):
 
 def test_a_label_route_count_of_0_runs_no_search_pass(monkeypatch):
     tol = syn.DEFAULT_LEVEL_TOL
-    _, table = syn.candidate_table(x_scenario(ObservableKind.MX), GridSpec(0.0, PI / 8, 12), tol)
+    _, table = syn.candidate_table(x_scenario(ObservableKind.MX), GridSpec(0.0, PI / 8, 12))
     assert _kernels.level_labels(table, tol) is not None
     passes = _count_passes(monkeypatch)
     assert _kernels.gate_quadruples(table, g.XOR.outputs, tol)[0] == 0
@@ -500,7 +500,7 @@ def test_gate_quadruples_allocates_its_row_test_before_it_returns(monkeypatch, l
     # cannot be allocated must fail here, not at the first block
     tol = 1e-9 if labelled else 0.01
     spacing = PI / 8 if labelled else 0.37 * PI / 8
-    _, table = syn.candidate_table(THERMAL_MX, GridSpec(0.0, spacing, 16), tol)
+    _, table = syn.candidate_table(THERMAL_MX, GridSpec(0.0, spacing, 16))
     assert (_kernels.level_labels(table, tol) is not None) == labelled
     assert _kernels.gate_quadruples(table, g.AND.outputs, tol)[0] > 0
     refused = _row_tests(monkeypatch)
@@ -511,7 +511,7 @@ def test_gate_quadruples_allocates_its_row_test_before_it_returns(monkeypatch, l
 
 def test_a_label_route_count_of_0_allocates_no_row_test(monkeypatch):
     tol = syn.DEFAULT_LEVEL_TOL
-    _, table = syn.candidate_table(x_scenario(ObservableKind.MX), GridSpec(0.0, PI / 8, 12), tol)
+    _, table = syn.candidate_table(x_scenario(ObservableKind.MX), GridSpec(0.0, PI / 8, 12))
     refused = _row_tests(monkeypatch)
     count, blocks = _kernels.gate_quadruples(table, g.XOR.outputs, tol)
     assert (count, list(blocks), refused) == (0, [], [])
@@ -519,7 +519,7 @@ def test_a_label_route_count_of_0_allocates_no_row_test(monkeypatch):
 
 def test_a_pairwise_search_fills_one_row_test_in_both_passes(monkeypatch):
     tol = 0.01
-    _, table = syn.candidate_table(THERMAL_MX, GridSpec(0.0, 0.37 * PI / 8, 16), tol)
+    _, table = syn.candidate_table(THERMAL_MX, GridSpec(0.0, 0.37 * PI / 8, 16))
     assert _kernels.level_labels(table, tol) is None
     shapes = _row_tests(monkeypatch, refuse=False)
     count, blocks = _kernels.gate_quadruples(table, g.AND.outputs, tol)
@@ -1154,7 +1154,7 @@ MIXED_FIX = syn.Scenario(
 @pytest.mark.parametrize("tt", [g.T, g.F, g.B, g.NAND, g.XOR], ids=lambda tt: tt.name)
 def test_search_rows_match_synthesize(scenario, tt):
     tol = syn.DEFAULT_LEVEL_TOL
-    candidates, table = syn.candidate_table(scenario, HALF_PI_GRID, tol)
+    candidates, table = syn.candidate_table(scenario, HALF_PI_GRID)
     hits = _kernels.find_gate_quadruples(table, tt.outputs, tol)
     assignments = syn.synthesize(scenario, tt, HALF_PI_GRID)
     assert hits.shape == (len(assignments), 4)
@@ -1201,10 +1201,18 @@ def test_scenario_rejects_non_finite_lambda(lam):
                      lambda_b=lam)
 
 
-@pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-12, math.inf])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-12])
 def test_searches_reject_bad_tolerance(tol):
+    # every search labels its table first, and the labelling checks `tol`
+    _, table = syn.candidate_table(THERMAL_MX, HALF_PI_GRID)
     with pytest.raises(ValueError, match="tolerance"):
-        syn.candidate_table(THERMAL_MX, HALF_PI_GRID, tol)
+        _kernels.level_labels(table, tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        _kernels.gate_quadruples(table, g.XOR.outputs, tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        _kernels.gate_counts(table, [g.T.outputs, g.AND.outputs], tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        _kernels.find_gate_quadruples(table, g.XOR.outputs, tol)
     with pytest.raises(ValueError, match="tolerance"):
         syn.synthesize(THERMAL_MX, g.XOR, HALF_PI_GRID, tol)
     with pytest.raises(ValueError, match="tolerance"):
@@ -1217,3 +1225,8 @@ def test_searches_reject_bad_tolerance(tol):
 
 def test_zero_tolerance_is_accepted():
     assert syn.count_assignments(THERMAL_MX, g.XOR, HALF_PI_GRID, 0.0) > 0
+    _, table = syn.candidate_table(THERMAL_MX, HALF_PI_GRID)
+    assert _kernels.level_labels(table, 0.0) is not None
+    count, _ = _kernels.gate_quadruples(table, g.XOR.outputs, 0.0)
+    assert _kernels.gate_counts(table, [g.XOR.outputs], 0.0) == [count]
+    assert len(_kernels.find_gate_quadruples(table, g.XOR.outputs, 0.0)) == count > 0
