@@ -3,7 +3,6 @@
 from .spincore import (
     DensityMatrix,
     Magnetization,
-    Pulse,
     magnetization,
     propagate,
     rot_phi,
@@ -49,7 +48,6 @@ __all__ = [
     "InitialState",
     "Magnetization",
     "ObservableKind",
-    "Pulse",
     "Scenario",
     "TruthTable",
     "achievable_classes",

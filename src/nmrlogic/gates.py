@@ -121,20 +121,12 @@ class CanalisingProfile(NamedTuple):
     count_b: int
 
 
-def is_canalising_value(tt: TruthTable, variable: str, value: bool) -> bool:
-    """Does fixing `variable` to `value` pin the output for any other input?"""
-    if variable == "A":
-        return tt(value, 0) == tt(value, 1)
-    if variable == "B":
-        return tt(0, value) == tt(1, value)
-    raise ValueError(f"variable must be 'A' or 'B', got {variable!r}")
-
-
 def canalising_counts(tt: TruthTable) -> CanalisingProfile:
-    """How many of the two values of each input are canalising."""
+    """How many of the two values of each input are canalising, that is,
+    pin the output whatever the other input is."""
     return CanalisingProfile(
-        sum(is_canalising_value(tt, "A", v) for v in (False, True)),
-        sum(is_canalising_value(tt, "B", v) for v in (False, True)),
+        sum(tt(v, 0) == tt(v, 1) for v in (0, 1)),
+        sum(tt(0, v) == tt(1, v) for v in (0, 1)),
     )
 
 

@@ -136,8 +136,7 @@ def two_pulse_closed_form(label: str, a, b, lambda_b: float = 1.0):
         raise ValueError(
             f"unknown closed form {label!r}; expected one of {sorted(TWO_PULSE_FORMS)}"
         )
-    if not math.isfinite(lambda_b):
-        raise ValueError(f"lambda_b must be finite, got {lambda_b!r}")
+    _require_finite(lambda_b, name="lambda_b")
     _, _, formula = TWO_PULSE_FORMS[label]
     return formula(np.asarray(a), np.asarray(b), 0.25 * lambda_b)
 

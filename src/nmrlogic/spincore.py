@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -22,10 +21,10 @@ IY = np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=np.complex128)
 IZ = np.array([[0.5, 0.0], [0.0, -0.5]], dtype=np.complex128)
 
 
-def _require_finite(*values: float) -> None:
+def _require_finite(*values: float, name: str = "angle") -> None:
     for v in values:
         if not math.isfinite(v):
-            raise ValueError(f"angle must be finite, got {v!r}")
+            raise ValueError(f"{name} must be finite, got {v!r}")
 
 
 def rot_axis(axis: str, beta: float) -> np.ndarray:
@@ -63,32 +62,6 @@ def rot_phi(phi: float, beta: float) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class Pulse:
-    """A delta pulse: phase (rotation-axis azimuth) and flip angle, radians,
-    both finite."""
-
-    phase: float
-    flip_angle: float
-
-    def __post_init__(self) -> None:
-        _require_finite(self.phase, self.flip_angle)
-
-    def propagator(self) -> np.ndarray:
-        return rot_phi(self.phase, self.flip_angle)
-
-
-def sequence_propagator(pulses: Iterable[Pulse]) -> np.ndarray:
-    """Ordered product of pulse propagators, first pulse rightmost.
-
-    An empty sequence gives the identity.
-    """
-    u = IDENTITY.copy()
-    for pulse in pulses:
-        u = pulse.propagator() @ u
-    return u
-
-
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian unit-trace 2x2 state."""
@@ -112,7 +85,7 @@ class DensityMatrix:
 
 def thermal_state(lambda_b: float = 1.0) -> DensityMatrix:
     """Thermal equilibrium state: identity/2 + (lambda_b/2) I_z."""
-    _require_finite(lambda_b)
+    _require_finite(lambda_b, name="lambda_b")
     return DensityMatrix(0.5 * IDENTITY + 0.5 * lambda_b * IZ)
 
 
@@ -121,7 +94,7 @@ def superposition_x_state(lambda_b: float = 1.0) -> DensityMatrix:
 
     Equal to the thermal state after a (phi, beta) = (pi/2, pi/2) pulse.
     """
-    _require_finite(lambda_b)
+    _require_finite(lambda_b, name="lambda_b")
     return DensityMatrix(0.5 * IDENTITY + 0.5 * lambda_b * IX)
 
 
@@ -170,10 +143,3 @@ def magnetization(rho: DensityMatrix) -> Magnetization:
             )
         components.append(float(tr.real))
     return Magnetization(*components)
-
-
-def commutator(a, b) -> np.ndarray:
-    """AB - BA; accepts plain matrices or DensityMatrix values."""
-    a = np.asarray(getattr(a, "matrix", a), dtype=np.complex128)
-    b = np.asarray(getattr(b, "matrix", b), dtype=np.complex128)
-    return a @ b - b @ a

@@ -25,6 +25,7 @@ from .observables import (
     TWO_PULSE_FORMS,
     default_axis,
     scenario_components,
+    two_pulse_closed_form,
     validate_binding,
 )
 from .spincore import _require_finite
@@ -57,18 +58,11 @@ class Scenario:
             raise ValueError(f"parameter {twice!r} is fixed more than once")
         validate_binding(self.pulses, self.inputs, fixed)
         object.__setattr__(self, "fixed", tuple(sorted(fixed.items())))
-        if not math.isfinite(self.lambda_b):
-            raise ValueError(f"lambda_b must be finite, got {self.lambda_b!r}")
+        _require_finite(self.lambda_b, name="lambda_b")
 
     @property
     def fixed_values(self) -> dict:
         return dict(self.fixed)
-
-
-def evaluate_scenario(scenario: Scenario, a_value: float, b_value: float) -> float:
-    """Observable with input A bound to `a_value` and B to `b_value`."""
-    _require_finite(a_value, b_value)
-    return float(scenario_table(scenario, [a_value], [b_value])[0, 0])
 
 
 def scenario_table(scenario: Scenario, a_values, b_values) -> np.ndarray:
@@ -309,8 +303,8 @@ def verify_reference_tables(
             )
         )
 
-    for label, (free, fixed, formula) in TWO_PULSE_FORMS.items():
-        err = _closed_form_max_error(free, fixed, formula, lambda_b)
+    for label in TWO_PULSE_FORMS:
+        err = _closed_form_max_error(label, lambda_b)
         results.append(
             CheckResult(
                 f"two-pulse closed form ({label})",
@@ -321,8 +315,10 @@ def verify_reference_tables(
     return results
 
 
-def _closed_form_max_error(free, fixed, formula, lambda_b) -> float:
-    """Largest |closed form - propagated x-state mx| over the default axes."""
+def _closed_form_max_error(label, lambda_b) -> float:
+    """Largest |closed form - propagated x-state mx| of the `TWO_PULSE_FORMS`
+    entry `label` over the default axes."""
+    free, fixed, _ = TWO_PULSE_FORMS[label]
     a_values = default_axis(free[0]).values()
     b_values = default_axis(free[1]).values()
     scenario = Scenario(
@@ -334,7 +330,7 @@ def _closed_form_max_error(free, fixed, formula, lambda_b) -> float:
         lambda_b=lambda_b,
     )
     numeric = scenario_table(scenario, a_values, b_values)
-    analytic = formula(a_values[:, None], b_values[None, :], 0.25 * lambda_b)
+    analytic = two_pulse_closed_form(label, a_values[:, None], b_values[None, :], lambda_b)
     return float(np.max(np.abs(analytic - numeric)))
 
 

@@ -67,11 +67,12 @@ def test_parse_gate_tokens():
 
 
 def test_canalising_value_examples():
-    assert g.is_canalising_value(g.NAND, "A", False) is True
-    assert g.is_canalising_value(g.NAND, "A", True) is False
-    assert g.is_canalising_value(g.XOR, "A", False) is False
-    with pytest.raises(ValueError):
-        g.is_canalising_value(g.XOR, "C", False)
+    # A = 0 pins NAND to 1 and A = 1 leaves it to B: one canalising value;
+    # no value of A pins XOR
+    assert {g.NAND(0, b) for b in (0, 1)} == {True}
+    assert {g.NAND(1, b) for b in (0, 1)} == {False, True}
+    assert g.canalising_counts(g.NAND).count_a == 1
+    assert g.canalising_counts(g.XOR).count_a == 0
 
 
 def test_canalising_counts_examples():
@@ -83,14 +84,14 @@ def test_canalising_counts_examples():
 
 
 def test_canalising_counts_against_brute_force():
-    # definition: fixing (variable, value) pins the output across the other input
+    # definition: fixing (variable, value) pins the output across the other
+    # input; on the 2x2 output matrix (A on rows) that is a constant row for
+    # a value of A and a constant column for a value of B
     for tt in g.ALL_GATES:
-        expected_a = sum(
-            tt(value, 0) == tt(value, 1) for value in (False, True)
-        )
-        expected_b = sum(
-            tt(0, value) == tt(1, value) for value in (False, True)
-        )
+        rows = [tt.outputs[0:2], tt.outputs[2:4]]
+        columns = list(zip(*rows))
+        expected_a = sum(len(set(row)) == 1 for row in rows)
+        expected_b = sum(len(set(column)) == 1 for column in columns)
         assert g.canalising_counts(tt) == (expected_a, expected_b)
 
 

@@ -88,13 +88,14 @@ def x_state_two_pulse(inputs, fixed, kind=obs.ObservableKind.MX, lambda_b=1.0):
 
 def test_two_pulse_examples():
     flips_half_pi = x_state_two_pulse(("phi2", "phi1"), {"beta2": PI / 2, "beta1": PI / 2})
-    assert syn.evaluate_scenario(flips_half_pi, PI / 2, PI / 2) == pytest.approx(-0.25, abs=1e-14)
+    value = syn.scenario_table(flips_half_pi, [PI / 2], [PI / 2])[0, 0]
+    assert value == pytest.approx(-0.25, abs=1e-14)
     assert numeric_two_pulse(PI / 2, PI / 2, PI / 2, PI / 2, 1.0, True).mx == pytest.approx(
         -0.25, abs=1e-14
     )
     no_flips = x_state_two_pulse(("phi2", "phi1"), {"beta2": 0.0, "beta1": 0.0}, lambda_b=0.6)
     for phi2, phi1 in ((0.3, 1.0), (2.0, -1.0)):
-        assert syn.evaluate_scenario(no_flips, phi2, phi1) == pytest.approx(0.15, abs=1e-14)
+        assert syn.scenario_table(no_flips, [phi2], [phi1])[0, 0] == pytest.approx(0.15, abs=1e-14)
         assert numeric_two_pulse(phi2, 0.0, phi1, 0.0, 0.6, True).mx == pytest.approx(
             0.15, abs=1e-14
         )
@@ -289,7 +290,7 @@ def test_observable_grid_shape_and_convention():
             assert out[i, j] == pytest.approx(
                 numeric_single_pulse(phi, beta, 1.0, False).mx, abs=1e-15
             )
-            assert out[i, j] == syn.evaluate_scenario(scenario, phi, beta)
+            assert out[i, j] == syn.scenario_table(scenario, [phi], [beta])[0, 0]
 
 
 def test_observable_grid_known_point():

@@ -27,12 +27,12 @@ def x_scenario(kind):
     )
 
 
-def test_evaluate_scenario_examples():
-    assert syn.evaluate_scenario(THERMAL_MX, PI / 2, PI / 2) == pytest.approx(0.25, abs=1e-15)
-    assert syn.evaluate_scenario(THERMAL_MX, 3 * PI / 2, PI / 2) == pytest.approx(-0.25, abs=1e-15)
+def test_one_point_table_examples():
+    table = syn.scenario_table(THERMAL_MX, [PI / 2, 3 * PI / 2], [PI / 2])
+    assert table[:, 0] == pytest.approx([0.25, -0.25], abs=1e-15)
     mxy = syn.Scenario(InitialState.THERMAL_Z, 1, ObservableKind.MXY, ("phi", "beta"))
     for phi in (0.0, 1.0, -2.5):
-        assert syn.evaluate_scenario(mxy, phi, 0.0) == pytest.approx(0.0, abs=1e-15)
+        assert syn.scenario_table(mxy, [phi], [0.0])[0, 0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_scenario_accepts_string_enums():
@@ -68,7 +68,7 @@ def test_scenario_table_matches_scalar_evaluation():
     for i, a in enumerate(cand):
         for j, b in enumerate(cand):
             assert table[i, j] == pytest.approx(
-                syn.evaluate_scenario(THERMAL_MX, a, b), abs=1e-14
+                syn.scenario_table(THERMAL_MX, [a], [b])[0, 0], abs=1e-14
             )
 
 
@@ -82,7 +82,7 @@ BINDINGS = [(1, ("phi", "beta"))] + [
 @pytest.mark.parametrize(
     "pulses,inputs", BINDINGS, ids=[",".join(inputs) for _, inputs in BINDINGS]
 )
-def test_evaluate_scenario_equals_the_cells_of_scenario_table_bit_for_bit(
+def test_one_point_tables_equal_the_cells_of_scenario_table_bit_for_bit(
     pulses, inputs, initial, observable
 ):
     rng = np.random.default_rng(19)
@@ -92,8 +92,10 @@ def test_evaluate_scenario_equals_the_cells_of_scenario_table_bit_for_bit(
     quarter_turns = rng.integers(-8, 9, size=(2, 2)) * (PI / 4)
     for a_values, b_values in (quarter_turns, rng.uniform(-2 * PI, 2 * PI, size=(2, 2))):
         table = syn.scenario_table(scenario, a_values, b_values)
-        cells = [[syn.evaluate_scenario(scenario, a, b) for b in b_values] for a in a_values]
-        assert table.tobytes() == np.array(cells).tobytes()
+        cells = [
+            [syn.scenario_table(scenario, [a], [b])[0, 0] for b in b_values] for a in a_values
+        ]
+        assert np.array_equal(table.view(np.uint64), np.array(cells).view(np.uint64))
 
 
 def test_two_pulse_scenario_matches_direct_observable():
@@ -101,23 +103,11 @@ def test_two_pulse_scenario_matches_direct_observable():
         InitialState.SUPERPOSITION_X, 2, ObservableKind.MY, ("beta2", "phi1"),
         fixed=(("phi2", 0.4), ("beta1", -1.1)), lambda_b=0.8,
     )
-    value = syn.evaluate_scenario(scenario, 2.0, -0.5)
+    value = syn.scenario_table(scenario, [2.0], [-0.5])[0, 0]
     # pulse 1 (phi1, beta1) first, then pulse 2 (phi2, beta2)
     u = sc.rot_phi(0.4, 2.0) @ sc.rot_phi(-0.5, -1.1)
     direct = sc.magnetization(sc.propagate(sc.superposition_x_state(0.8), u)).my
     assert value == pytest.approx(direct, abs=1e-15)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_evaluate_scenario_rejects_non_finite_inputs(bad):
-    two_pulse = syn.Scenario(
-        "x", 2, "mx", ("phi2", "beta1"), fixed=(("phi1", PI / 2), ("beta2", PI))
-    )
-    for scenario in (THERMAL_MX, two_pulse):
-        with pytest.raises(ValueError):
-            syn.evaluate_scenario(scenario, bad, 0.0)
-        with pytest.raises(ValueError):
-            syn.evaluate_scenario(scenario, 0.0, bad)
 
 
 def test_reference_rows_realize_their_gates():
@@ -126,9 +116,7 @@ def test_reference_rows_realize_their_gates():
         assert syn.assignment_realizes(THERMAL_MX, assignment, row.gate), row.gate.name
         # and the recomputed corner values equal the quoted outputs
         for (a, b), expected in zip(((0, 0), (0, 1), (1, 0), (1, 1)), row.outputs):
-            value = syn.evaluate_scenario(
-                THERMAL_MX, row.a_values[a], row.b_values[b]
-            )
+            value = syn.scenario_table(THERMAL_MX, [row.a_values[a]], [row.b_values[b]])[0, 0]
             assert value == pytest.approx(expected, abs=1e-12)
 
 
@@ -960,7 +948,7 @@ def test_kernel_without_hits_returns_empty_int64(monkeypatch, limit):
 def test_search_agrees_with_brute_force_oracle(scenario):
     cand = DEFAULT_GRID.values()
     table = [
-        [syn.evaluate_scenario(scenario, a, b) for b in cand] for a in cand
+        [syn.scenario_table(scenario, [a], [b])[0, 0] for b in cand] for a in cand
     ]
     for tt in g.ALL_GATES:
         outputs = (tt(0, 0), tt(0, 1), tt(1, 0), tt(1, 1))
