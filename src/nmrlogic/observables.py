@@ -204,7 +204,7 @@ def validate_binding(pulses: int, inputs, fixed: Mapping[str, float]) -> None:
             f"fixed values must cover exactly {sorted(rest)}, got {sorted(fixed)}"
         )
     for name, value in fixed.items():
-        _require_finite(value)
+        _require_finite(value, name=name)
 
 
 def scenario_components(

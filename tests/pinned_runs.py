@@ -76,6 +76,11 @@ ROWS = [
     Row("synthesize_xor_x_mxy_eighth_pi_64",
         "synthesize XOR --initial x --pulses 1 --observable mxy --inputs phi,beta"
         " --grid=4/8pi:1/8pi:64", 3, "synthesize_xor_x_mxy_eighth_pi_64.txt"),
+    # 256 rows with few distinct ones, each counted once; one line of stdout
+    Row("synthesize_xnor_x_mx_eighth_pi_256",
+        "synthesize XNOR --initial x --pulses 1 --observable mx --inputs phi,beta"
+        " --grid=5/8pi:1/8pi:256", 3,
+        "78955bcccac25a2a341f7bce9fcefc04f3fb5d4b8f60f67bfd678e1945349696"),
     # B and NOT B count through the sort on any table: one level with no
     # hits exits 3 and prints one line, and three levels over 16 columns
     # write 13,312 rows

@@ -458,6 +458,31 @@ def test_b_orbit_is_counted_by_the_sort_route(tmp_path, capsys, monkeypatch):
     assert levels == [(1, 16, (2,)), (3, 16, (2,))]
 
 
+def test_a_table_of_repeated_rows_is_counted_on_its_distinct_rows(capsys, monkeypatch):
+    # the x-state mxy table on 64 angles a pi/8 apart has 5 distinct rows:
+    # XOR's sort and AND's gemm each count those, not the 64 rows
+    tables = {"level_pair_counts": [], "_block_pair_counts": [], "_and_pair_counts": []}
+    for name, seen in tables.items():
+        original = getattr(_kernels, name)
+
+        def counted(labels, *args, original=original, seen=seen):
+            seen.append(labels)
+            return original(labels, *args)
+
+        monkeypatch.setattr(_kernels, name, counted)
+    row = PINNED["synthesize_xor_x_mxy_eighth_pi_64"]
+    code, _, err = run(capsys, *row.argv())
+    assert (code, err) == (row.code, "")
+    (labels,) = tables["level_pair_counts"]
+    _kernels.level_pair_counts(labels, (4,))  # AND writes 200,704 rows through the CLI
+    shapes = {name: [seen.shape for seen in tables[name]] for name in tables}
+    assert shapes == {
+        "level_pair_counts": [(64, 64), (64, 64)],
+        "_block_pair_counts": [(5, 64)],
+        "_and_pair_counts": [(5, 64)],
+    }
+
+
 def test_tol_0_02_takes_the_pairwise_route():
     # at tol 0.02 the thermal mx table of the synthesize_xor_eighth_pi_12_tol_0.02
     # rows has a level spanning more than tol, so the search compares float
@@ -1219,6 +1244,8 @@ INVALID_NUMBER_MESSAGES = {
     ("synthesize", "XOR", "--grid", "0:1:2.5"): "error: grid count must be an integer, got '2.5'",
     ("synthesize", "XOR", "--grid", "0:1:"): "error: grid count must be an integer, got ''",
     ("verify", "--grid", "0:1:2.5"): "error: grid count must be an integer, got '2.5'",
+    ("grid", "--pulses", "2", "--inputs", "phi2,phi1", "--fix", "beta1=nan", "--fix", "beta2=1",
+     "--grid", "0:1:2"): "error: beta1 must be finite, got nan\n",
 }
 
 

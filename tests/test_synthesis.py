@@ -889,35 +889,44 @@ SLOT_SUBSETS = [
 @settings(max_examples=60, deadline=None)
 @given(
     levels=st.sampled_from(["one", "fewer", "columns", "more", "181", "182"]),
+    repeated=st.booleans(),
     rows_per_block=st.integers(1, 4),
     data=st.data(),
 )
 def test_level_pair_counts_of_every_slot_subset_equal_the_formulas(
-    levels, rows_per_block, data
+    levels, repeated, rows_per_block, data
 ):
     # 181 levels are the most whose keys x*m + y fit int16, 182 the fewest
     # that take int32
     sizes = st.integers(13, 16) if levels in ("181", "182") else st.integers(1, 7)
     na, nb = data.draw(st.tuples(sizes, sizes), label="shape")
+    # a repeated table draws a few rows, then repeats and shuffles them
+    least = {"181": 181, "182": 182}.get(levels, 1)
+    rows = data.draw(st.integers(min(na, -(-least // nb)), na), label="rows") if repeated else na
     m = {
         "one": 1,
         "fewer": data.draw(st.integers(2, max(2, nb - 1))),
         "columns": nb,
-        "more": data.draw(st.integers(nb + 1, max(nb + 1, na * nb))),
+        "more": data.draw(st.integers(nb + 1, max(nb + 1, rows * nb))),
         "181": 181,
         "182": 182,
     }[levels]
-    assume(2 <= m < nb if levels == "fewer" else m <= na * nb)
-    cells = data.draw(st.lists(st.integers(0, m - 1), min_size=na * nb, max_size=na * nb))
+    assume(2 <= m < nb if levels == "fewer" else m <= rows * nb)
+    cells = data.draw(st.lists(st.integers(0, m - 1), min_size=rows * nb, max_size=rows * nb))
     cells[:m] = range(m)  # every level appears at least once
     cells = data.draw(st.permutations(cells))
-    labels = _kernels.level_labels(np.array(cells, dtype=np.float64).reshape(na, nb) / 8, 1e-9)
+    table = np.array(cells, dtype=np.float64).reshape(rows, nb) / 8
+    if repeated:
+        extra = data.draw(st.lists(st.integers(0, rows - 1), min_size=na - rows, max_size=na - rows))
+        table = table[data.draw(st.permutations([*range(rows), *extra]))]
+    labels = _kernels.level_labels(table, 1e-9)
     assert labels.max() + 1 == m
     expected = _formula_pair_counts(labels)
-    # blocks of 1 to 4 rows: each block mirrors the symmetric sums of the
-    # blocks before it
+    # blocks of 1 to 4 distinct rows: each block mirrors the symmetric
+    # sums of the blocks before it
+    distinct = len(np.unique(labels, axis=0))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_kernels, "_BLOCK_QUADRUPLES", rows_per_block * na * nb)
+        patch.setattr(_kernels, "_BLOCK_QUADRUPLES", rows_per_block * distinct * nb)
         for subset in SLOT_SUBSETS:
             slots = data.draw(st.permutations(subset))
             counts = _kernels.level_pair_counts(labels, slots)
