@@ -39,17 +39,13 @@ AND a column by column compare of the two rows.  The label pair keys
 x*m + y sort in the narrowest signed dtype that holds m^2 - 1 (int16 up
 to 181 levels), and the sums symmetric in (i0, i1), all but AND, are
 counted on one triangle of row pairs and mirrored.
-`level_pair_counts` is the one label counter.  Asked for AND alone on a
-table with no more levels than columns, it counts AND from h(x, x) by
-one float64 indicator gemm per level (`_and_pair_counts`): 0.07-0.11 ms
-against 0.74-1.30 ms for the sort on 3-level 48x48 and 64x64 tables.
-T and B take the sort too: their gemm would save under 1 ms on commands
-that write every hit.
-Counts are taken once per distinct row of labels and gathered back to
-every row pair, as a pair's counts depend only on its two rows.  The
-pi/8 and pi/2 grids of `verify` and the benchmark repeat each table with
-period 2 pi, so its 24-64-row tables hold 3-9 distinct rows: all five
-sums of the thermal 32x32 table take 0.12-0.14 ms instead of 0.45-0.47 ms.
+`level_pair_counts` is the one label counter, and every sum takes the
+sort.  Counts are taken once per distinct row of labels and gathered
+back to every row pair, as a pair's counts depend only on its two rows.
+The pi/8 and pi/2 grids of `verify` and the benchmark repeat each table
+with period 2 pi, so its 24-64-row tables hold 3-9 distinct rows: all
+five sums of the thermal 32x32 table take 0.12-0.14 ms instead of
+0.45-0.47 ms.
 
 `observables` and `synthesis` look both up on this module at call time, so a
 wrapper set on the module attribute (as `perfbench/tracing.py` does) sees
@@ -308,8 +304,7 @@ def level_pair_counts(labels, slots=range(5)):
     symmetric in (i0, i1), so a block of rows counts them only against
     the rows from its own first row on and mirrors the rest from the
     blocks before it; AND weights by row i0's r(x) and counts both orders.
-    Row pairs go in blocks of about `_BLOCK_QUADRUPLES` cells.  AND alone,
-    on a table with no more levels than columns, takes `_and_pair_counts`.
+    Row pairs go in blocks of about `_BLOCK_QUADRUPLES` cells.
 
     A row pair's counts depend only on the labels of its two rows, so a
     table whose rows repeat is counted once per distinct row, found by
@@ -341,8 +336,6 @@ def _pair_counts(labels, slots):
     """`level_pair_counts(labels, slots)` counted on every row of `labels`."""
     na, nb = labels.shape
     m = int(labels.max()) + 1
-    if slots == [4] and m <= nb:
-        return _and_pair_counts(labels)[None]
     sums = {slot: np.empty((na, na), dtype=np.int64) for slot in {0, *slots}}
     dtype = next(t for t in (np.int16, np.int32, np.int64) if m * m - 1 <= np.iinfo(t).max)
     labels = labels.astype(dtype)
@@ -441,29 +434,6 @@ def _block_pair_counts(labels, start, stop, m, sums):
         sums[4][start:stop] -= sums[0][start:stop]
 
 
-def _and_pair_counts(labels):
-    """(nA, nA) int64 AND hits per row pair (i0, i1), as
-    `level_pair_counts(labels, (4,))[0]`, from h(x, x) alone.
-
-    With O_x the float64 indicator of label x per cell, h(x, x) is
-    O_x O_x^T for every row pair at once, and r(x) is its diagonal; each
-    level adds h (r - h).  Every term and sum is an integer of at most
-    nB^2, so the float sums are exact.  The memory is a few (nA, nA)
-    arrays and the (nA, nB) indicator.
-    """
-    na, nb = labels.shape
-    counts = np.zeros((na, na))
-    h = np.empty((na, na))
-    other = np.empty((na, na))
-    indicator = np.empty((na, nb))
-    for x in range(int(labels.max()) + 1):
-        np.equal(labels, x, out=indicator)
-        np.matmul(indicator, indicator.T, out=h)
-        h *= np.subtract(h.diagonal()[:, None], h, out=other)
-        counts += h
-    return counts.astype(np.int64)
-
-
 def gate_counts(values, outputs_seq, tol):
     """Realizing quadruples over `values` for each truth table in `outputs_seq`.
 
@@ -483,21 +453,30 @@ def gate_counts(values, outputs_seq, tol):
     return [totals[slot] for slot in slots]
 
 
-def gate_quadruples(values, outputs, tol):
+# `gate_quadruples` labels the table itself unless given its labels
+_UNLABELLED = object()
+
+
+def gate_quadruples(values, outputs, tol, labels=_UNLABELLED):
     """(count, blocks): the number of realizing quadruples, and an iterator
     over them in non-empty (k, 4) int64 blocks.
 
-    Blocks follow lexicographic (i0, i1, j0, j1) order.  On a table with
-    levels (`level_labels`), the count is the sum of the label counts of
-    the row pairs, which also pick the row pairs the blocks search.  On any
-    other table, counting takes one pass over the blocks, and iterating
-    them a second.  A count of 0 builds no block.
+    Blocks follow lexicographic (i0, i1, j0, j1) order, and a block never
+    splits a row pair (i0, i1).  On a table with levels (`level_labels`),
+    the count is the sum of the label counts of the row pairs, which also
+    pick the row pairs the blocks search.  On any other table, counting
+    takes one pass over the blocks, and iterating them a second.  A count
+    of 0 builds no block.
 
     `values` is the finite (nA, nB) table, input A on rows, as every
     scenario table is; `outputs` holds the bits for inputs (0,0), (0,1),
-    (1,0), (1,1); `tol` is the level clustering/separation tolerance.
+    (1,0), (1,1); `tol` is the level clustering/separation tolerance.  A
+    caller that has labelled the table passes `level_labels(values, tol)`
+    as `labels`, so that it is labelled once.
     """
-    count, search = _search(values, level_labels(values, tol), outputs, tol)
+    if labels is _UNLABELLED:
+        labels = level_labels(values, tol)
+    count, search = _search(values, labels, outputs, tol)
     if count is None:
         count = sum(map(len, search()))
     return count, (search() if count else iter(()))

@@ -227,20 +227,8 @@ def _row_block(literals, fields) -> str:
     width, and dropping the NUL padding leaves the rows as
     `template % row` gives them.
     """
-    row = bytearray(literals[0])
-    offsets = []
-    for literal, field in zip(literals[1:], fields):
-        offsets.append(len(row))
-        row += bytes(field.itemsize) + literal
-    layout = np.dtype(
-        {
-            "names": [f"f{k}" for k in range(len(fields))],
-            "formats": [field.dtype for field in fields],
-            "offsets": offsets,
-            "itemsize": len(row),
-        }
-    )
-    block = row * len(fields[0])
+    row, layout = _layout(tuple(literals), tuple(field.dtype for field in fields))
+    block = bytearray(row) * len(fields[0])
     records = np.frombuffer(block, layout)
     for name, field in zip(layout.names, fields):
         records[name] = field
@@ -252,13 +240,143 @@ def _row_block(literals, fields) -> str:
     return text.decode("ascii")
 
 
+@functools.lru_cache(maxsize=8)
+def _layout(literals, formats):
+    """(row, layout) of `_row_block`: one row's bytes, with NUL padding
+    for each field, and the structured dtype of its `formats` at their
+    slots.  A command asks for the same few, block after block."""
+    row = bytearray(literals[0])
+    offsets = []
+    for literal, field in zip(literals[1:], formats):
+        offsets.append(len(row))
+        row += bytes(field.itemsize) + literal
+    layout = np.dtype(
+        {
+            "names": [f"f{k}" for k in range(len(formats))],
+            "formats": list(formats),
+            "offsets": offsets,
+            "itemsize": len(row),
+        }
+    )
+    return bytes(row), layout
+
+
+# bytes that `synthesize` may hold of rendered rows for the row pairs to
+# come, and what a held line costs beyond its text: its str header and
+# its list slot
+_REUSE_BYTES = 1 << 21
+_LINE_BYTES = sys.getsizeof("") + 8
+
+
+def _row_classes(keys, texts):
+    """Each row's class, numbered from 0: rows of one class have the same
+    bytes in `keys` and in `texts`, two arrays with one row per table row."""
+    index = {}
+    return [
+        index.setdefault(key.tobytes() + text.tobytes(), len(index)) for key, text in zip(keys, texts)
+    ]
+
+
+def _write_hits(outputs, hits, candidates, levels, corners, classes):
+    """Write a row for each hit of the blocks `hits` to each `(handle,
+    template)` of `outputs`: the texts in `candidates` of i0, i1, j0 and
+    j1, then for each (a, b) of `corners` the text in `levels` of table
+    cell (i_a, j_b), through each `%s` template as `_write_rows` does.
+    Each template ends its row with its one line break, "\n".
+
+    Every template starts with i0 and i1, its prefix.  A row pair's hits,
+    and its text after the prefix, depend on rows i0 and i1 only through
+    their `classes`, so every row pair of a class pair writes the same
+    lines after its own prefix, and the last of them, in row pair order,
+    is the pair of each class's last row.  The lines of a class pair with
+    row pairs still to come are rendered once, with those of the other
+    class pairs first met in the same kernel block, held until its last
+    row pair, and written after each prefix by one join, while the held
+    lines stay within `_REUSE_BYTES`.  The other row pairs are written in
+    runs, in blocks of at most `_ROW_BLOCK` rows, so a table without
+    repeated rows is written as `_write_rows` writes it.  A kernel block
+    never splits a row pair.
+    """
+    handles = [handle for handle, _ in outputs]
+    literals = [[text.encode("ascii") for text in template.split("%s")] for _, template in outputs]
+    # the prefix as a template of the two A texts; the lines after it
+    # from j0, j1 and the levels, with no text of their own before them
+    prefixes = [b"%s".join(parts[:3]).decode("ascii") for parts in literals]
+    suffixes = [[b""] + parts[3:] for parts in literals]
+    # a held row's cost in all outputs, at most: its NUL-padded bytes
+    padded = 2 * candidates.itemsize + len(corners) * levels.itemsize
+    width = sum(len(b"".join(suffix)) + padded + _LINE_BYTES for suffix in suffixes)
+    names = [text.decode("ascii") for text in candidates.tolist()]
+    last = {row_class: row for row, row_class in enumerate(classes)}
+    held = {}  # class pair -> (its cost, its lines per output)
+    budget = _REUSE_BYTES
+
+    def fields(rows):
+        return [candidates[rows[:, k]] for k in range(4)] + [
+            levels[rows[:, a], rows[:, 2 + b]] for a, b in corners.values()
+        ]
+
+    def hold(block, new):
+        # the lines after the prefix of the row pairs `new` of `block`, each
+        # (start, stop, class pair), rendered together; an empty first
+        # line puts the prefix before the first row
+        suffix = fields(np.concatenate([block[start:stop] for start, stop, _ in new]))[2:]
+        lines = [_row_block(parts, suffix).splitlines(True) for parts in suffixes]
+        k = 0
+        for start, stop, pair in new:
+            held[pair][1].extend(["", *rendered[k : k + stop - start]] for rendered in lines)
+            k += stop - start
+
+    def write(rows):
+        _write_rows(outputs, (fields(rows[k : k + _ROW_BLOCK]) for k in range(0, len(rows), _ROW_BLOCK)))
+
+    for block in hits:
+        # each row pair of the block: its first hit, its end and its rows
+        i0, i1 = block[:, 0], block[:, 1]
+        starts = [0, *(np.flatnonzero((i0[1:] != i0[:-1]) | (i1[1:] != i1[:-1])) + 1).tolist()]
+        pairs = list(zip(starts, starts[1:] + [len(block)], block[starts, :2].tolist()))
+        # the class pairs to hold from here, rendered about _ROW_BLOCK rows
+        # at a time, before any row of the block is written
+        new, count = [], 0
+        for start, stop, (a0, a1) in pairs:
+            pair = classes[a0], classes[a1]
+            cost = (stop - start) * width
+            if pair in held or cost > budget or (a0, a1) == (last[pair[0]], last[pair[1]]):
+                continue
+            held[pair] = cost, []
+            budget -= cost
+            new.append((start, stop, pair))
+            count += stop - start
+            if count >= _ROW_BLOCK:
+                hold(block, new)
+                new, count = [], 0
+        if new:
+            hold(block, new)
+        run = 0  # the first hit not yet written
+        for start, stop, (a0, a1) in pairs:
+            pair = classes[a0], classes[a1]
+            entry = held.get(pair)
+            if entry is None:
+                continue  # written with the run
+            if run < start:
+                write(block[run:start])
+            run = stop
+            for handle, prefix, lines in zip(handles, prefixes, entry[1]):
+                handle.write((prefix % (names[a0], names[a1])).join(lines))
+            if (a0, a1) == (last[pair[0]], last[pair[1]]):
+                del held[pair]
+                budget += entry[0]
+        write(block[run:])
+
+
 def cmd_synthesize(args: argparse.Namespace) -> int:
     tt = gates.parse_gate(args.gate)
     scenario = _scenario_from_args(args)
     grid = parse_grid(args.grid) if args.grid is not None else synthesis.DEFAULT_SYNTH_GRID
     tol = args.tol if args.tol is not None else synthesis.DEFAULT_LEVEL_TOL
     cand, table = synthesis.candidate_table(scenario, grid)
-    count, hits = _kernels.gate_quadruples(table, tt.outputs, tol)
+    labels = _kernels.level_labels(table, tol)
+    count, hits = _kernels.gate_quadruples(table, tt.outputs, tol, labels)
 
     if not count:
         print(
@@ -268,19 +386,12 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         return EXIT_NO_SOLUTION
 
     # Each candidate and table value is formatted once; rows index them.
-    # The kernel's blocks of hits are written as they come, in slices of
-    # at most _ROW_BLOCK rows.
+    # The kernel's blocks of hits are written as they come.  Rows alike in
+    # labels (in value bits on the pairwise route) and in printed levels
+    # are one class.
     candidates, levels = packed_12g(cand), packed_12g(table)
     corners = synthesis.level_corners(tt)
-
-    def blocks():
-        for block in hits:
-            for start in range(0, len(block), _ROW_BLOCK):
-                rows = block[start : start + _ROW_BLOCK]
-                yield [candidates[rows[:, k]] for k in range(4)] + [
-                    levels[rows[:, a], rows[:, 2 + b]] for a, b in corners.values()
-                ]
-
+    classes = _row_classes(table if labels is None else labels, levels)
     text_levels = " ".join(f"%s->{int(bit)}" for bit in corners)
     outputs = [(sys.stdout, "A=(%s, %s) B=(%s, %s) levels " + text_levels + "\n")]
     with _open_out(args.out) as handle:
@@ -289,7 +400,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
             csv_levels = ",".join("%s" if bit in corners else "nan" for bit in (False, True))
             outputs.insert(0, (handle, "%s,%s,%s,%s," + csv_levels + "\n"))
         print(f"{count} {tt.name} assignment(s), class {gates.gate_class(tt).value}")
-        _write_rows(outputs, blocks())
+        _write_hits(outputs, hits, candidates, levels, corners, classes)
     return EXIT_OK
 
 

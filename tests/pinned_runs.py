@@ -63,8 +63,8 @@ ROWS = [
     Row("synthesize_t_half_pi_8_out", "synthesize T --grid 0:1/2pi:8 --out OUT", 0,
         "520fbbd342351e9d71d983093d766df7b307bac78b5ff4d909eae7a11dc9ca50",
         "synthesize_t_half_pi_8.csv"),
-    # three levels over 48 columns, so AND is counted from the level
-    # indicators; it finds nothing, exits 3 and prints one line
+    # AND on three levels over 48 columns, counted by the sort on the
+    # table's distinct rows; it finds nothing, exits 3 and prints one line
     Row("synthesize_and_x_two_pulse_half_pi_48",
         f"synthesize AND {TWO_PULSE_X} --grid 0:1/2pi:48", 3,
         "synthesize_and_x_two_pulse_half_pi_48.txt"),
@@ -81,6 +81,12 @@ ROWS = [
         "synthesize XNOR --initial x --pulses 1 --observable mx --inputs phi,beta"
         " --grid=5/8pi:1/8pi:256", 3,
         "78955bcccac25a2a341f7bce9fcefc04f3fb5d4b8f60f67bfd678e1945349696"),
+    # the thermal table repeats its rows with period 2 pi, so 97% of the
+    # lines after each A=(a0, a1) are rendered once per class pair and
+    # reused; stdout and the CSV each hold 54,757 lines
+    Row("synthesize_xnor_eighth_pi_48_out", "synthesize XNOR --grid 5/8pi:1/8pi:48 --out OUT", 0,
+        "160825e942d0abf3a2dc2489cc8f58caf077306721eba81eb80f31de037eb6e1",
+        "6e7c359a04c18931bee6c7ab0efcd95158adc476a02ba16eb61ec727b9fecefe"),
     # B and NOT B count through the sort on any table: one level with no
     # hits exits 3 and prints one line, and three levels over 16 columns
     # write 13,312 rows

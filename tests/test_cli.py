@@ -1,16 +1,19 @@
+import contextlib
 import io
 import math
 import os
 import resource
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import pinned_runs
 from nmrlogic import _format, _kernels, cli, gates, synthesis
@@ -450,7 +453,6 @@ def test_b_orbit_is_counted_by_the_sort_route(tmp_path, capsys, monkeypatch):
         return original(labels, slots)
 
     monkeypatch.setattr(_kernels, "level_pair_counts", counted)
-    monkeypatch.setattr(_kernels, "_and_pair_counts", None)  # no gemm runs
     for row_id in ("synthesize_b_lambda_0_eighth_pi_16", "synthesize_not_b_x_two_pulse_half_pi_16_out"):
         row = PINNED[row_id]
         code, _, err = run(capsys, *row.argv(str(tmp_path / "out.csv")))
@@ -460,8 +462,8 @@ def test_b_orbit_is_counted_by_the_sort_route(tmp_path, capsys, monkeypatch):
 
 def test_a_table_of_repeated_rows_is_counted_on_its_distinct_rows(capsys, monkeypatch):
     # the x-state mxy table on 64 angles a pi/8 apart has 5 distinct rows:
-    # XOR's sort and AND's gemm each count those, not the 64 rows
-    tables = {"level_pair_counts": [], "_block_pair_counts": [], "_and_pair_counts": []}
+    # XOR's sort and AND's each count those, not the 64 rows
+    tables = {"level_pair_counts": [], "_block_pair_counts": []}
     for name, seen in tables.items():
         original = getattr(_kernels, name)
 
@@ -478,8 +480,7 @@ def test_a_table_of_repeated_rows_is_counted_on_its_distinct_rows(capsys, monkey
     shapes = {name: [seen.shape for seen in tables[name]] for name in tables}
     assert shapes == {
         "level_pair_counts": [(64, 64), (64, 64)],
-        "_block_pair_counts": [(5, 64)],
-        "_and_pair_counts": [(5, 64)],
+        "_block_pair_counts": [(5, 64), (5, 64)],
     }
 
 
@@ -1168,6 +1169,126 @@ def test_synthesize_memory_is_bounded_by_the_blocks(monkeypatch):
     # 2.56 million hits at n = 40 peaked at 156 MiB
     assert large < 16 << 20, large
     assert large < small + (2 << 20), (small, large)
+
+
+# Cell values of the drawn tables.  -0.0 and 0.0, and 0.25 and 0.25 + 1e-12,
+# share a level at the default tol but print apart; 0, 0.015 and 0.03 chain
+# gaps within 0.02 over a span beyond it, so at --tol 0.02 the search takes
+# the pairwise route.  TWIN maps the index of each value of those two
+# pairs to its partner's.
+CELL_VALUES = (-0.5, -0.0, 0.0, 0.015, 0.03, 0.25, 0.25 + 1e-12, 0.5)
+TWIN = {1: 2, 2: 1, 5: 6, 6: 5}
+
+
+def _template_synthesize(cand, table, tt, tol):
+    """stdout and CSV text of `synthesize` on (`cand`, `table`), one
+    `template % row` per hit of the kernel."""
+    corners = synthesis.level_corners(tt)
+    levels = " ".join(f"%s->{int(bit)}" for bit in corners)
+    template = "A=(%s, %s) B=(%s, %s) levels " + levels + "\n"
+    csv_template = "%s,%s,%s,%s," + ",".join("%s" if bit in corners else "nan" for bit in (False, True)) + "\n"
+    hits = _kernels.find_gate_quadruples(table, tt.outputs, tol).tolist()
+    text = [f"{len(hits)} {tt.name} assignment(s), class {gates.gate_class(tt).value}\n"]
+    csv = ["a0,a1,b0,b1,level0,level1\n"]
+    for i0, i1, j0, j1 in hits:
+        row = [f"{cand[k]:.12g}" for k in (i0, i1, j0, j1)]
+        row += [f"{table[(i0, i1)[a], (j0, j1)[b]]:.12g}" for a, b in corners.values()]
+        text.append(template % tuple(row))
+        csv.append(csv_template % tuple(row))
+    return "".join(text), "".join(csv)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    tt=st.sampled_from(gates.ALL_GATES),
+    pairwise=st.booleans(),
+    with_out=st.booleans(),
+    budget=st.sampled_from([0, 3000, cli._REUSE_BYTES]),
+    row_block=st.sampled_from([3, cli._ROW_BLOCK]),
+    kernel_block=st.sampled_from([1, 200, 1 << 16]),
+)
+def test_reused_rows_equal_the_template_rows(
+    data, tt, pairwise, with_out, budget, row_block, kernel_block
+):
+    # a table of a few drawn rows, each once or more, the rows shuffled
+    n = data.draw(st.integers(3, 7), label="n")
+    cells = st.lists(st.integers(0, len(CELL_VALUES) - 1), min_size=n, max_size=n)
+    kinds = [data.draw(cells, label="row") for _ in range(data.draw(st.integers(1, 3)))]
+    if len(kinds) > 1 and data.draw(st.booleans(), label="twin"):
+        # row 1 has row 0's labels, but -0.0 where row 0 has 0.0, and so on
+        kinds[1] = data.draw(st.lists(st.sampled_from(sorted(TWIN)), min_size=n, max_size=n))
+        kinds[0] = [TWIN[k] for k in kinds[1]]
+    if pairwise:
+        for kind in kinds:
+            kind[:3] = [2, 3, 4]
+    more = st.lists(st.integers(0, len(kinds) - 1), min_size=n - len(kinds), max_size=n - len(kinds))
+    order = data.draw(st.permutations([*range(len(kinds)), *data.draw(more)]), label="order")
+    table = np.array([[CELL_VALUES[k] for k in kinds[kind]] for kind in order])
+    cand = np.linspace(-1.0, 2.0, n)
+    tol = 0.02 if pairwise else synthesis.DEFAULT_LEVEL_TOL
+    assert (_kernels.level_labels(table, tol) is None) == pairwise
+    text, csv = _template_synthesize(cand, table, tt, tol)
+    argv = ["synthesize", tt.name, "--tol", repr(tol)]
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(synthesis, "candidate_table", lambda *args: (cand, table)))
+        stack.enter_context(mock.patch.object(cli, "_REUSE_BYTES", budget))
+        stack.enter_context(mock.patch.object(cli, "_ROW_BLOCK", row_block))
+        stack.enter_context(mock.patch.object(_kernels, "_BLOCK_QUADRUPLES", kernel_block))
+        out_path = Path(stack.enter_context(tempfile.TemporaryDirectory())) / "out.csv"
+        stdout = stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
+        code = cli.main(argv + (["--out", str(out_path)] if with_out else []))
+        written = out_path.read_text() if out_path.exists() else None
+    if text.startswith("0 "):  # no hit: one line, which names the default grid
+        assert (code, written) == (3, None)
+        assert stdout.getvalue().startswith(f"no {tt.name} assignments on grid ")
+        return
+    assert code == 0
+    assert_same_text(stdout.getvalue(), text)
+    assert written == (csv if with_out else None)
+
+
+def test_recurring_lines_are_rendered_once_per_class_pair(tmp_path, capsys, monkeypatch):
+    # the thermal table on pi/8 steps repeats its rows with period 2 pi:
+    # of the 54,756 lines of each output, 1,872 are rendered, the lines
+    # after the prefix once for each class pair
+    rendered = []
+    original = cli._row_block
+
+    def counted(literals, fields):
+        rendered.append(len(fields[0]))
+        return original(literals, fields)
+
+    monkeypatch.setattr(cli, "_row_block", counted)
+    row = PINNED["synthesize_xnor_eighth_pi_48_out"]
+    code, out, err = run(capsys, *row.argv(str(tmp_path / "out.csv")))
+    assert (code, err) == (0, "")
+    assert out.count("\n") == 54757
+    assert sum(rendered) == 2 * 1872
+
+
+@pytest.mark.parametrize("budget", [cli._REUSE_BYTES, cli._REUSE_BYTES // 8])
+def test_held_lines_stay_within_the_budget(monkeypatch, budget):
+    # A on the thermal pi/8 table at n = 48 holds about 6 MB of lines for
+    # the row pairs to come when nothing bounds them
+
+    def peak(budget):
+        monkeypatch.setattr(cli, "_REUSE_BYTES", budget)
+        with open(os.devnull, "w") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            tracemalloc.start()
+            try:
+                code = cli.main(["synthesize", "A", "--grid", "0:1/8pi:48", "--out", os.devnull])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        return peak
+
+    # without held lines, the peak is the table, the search and one block
+    fresh, bounded, unbounded = peak(0), peak(budget), peak(1 << 40)
+    assert unbounded > fresh + 2 * budget, (fresh, unbounded)
+    assert bounded < fresh + budget, (fresh, bounded)
 
 
 GRID_FAMILIES = {

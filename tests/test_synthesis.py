@@ -391,6 +391,27 @@ def test_gate_quadruples_count_equals_its_blocks_and_gate_counts(tol, labelled):
     assert expected[g.XOR.gate_id] == 0
 
 
+@pytest.mark.parametrize("limit", [1, 300, 5000, 1 << 40])
+@pytest.mark.parametrize(
+    "tol,labelled", [(syn.DEFAULT_LEVEL_TOL, True), (0.02, False)],
+    ids=["label-route", "pairwise-route"],
+)
+def test_a_kernel_block_never_splits_a_row_pair(monkeypatch, tol, labelled, limit):
+    # the writer reuses a row pair's lines only if it sees all its hits
+    # in one block: the row pair that ends one block must not start the next
+    monkeypatch.setattr(_kernels, "_BLOCK_QUADRUPLES", limit)
+    _, table = syn.candidate_table(THERMAL_MX, GridSpec(0.0, PI / 8, 24))
+    assert (_kernels.level_labels(table, tol) is not None) == labelled
+    for tt in (g.T, g.A, g.XOR, g.AND, g.NOR):
+        count, blocks = _kernels.gate_quadruples(table, tt.outputs, tol)
+        blocks = list(blocks)
+        assert count == sum(map(len, blocks)) > 0, tt.name
+        ends = [(tuple(before[-1, :2]), tuple(after[0, :2])) for before, after in zip(blocks, blocks[1:])]
+        assert all(last < first for last, first in ends), tt.name
+        if limit == 1:  # every row pair a block of its own
+            assert all(len(np.unique(hits[:, :2], axis=0)) == 1 for hits in blocks), tt.name
+
+
 def _count_passes(monkeypatch):
     """List that gets one entry per search pass `_kernels` runs."""
     passes = []
@@ -539,67 +560,26 @@ def test_level_pair_counts_equal_oracle_hits_per_row_pair():
     assert transitive == 6  # the tol=1e-9 tables; the others chain gaps at tol
 
 
-def test_and_pair_counts_equal_level_pair_counts_on_oracle_cases():
-    labelled = 0
-    for table, tol in ORACLE_CASES:
-        labels = _kernels.level_labels(table, tol)
-        if labels is None:
-            continue
-        labelled += 1
-        counts = _kernels._and_pair_counts(labels)
-        assert counts.dtype == np.int64
-        assert np.array_equal(counts, _kernels.level_pair_counts(labels)[4])
-    assert labelled == 6
-
-
-@settings(max_examples=40)
-@given(
-    shape=st.tuples(st.integers(2, 6), st.integers(1, 6)),
-    levels=st.sampled_from(["one", "columns", "columns + 1"]),
-    data=st.data(),
-)
-def test_and_pair_counts_equal_level_pair_counts_about_the_level_rule(shape, levels, data):
-    na, nb = shape
-    m = {"one": 1, "columns": nb, "columns + 1": nb + 1}[levels]
-    cells = data.draw(st.lists(st.integers(0, m - 1), min_size=na * nb, max_size=na * nb))
-    cells[:m] = range(m)  # every level appears at least once
-    cells = data.draw(st.permutations(cells))
-    table = np.array(cells, dtype=np.float64).reshape(na, nb) / 8
-    labels = _kernels.level_labels(table, 1e-9)
-    assert labels.max() + 1 == m
-    # all five sums take the sort; AND alone takes the gemm up to m = nB
-    expected = _kernels.level_pair_counts(labels)[4]
-    assert np.array_equal(_kernels._and_pair_counts(labels), expected)
-    assert np.array_equal(_kernels.level_pair_counts(labels, (4,))[0], expected)
-
-
 def _count_routes(monkeypatch):
     """List that gets (name, slots) for each label counter `_kernels` runs:
     the counter's name and the orbit slots it was asked for."""
     routes = []
-    requested = {
-        "level_pair_counts": lambda labels, slots=range(5): tuple(slots),
-        "_and_pair_counts": lambda labels: (4,),
-    }
-    for name, slots_of in requested.items():
-        original = getattr(_kernels, name)
+    original = _kernels.level_pair_counts
 
-        def counted(*args, name=name, original=original, slots_of=slots_of, **kwargs):
-            routes.append((name, slots_of(*args, **kwargs)))
-            return original(*args, **kwargs)
+    def counted(labels, slots=range(5)):
+        routes.append(("level_pair_counts", tuple(slots)))
+        return original(labels, slots)
 
-        monkeypatch.setattr(_kernels, name, counted)
+    monkeypatch.setattr(_kernels, "level_pair_counts", counted)
     return routes
 
 
 @pytest.mark.parametrize(
-    "shape,levels,gemm",
-    [((9, 9), 5, True), ((8, 4), 4, True), ((8, 3), 5, False)],
+    "shape,levels",
+    [((9, 9), 5), ((8, 4), 4), ((8, 3), 5)],
     ids=["fewer-levels", "levels-equal-columns", "more-levels"],
 )
-def test_gate_quadruples_count_the_and_orbit_by_the_level_rule(
-    monkeypatch, shape, levels, gemm
-):
+def test_gate_quadruples_count_the_and_orbit_by_the_sort(monkeypatch, shape, levels):
     rng = np.random.default_rng(levels)
     table = rng.integers(0, levels, size=shape) / 8
     labels = _kernels.level_labels(table, 1e-9)
@@ -612,10 +592,9 @@ def test_gate_quadruples_count_the_and_orbit_by_the_level_rule(
         routes.clear()
         count, blocks = _kernels.gate_quadruples(table, tt.outputs, 1e-9)
         slot = _kernels.orbit_representative(tt.outputs)[0]
-        # every search asks the one entry point for its own sum; only AND
-        # on a table with no more levels than columns runs the gemm
-        taken = [("_and_pair_counts", (4,))] if slot == 4 and gemm else []
-        assert routes == [("level_pair_counts", (slot,))] + taken, tt.name
+        # every search asks the one entry point for its own sum, whatever
+        # its levels against its columns
+        assert routes == [("level_pair_counts", (slot,))], tt.name
         hits = [tuple(row) for block in blocks for row in block.tolist()]
         assert count == len(hits) == total, tt.name
         assert hits == list(oracle_quadruples(table, tt.outputs)), tt.name
@@ -644,36 +623,19 @@ def test_gate_counts_ask_for_the_union_of_their_gates_slots(monkeypatch, gate_se
     assert counts == [sum(1 for _ in oracle_quadruples(table, tt.outputs)) for tt in gate_set]
 
 
-def test_and_orbit_counts_take_the_gemm(monkeypatch):
+def test_and_orbit_counts_take_the_sort(monkeypatch):
     table = np.random.default_rng(7).integers(0, 3, size=(9, 7)) / 8
     assert _kernels.level_labels(table, 1e-9).max() + 1 == 3
     routes = _count_routes(monkeypatch)
-    gemm = [("level_pair_counts", (4,)), ("_and_pair_counts", (4,))]
+    sort = [("level_pair_counts", (4,))]
     counts = _kernels.gate_counts(table, [g.AND.outputs, g.NOR.outputs], 1e-9)
-    assert routes == gemm
+    assert routes == sort
     assert counts == [sum(1 for _ in oracle_quadruples(table, tt.outputs)) for tt in (g.AND, g.NOR)]
     # count_assignments goes through gate_counts: the thermal mx table on
     # the pi/2 grid has 3 levels over 8 columns
     routes.clear()
     assert syn.count_assignments(THERMAL_MX, g.AND, HALF_PI_GRID) == 256
-    assert routes == gemm
-
-
-def test_and_pair_counts_hold_a_few_row_pair_arrays():
-    # 96 x 40 cells, 3 levels: the sort's block of 2^16 cells alone is
-    # 0.5 MiB per int64 array, and it keeps a few
-    na, nb = 96, 40
-    labels = np.random.default_rng(4).integers(0, 3, size=(na, nb))
-    tracemalloc.start()
-    try:
-        counts = _kernels._and_pair_counts(labels)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert counts.shape == (na, na)
-    # three (nA, nA) float64 arrays and the int64 result, one more to
-    # spare, and the indicator
-    assert peak < (5 * na + nb) * na * 8 + 4096, peak
+    assert routes == sort
 
 
 def test_jittered_table_takes_the_pairwise_fallback():
