@@ -40,12 +40,13 @@ x*m + y sort in the narrowest signed dtype that holds m^2 - 1 (int16 up
 to 181 levels), and the sums symmetric in (i0, i1), all but AND, are
 counted on one triangle of row pairs and mirrored.
 `level_pair_counts` is the one label counter, and every sum takes the
-sort.  Counts are taken once per distinct row of labels and gathered
-back to every row pair, as a pair's counts depend only on its two rows.
-The pi/8 and pi/2 grids of `verify` and the benchmark repeat each table
-with period 2 pi, so its 24-64-row tables hold 3-9 distinct rows: all
-five sums of the thermal 32x32 table take 0.12-0.14 ms instead of
-0.45-0.47 ms.
+sort.  Counts are taken on one row of each class of equal rows and
+gathered back to every row pair by class, as a pair's counts depend
+only on its two rows.  `row_classes` is the one row dedupe; the
+`synthesize` writer classes its rows with it too.  The pi/8 and pi/2
+grids of `verify` and the benchmark repeat each table with period
+2 pi, so its 24-64-row tables hold 3-9 row classes: all five sums of
+the thermal 32x32 table take 0.12-0.14 ms instead of 0.45-0.47 ms.
 
 `observables` and `synthesis` look both up on this module at call time, so a
 wrapper set on the module attribute (as `perfbench/tracing.py` does) sees
@@ -306,34 +307,19 @@ def level_pair_counts(labels, slots=range(5)):
     blocks before it; AND weights by row i0's r(x) and counts both orders.
     Row pairs go in blocks of about `_BLOCK_QUADRUPLES` cells.
 
-    A row pair's counts depend only on the labels of its two rows, so a
-    table whose rows repeat is counted once per distinct row, found by
-    its bytes (`_first_rows`), and the counts are gathered back to every
-    row pair.  On the 5 distinct rows of the 48x48 and 64x64 pi/8 tables
-    that `synthesize XNOR` and `XOR` search for nothing in the benchmark,
-    the counts took 78-92 us instead of 567-625 us and 90-100 us instead
-    of 705-757 us (one BLAS thread, best of 200).  A table with no
-    repeated row is counted as it is.
+    A row pair's counts depend only on the labels of its two rows, so
+    they are counted on one row of each class of equal rows
+    (`row_classes`) and gathered back to every row pair by class.  On the
+    5 classes of the 48x48 and 64x64 pi/8 tables that `synthesize XNOR`
+    and `XOR` search for nothing in the benchmark, the counts took
+    78-92 us instead of 567-625 us and 90-100 us instead of 705-757 us
+    (one BLAS thread, best of 200).
     """
     slots = list(slots)
-    first, firsts = _first_rows(labels)
-    if len(first) == len(labels):
-        return _pair_counts(labels, slots)
-    inverse = np.searchsorted(first, firsts)
-    return _pair_counts(labels[first], slots)[:, inverse[:, None], inverse]
-
-
-def _first_rows(labels):
-    """(first, firsts): the index of each distinct row's first occurrence
-    in `labels`, ascending, and for each row the index of the first row
-    with its labels.  Rows are compared by their bytes."""
-    index = {}
-    firsts = [index.setdefault(row.tobytes(), i) for i, row in enumerate(labels)]
-    return list(index.values()), firsts
-
-
-def _pair_counts(labels, slots):
-    """`level_pair_counts(labels, slots)` counted on every row of `labels`."""
+    classes = row_classes(labels)
+    # the last row of each class, in class order: a dict keeps each key at
+    # its first place.  The rows of a class are equal
+    labels = labels[list(dict(zip(classes, range(len(classes)))).values())]
     na, nb = labels.shape
     m = int(labels.max()) + 1
     sums = {slot: np.empty((na, na), dtype=np.int64) for slot in {0, *slots}}
@@ -342,7 +328,19 @@ def _pair_counts(labels, slots):
     step = max(1, _BLOCK_QUADRUPLES // (na * nb))
     for start in range(0, na, step):
         _block_pair_counts(labels, start, min(start + step, na), m, sums)
-    return np.stack([sums[slot] for slot in slots])
+    classes = np.array(classes)
+    return np.stack([sums[slot] for slot in slots])[:, classes[:, None], classes]
+
+
+def row_classes(*tables):
+    """Each row's class, numbered from 0 in order of first occurrence: two
+    rows share a class when their bytes are equal in every one of
+    `tables`, 2-d arrays with one row per row of the table they describe."""
+    keys = map(np.ndarray.tobytes, tables[0])
+    for table in tables[1:]:
+        keys = map(bytes.__add__, keys, map(np.ndarray.tobytes, table))
+    index = {}
+    return [index.setdefault(key, len(index)) for key in keys]
 
 
 def _block_pair_counts(labels, start, stop, m, sums):

@@ -268,15 +268,6 @@ _REUSE_BYTES = 1 << 21
 _LINE_BYTES = sys.getsizeof("") + 8
 
 
-def _row_classes(keys, texts):
-    """Each row's class, numbered from 0: rows of one class have the same
-    bytes in `keys` and in `texts`, two arrays with one row per table row."""
-    index = {}
-    return [
-        index.setdefault(key.tobytes() + text.tobytes(), len(index)) for key, text in zip(keys, texts)
-    ]
-
-
 def _write_hits(outputs, hits, candidates, levels, corners, classes):
     """Write a row for each hit of the blocks `hits` to each `(handle,
     template)` of `outputs`: the texts in `candidates` of i0, i1, j0 and
@@ -335,9 +326,9 @@ def _write_hits(outputs, hits, candidates, levels, corners, classes):
         i0, i1 = block[:, 0], block[:, 1]
         starts = [0, *(np.flatnonzero((i0[1:] != i0[:-1]) | (i1[1:] != i1[:-1])) + 1).tolist()]
         pairs = list(zip(starts, starts[1:] + [len(block)], block[starts, :2].tolist()))
-        # the class pairs to hold from here, rendered about _ROW_BLOCK rows
-        # at a time, before any row of the block is written
-        new, count = [], 0
+        # the class pairs to hold from here, rendered together before any
+        # row of the block is written
+        new = []
         for start, stop, (a0, a1) in pairs:
             pair = classes[a0], classes[a1]
             cost = (stop - start) * width
@@ -346,10 +337,6 @@ def _write_hits(outputs, hits, candidates, levels, corners, classes):
             held[pair] = cost, []
             budget -= cost
             new.append((start, stop, pair))
-            count += stop - start
-            if count >= _ROW_BLOCK:
-                hold(block, new)
-                new, count = [], 0
         if new:
             hold(block, new)
         run = 0  # the first hit not yet written
@@ -391,7 +378,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     # are one class.
     candidates, levels = packed_12g(cand), packed_12g(table)
     corners = synthesis.level_corners(tt)
-    classes = _row_classes(table if labels is None else labels, levels)
+    classes = _kernels.row_classes(table if labels is None else labels, levels)
     text_levels = " ".join(f"%s->{int(bit)}" for bit in corners)
     outputs = [(sys.stdout, "A=(%s, %s) B=(%s, %s) levels " + text_levels + "\n")]
     with _open_out(args.out) as handle:

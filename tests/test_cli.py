@@ -839,31 +839,6 @@ def test_unknown_subcommand(capsys):
 # golden output: the columnar writers against per-row reference formatters -------
 
 
-def _reference_synthesize(scenario, tt, grid, tol=synthesis.DEFAULT_LEVEL_TOL):
-    """stdout and CSV text formatted one row per `GateAssignment`."""
-    assignments = synthesis.synthesize(scenario, tt, grid, tol)
-    text = [
-        f"{len(assignments)} {tt.name} assignment(s), class "
-        f"{gates.gate_class(tt).value}\n"
-    ]
-    csv = ["a0,a1,b0,b1,level0,level1\n"]
-    for asg in assignments:
-        levels = {int(bit): level for level, bit in asg.level_map}
-        csv.append(
-            f"{asg.a_values[0]:.12g},{asg.a_values[1]:.12g},"
-            f"{asg.b_values[0]:.12g},{asg.b_values[1]:.12g},"
-            f"{levels.get(0, float('nan')):.12g},"
-            f"{levels.get(1, float('nan')):.12g}\n"
-        )
-        level_text = " ".join(f"{level:.12g}->{int(bit)}" for level, bit in asg.level_map)
-        text.append(
-            f"A=({asg.a_values[0]:.12g}, {asg.a_values[1]:.12g}) "
-            f"B=({asg.b_values[0]:.12g}, {asg.b_values[1]:.12g}) "
-            f"levels {level_text}\n"
-        )
-    return "".join(text), "".join(csv)
-
-
 def assert_same_text(actual, expected):
     """Equality that reports the first differing line, not a full diff of
     outputs that run to megabytes."""
@@ -903,7 +878,11 @@ def test_synthesize_bytes_match_reference(
     if with_out:
         argv += ["--out", str(out_path)]
     code, out, err = run(capsys, *argv)
-    text, csv = _reference_synthesize(scenario, gates.parse_gate(gate), cli.parse_grid(grid))
+    text, csv = _template_synthesize(
+        *synthesis.candidate_table(scenario, cli.parse_grid(grid)),
+        gates.parse_gate(gate),
+        synthesis.DEFAULT_LEVEL_TOL,
+    )
     assert (code, err) == (0, "")
     assert_same_text(out, text)
     assert out_path.exists() == with_out
@@ -917,8 +896,8 @@ def test_synthesize_tolerance_flag_reaches_reference(tmp_path, capsys):
         capsys, "synthesize", "AND", *THERMAL_FLAGS, "--grid=0:1/4pi:16",
         "--tol", "0.01", "--out", str(out_path),
     )
-    text, csv = _reference_synthesize(
-        THERMAL, gates.AND, cli.parse_grid("0:1/4pi:16"), 0.01
+    text, csv = _template_synthesize(
+        *synthesis.candidate_table(THERMAL, cli.parse_grid("0:1/4pi:16")), gates.AND, 0.01
     )
     assert code == 0
     assert_same_text(out, text)

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nmrlogic import _kernels as k
+from nmrlogic import cli, synthesis
 from nmrlogic import observables as obs
+from nmrlogic._format import packed_12g
 
 PI = math.pi
 
@@ -69,6 +71,43 @@ def test_level_labels_equal_a_stable_sort_on_exact_ties(shape, data, tol):
     labels = k.level_labels(table, tol)
     assert labels.dtype == np.int64
     assert np.array_equal(labels, expected.reshape(shape))
+
+
+def _round_off_zero_rows():
+    """The level labels and printed texts of the x-state mx table of
+    `synthesize --initial x --pulses 2 --inputs phi2,beta1 --fix phi1=1/2pi
+    --fix beta2=pi --grid=12/8pi:1/8pi:40`, whose zero level comes out as
+    round-off that changes from one 2 pi period to the next."""
+    scenario = synthesis.Scenario("x", 2, "mx", ("phi2", "beta1"), fixed=(("phi1", PI / 2), ("beta2", PI)))
+    _, table = synthesis.candidate_table(scenario, cli.parse_grid("12/8pi:1/8pi:40"))
+    return k.level_labels(table, synthesis.DEFAULT_LEVEL_TOL), packed_12g(table)
+
+
+ROUND_OFF = _round_off_zero_rows()
+ROW_CLASS_CASES = {
+    # (tables, rows, their classes)
+    "first-occurrence": ((np.array([[5, 5], [1, 2], [5, 5], [0, 0], [1, 2]]),), range(5), [0, 1, 0, 2, 1]),
+    # row 1 differs from row 0 in the texts only, row 2 in the labels only
+    "every-table": (
+        (
+            np.array([[0, 1], [0, 1], [1, 1], [0, 1]]),
+            np.array([[b"0", b"1"], [b"-0", b"1"], [b"0", b"1"], [b"0", b"1"]]),
+        ),
+        range(4),
+        [0, 1, 2, 0],
+    ),
+    "signed-zero": ((np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]]),), range(3), [0, 1, 0]),
+    # rows 1, 9 and 17 share their labels but print different zeros
+    "round-off-labels": (ROUND_OFF[:1], (1, 9, 17), [1, 1, 1]),
+    "round-off-texts": (ROUND_OFF, (1, 9, 17), [1, 8, 14]),
+}
+
+
+@pytest.mark.parametrize("tables,rows,expected", ROW_CLASS_CASES.values(), ids=ROW_CLASS_CASES)
+def test_row_classes_join_rows_equal_in_every_table_by_first_occurrence(tables, rows, expected):
+    classes = k.row_classes(*tables)
+    assert len(classes) == len(tables[0])
+    assert [classes[row] for row in rows] == expected
 
 
 def test_chunked_numpy_search_matches_full_broadcast(monkeypatch):
