@@ -361,8 +361,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     scenario = _scenario_from_args(args)
     grid = parse_grid(args.grid) if args.grid is not None else synthesis.DEFAULT_SYNTH_GRID
     tol = args.tol if args.tol is not None else synthesis.DEFAULT_LEVEL_TOL
-    cand, table = synthesis.candidate_table(scenario, grid)
-    labels = _kernels.level_labels(table, tol)
+    cand, table, labels = synthesis.search_table(scenario, grid, tol)
     count, hits = _kernels.gate_quadruples(table, tt.outputs, tol, labels)
 
     if not count:
@@ -371,6 +370,8 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
             f"{grid.start:.12g}:{grid.step:.12g}:{grid.count}"
         )
         return EXIT_NO_SOLUTION
+    if table is None:  # the printed levels come from the matrix table
+        cand, table = synthesis.candidate_table(scenario, grid)
 
     # Each candidate and table value is formatted once; rows index them.
     # The kernel's blocks of hits are written as they come.  Rows alike in

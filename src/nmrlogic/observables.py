@@ -4,8 +4,13 @@
 to logic inputs A and B, fixes the rest, and returns the two detectable
 readouts (mx, my); the z readout lives only in the `spincore` oracle.
 It uses the closed-form trigonometric expressions for one pulse and
-numeric matrix propagation (`_kernels`) for two; `spincore` propagates
-scalars independently, and the test suite pins both routes against it.
+numeric matrix propagation (`_kernels.two_pulse_components`) for two, and
+every printed value comes from one of these.  A two-pulse table that is
+only counted is propagated as Bloch vectors instead
+(`_kernels.bloch_components`, through `synthesis.search_table`), and its
+level labels are used only where they are certified to be the matrix
+table's.  `spincore` propagates scalars independently, and the test
+suite pins every route against it.
 
 Single-pulse closed forms, starting state polarised along z:
 

@@ -23,6 +23,7 @@ from .observables import (
     InitialState,
     ObservableKind,
     TWO_PULSE_FORMS,
+    TWO_PULSE_PARAMS,
     default_axis,
     scenario_components,
     two_pulse_closed_form,
@@ -73,6 +74,10 @@ def scenario_table(scenario: Scenario, a_values, b_values) -> np.ndarray:
         np.asarray(b_values, dtype=np.float64).reshape(1, -1),
         scenario.lambda_b,
     )
+    return _readout(scenario, mx, my)
+
+
+def _readout(scenario: Scenario, mx, my):
     if scenario.observable is ObservableKind.MXY:
         return np.hypot(mx, my)
     return mx if scenario.observable is ObservableKind.MX else my
@@ -82,6 +87,34 @@ def candidate_table(scenario: Scenario, grid: GridSpec):
     """The grid's candidates and the observable over them, A on rows."""
     cand = grid.values()
     return cand, scenario_table(scenario, cand, cand)
+
+
+def search_table(scenario: Scenario, grid: GridSpec, tol: float):
+    """(cand, table, labels) for a search that prints no table value: the
+    candidates, the `candidate_table` observable or None, and its level
+    labels (`_kernels.level_labels`).
+
+    A two-pulse table is first propagated as Bloch vectors
+    (`_kernels.bloch_components`).  Its labels are kept, and the table is
+    None, when `level_labels` certifies them within
+    `_kernels.rounding_bound` to be the labels of the matrix table.
+    Otherwise, and for one pulse, the table is `candidate_table`'s.
+    """
+    if scenario.pulses == 2:
+        cand = grid.values()
+        bound = dict(scenario.fixed)
+        bound.update(zip(scenario.inputs, (cand[:, None], cand[None, :])))
+        mx, my = _kernels.bloch_components(
+            *(bound[param] for param in TWO_PULSE_PARAMS),
+            scenario.lambda_b,
+            scenario.initial is InitialState.SUPERPOSITION_X,
+        )
+        slack = _kernels.rounding_bound(scenario.lambda_b)
+        labels = _kernels.level_labels(_readout(scenario, mx, my), tol, slack)
+        if labels is not None:
+            return cand, None, labels
+    cand, table = candidate_table(scenario, grid)
+    return cand, table, _kernels.level_labels(table, tol)
 
 
 @dataclass(frozen=True)
@@ -192,8 +225,8 @@ def count_assignments(
     tol: float = DEFAULT_LEVEL_TOL,
 ) -> int:
     """Number of realizing assignments, without holding them."""
-    _, table = candidate_table(scenario, grid)
-    return _kernels.gate_counts(table, [tt.outputs], tol)[0]
+    _, table, labels = search_table(scenario, grid, tol)
+    return _kernels.gate_counts(table, [tt.outputs], tol, labels)[0]
 
 
 # the class of each gate of ALL_GATES, in its order
@@ -206,8 +239,8 @@ def achievable_classes(
     tol: float = DEFAULT_LEVEL_TOL,
 ) -> Set[GateClass]:
     """Gate classes with at least one realizable member on the grid."""
-    _, table = candidate_table(scenario, grid)
-    counts = _kernels.gate_counts(table, [tt.outputs for tt in ALL_GATES], tol)
+    _, table, labels = search_table(scenario, grid, tol)
+    counts = _kernels.gate_counts(table, [tt.outputs for tt in ALL_GATES], tol, labels)
     return {cls for cls, count in zip(_GATE_CLASSES, counts) if count}
 
 

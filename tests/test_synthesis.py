@@ -1031,16 +1031,23 @@ def test_capability_checks_all_pass():
 
 
 def test_capability_checks_build_one_table_per_scenario(monkeypatch):
-    original = syn.scenario_table
-    calls = []
+    calls = {"scenario_table": 0, "bloch_components": 0}
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counting(module, name):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(syn, "scenario_table", counted)
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(syn, "scenario_table")
+    counting(_kernels, "bloch_components")
     syn.capability_checks()
-    assert len(calls) == 6  # thermal, three x-state readouts, two 2-pulse
+    # the thermal and three x-state one-pulse tables are closed forms; the
+    # two 2-pulse tables are counted on certified Bloch-route labels
+    assert calls == {"scenario_table": 4, "bloch_components": 2}
 
 
 def test_capability_checks_classify_no_gate(monkeypatch):
