@@ -17,13 +17,13 @@ exact zero, so every entry that is not zero keeps the bits of the
 per-point `np.matmul`; the points where the sign of a zero could reach a
 later product or a readout take the per-point call again.
 
-Every printed two-pulse value comes from that matrix route.  A table
-whose values are only counted is propagated as Bloch vectors instead
-(`bloch_components`): two elementwise Rodrigues rotations, each pulse's
-trigonometry on its own broadcast shape, with no complex matrix and no
-BLAS call.  Its readouts lie within `rounding_bound` of the matrix
-route's, so `level_labels` given that bound as its `slack` returns labels
-only where they are the matrix table's too.
+`bloch_components` propagates Bloch vectors instead: two elementwise
+Rodrigues rotations, each pulse's trigonometry on its own broadcast
+shape, with no complex matrix and no BLAS call.  Its readouts lie within
+`rounding_bound` of the matrix route's, so `level_labels` given that
+bound as its `slack` returns labels only where they are the matrix
+table's too.  `synthesis.search_table` says which tables take which
+route.
 
 The search tests corner pairs with one comparator: equal level labels
 where the table has levels (`level_labels`), else |x - y| <= tol.  It
@@ -36,25 +36,15 @@ Equal labels are transitive, so on the label route a quadruple's four
 sides settle its diagonals, except for XOR and XNOR, which test both
 diagonals densely on either route; on the pairwise route the other gates
 re-test the diagonals of their hits.
-`gate_counts` labels the table once and counts one gate per orbit: from
+`gate_counts` counts one gate per orbit, on the table's labels: from
 the histograms, holding none, or on a table without levels by one pass
-of `_search` each.
-The histograms count only the orbit sums asked for: a search its gate's
-representative, `gate_counts` the union of its gates' (all five for the
-16 gates).  T is always counted, as the others subtract it; A and B add
-a reduce each, XOR a lookup of h(y, x) for the entries with x < y, and
-AND a column by column compare of the two rows.  The label pair keys
-x*m + y sort in the narrowest signed dtype that holds m^2 - 1 (int16 up
-to 181 levels), and the sums symmetric in (i0, i1), all but AND, are
-counted on one triangle of row pairs and mirrored.
-`level_pair_counts` is the one label counter, and every sum takes the
-sort.  Counts are taken on one row of each class of equal rows and
-gathered back to every row pair by class, as a pair's counts depend
-only on its two rows.  `row_classes` is the one row dedupe; the
-`synthesize` writer classes its rows with it too.  The pi/8 and pi/2
-grids of `verify` and the benchmark repeat each table with period
-2 pi, so its 24-64-row tables hold 3-9 row classes: all five sums of
-the thermal 32x32 table take 0.12-0.14 ms instead of 0.45-0.47 ms.
+of `_search` each.  `level_pair_counts` is the one label counter; it
+counts only the orbit sums asked for (a search its gate's
+representative, `gate_counts` the union of its gates'), each on one row
+of each class of equal rows, and its docstring says how.  `row_classes`
+is the one row dedupe; the `synthesize` writer classes its rows with it
+too.  The pi/8 and pi/2 grids of `verify` and the benchmark repeat each
+table with period 2 pi, so its 24-64-row tables hold 3-9 row classes.
 
 `observables` and `synthesis` look both up on this module at call time, so a
 wrapper set on the module attribute (as `perfbench/tracing.py` does) sees
@@ -367,11 +357,7 @@ def level_pair_counts(labels, slots=range(5)):
 
     A row pair's counts depend only on the labels of its two rows, so
     they are counted on one row of each class of equal rows
-    (`row_classes`) and gathered back to every row pair by class.  On the
-    5 classes of the 48x48 and 64x64 pi/8 tables that `synthesize XNOR`
-    and `XOR` search for nothing in the benchmark, the counts took
-    78-92 us instead of 567-625 us and 90-100 us instead of 705-757 us
-    (one BLAS thread, best of 200).
+    (`row_classes`) and gathered back to every row pair by class.
     """
     slots = list(slots)
     classes = row_classes(labels)
@@ -502,8 +488,10 @@ def gate_counts(values, outputs_seq, tol, labels=_UNLABELLED):
     have one count, so each orbit slot is counted once: on a table with
     levels in one counting pass for all of them, on any other by one
     pass of `_search` over the blocks of one gate per slot.  A caller that
-    has labelled the table passes `level_labels(values, tol)` as `labels`;
-    when they are not None, `values` is not read and may be None.
+    holds the table's labels passes them as `labels`: `level_labels(values,
+    tol)`, or labels certified to be those of a table the caller never
+    built (`synthesis.search_table`).  When they are not None, `values` is
+    not read and may be None.
     """
     if labels is _UNLABELLED:
         labels = level_labels(values, tol)
@@ -531,9 +519,9 @@ def gate_quadruples(values, outputs, tol, labels=_UNLABELLED):
     `values` is the finite (nA, nB) table, input A on rows, as every
     scenario table is; `outputs` holds the bits for inputs (0,0), (0,1),
     (1,0), (1,1); `tol` is the level clustering/separation tolerance.  A
-    caller that has labelled the table passes `level_labels(values, tol)`
-    as `labels`, so that it is labelled once; as in `gate_counts`,
-    `values` is then read only where the labels are None.
+    caller that holds the table's labels passes them as `labels`, as in
+    `gate_counts`, so that it is labelled once; `values` is then read only
+    where the labels are None.
     """
     if labels is _UNLABELLED:
         labels = level_labels(values, tol)

@@ -160,7 +160,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
     def blocks():
         for k0 in range(0, len(avals), step):
             mx, my = scenario_components(
-                scenario.initial, scenario.pulses, scenario.inputs, scenario.fixed_values,
+                scenario.initial, scenario.pulses, scenario.inputs, scenario.fixed,
                 avals[k0 : k0 + step, None], bvals[None, :], scenario.lambda_b,
             )
             yield [

@@ -1,16 +1,14 @@
 """Observable evaluation: parameter binding, closed forms and grid axes.
 
-`scenario_components` is the one evaluator: it binds two pulse parameters
-to logic inputs A and B, fixes the rest, and returns the two detectable
-readouts (mx, my); the z readout lives only in the `spincore` oracle.
-It uses the closed-form trigonometric expressions for one pulse and
-numeric matrix propagation (`_kernels.two_pulse_components`) for two, and
-every printed value comes from one of these.  A two-pulse table that is
-only counted is propagated as Bloch vectors instead
-(`_kernels.bloch_components`, through `synthesis.search_table`), and its
-level labels are used only where they are certified to be the matrix
-table's.  `spincore` propagates scalars independently, and the test
-suite pins every route against it.
+`propagator_arguments` is the one binding: it binds two pulse parameters
+to logic inputs A and B, fixes the rest, and gives the propagators their
+arguments.  `scenario_components` is the one evaluator: it returns the two
+detectable readouts (mx, my) of a binding, from the closed-form
+trigonometric expressions for one pulse and numeric matrix propagation
+(`_kernels.two_pulse_components`) for two; the z readout lives only in the
+`spincore` oracle.  `synthesis.search_table` says which tables take which
+route.  `spincore` propagates scalars independently, and the test suite
+pins every route against it.
 
 Single-pulse closed forms, starting state polarised along z:
 
@@ -189,14 +187,16 @@ def default_axis(param: str) -> GridSpec:
     return GridSpec(start, 4 * math.pi / 101, 101)
 
 
+def _pulse_params(pulses: int) -> Tuple[str, ...]:
+    """The parameter names of `pulses` pulses, in the propagators' order."""
+    if pulses not in (1, 2):
+        raise ValueError(f"pulse count must be 1 or 2, got {pulses}")
+    return ONE_PULSE_PARAMS if pulses == 1 else TWO_PULSE_PARAMS
+
+
 def validate_binding(pulses: int, inputs, fixed: Mapping[str, float]) -> None:
     """Check that two distinct parameters are free and the rest are fixed."""
-    if pulses == 1:
-        names = ONE_PULSE_PARAMS
-    elif pulses == 2:
-        names = TWO_PULSE_PARAMS
-    else:
-        raise ValueError(f"pulse count must be 1 or 2, got {pulses}")
+    names = _pulse_params(pulses)
     inputs = tuple(inputs)
     if len(inputs) != 2 or inputs[0] == inputs[1]:
         raise ValueError(f"exactly two distinct input parameters required, got {inputs}")
@@ -212,11 +212,21 @@ def validate_binding(pulses: int, inputs, fixed: Mapping[str, float]) -> None:
         _require_finite(value, name=name)
 
 
+def propagator_arguments(initial, pulses, inputs, fixed, a_values, b_values, lambda_b):
+    """The propagators' arguments of a binding: the pulse parameters in
+    their order, inputs A/B bound to `a_values` / `b_values` and the rest to
+    `fixed` (a mapping or its items), then `lambda_b` and the x-state flag."""
+    bound = dict(fixed)
+    bound.update(zip(inputs, (a_values, b_values)))
+    from_x = initial is InitialState.SUPERPOSITION_X
+    return (*(bound[name] for name in _pulse_params(pulses)), lambda_b, from_x)
+
+
 def scenario_components(
     initial: InitialState,
     pulses: int,
     inputs,
-    fixed: Mapping[str, float],
+    fixed,
     a_values,
     b_values,
     lambda_b: float = 1.0,
@@ -226,14 +236,10 @@ def scenario_components(
 
     Arrays broadcast; scalars give scalars.  One-pulse scenarios use the
     closed forms, two-pulse scenarios numeric propagation.  Callers pass a
-    `Scenario`'s fields, whose binding the `Scenario` has checked.
+    `Scenario`'s fields, whose binding the `Scenario` has checked; `fixed`
+    is a mapping or its items.
     """
-    bound = dict(fixed)
-    bound[inputs[0]] = a_values
-    bound[inputs[1]] = b_values
-    from_x = initial is InitialState.SUPERPOSITION_X
+    args = propagator_arguments(initial, pulses, inputs, fixed, a_values, b_values, lambda_b)
     if pulses == 1:
-        return _single_pulse_components(bound["phi"], bound["beta"], lambda_b, from_x)
-    return _kernels.two_pulse_components(
-        bound["phi2"], bound["beta2"], bound["phi1"], bound["beta1"], lambda_b, from_x
-    )
+        return _single_pulse_components(*args)
+    return _kernels.two_pulse_components(*args)

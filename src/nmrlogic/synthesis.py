@@ -23,8 +23,8 @@ from .observables import (
     InitialState,
     ObservableKind,
     TWO_PULSE_FORMS,
-    TWO_PULSE_PARAMS,
     default_axis,
+    propagator_arguments,
     scenario_components,
     two_pulse_closed_form,
     validate_binding,
@@ -61,15 +61,11 @@ class Scenario:
         object.__setattr__(self, "fixed", tuple(sorted(fixed.items())))
         _require_finite(self.lambda_b, name="lambda_b")
 
-    @property
-    def fixed_values(self) -> dict:
-        return dict(self.fixed)
-
 
 def scenario_table(scenario: Scenario, a_values, b_values) -> np.ndarray:
     """Observable over the Cartesian product of candidate values, A on rows."""
     mx, my = scenario_components(
-        scenario.initial, scenario.pulses, scenario.inputs, scenario.fixed_values,
+        scenario.initial, scenario.pulses, scenario.inputs, scenario.fixed,
         np.asarray(a_values, dtype=np.float64).reshape(-1, 1),
         np.asarray(b_values, dtype=np.float64).reshape(1, -1),
         scenario.lambda_b,
@@ -94,21 +90,25 @@ def search_table(scenario: Scenario, grid: GridSpec, tol: float):
     candidates, the `candidate_table` observable or None, and its level
     labels (`_kernels.level_labels`).
 
-    A two-pulse table is first propagated as Bloch vectors
+    Which tables take which route: a one-pulse table takes the closed
+    forms of `observables`.  A two-pulse table whose values are printed
+    (`grid`, the rows of a `synthesize` with hits, this module's
+    `synthesize`, `verify`'s closed-form checks) takes matrix propagation,
+    `_kernels.two_pulse_components`, as the routes differ in round-off.
+    One that is only counted (a `synthesize` until its count is known, and
+    every count of this module) is first propagated as Bloch vectors
     (`_kernels.bloch_components`).  Its labels are kept, and the table is
     None, when `level_labels` certifies them within
     `_kernels.rounding_bound` to be the labels of the matrix table.
-    Otherwise, and for one pulse, the table is `candidate_table`'s.
+    Otherwise the table is `candidate_table`'s.
     """
     if scenario.pulses == 2:
         cand = grid.values()
-        bound = dict(scenario.fixed)
-        bound.update(zip(scenario.inputs, (cand[:, None], cand[None, :])))
-        mx, my = _kernels.bloch_components(
-            *(bound[param] for param in TWO_PULSE_PARAMS),
-            scenario.lambda_b,
-            scenario.initial is InitialState.SUPERPOSITION_X,
+        args = propagator_arguments(
+            scenario.initial, scenario.pulses, scenario.inputs, scenario.fixed,
+            cand[:, None], cand[None, :], scenario.lambda_b,
         )
+        mx, my = _kernels.bloch_components(*args)
         slack = _kernels.rounding_bound(scenario.lambda_b)
         labels = _kernels.level_labels(_readout(scenario, mx, my), tol, slack)
         if labels is not None:
@@ -225,8 +225,7 @@ def count_assignments(
     tol: float = DEFAULT_LEVEL_TOL,
 ) -> int:
     """Number of realizing assignments, without holding them."""
-    _, table, labels = search_table(scenario, grid, tol)
-    return _kernels.gate_counts(table, [tt.outputs], tol, labels)[0]
+    return _gate_counts(scenario, (tt,), grid, tol)[0]
 
 
 # the class of each gate of ALL_GATES, in its order
@@ -239,9 +238,15 @@ def achievable_classes(
     tol: float = DEFAULT_LEVEL_TOL,
 ) -> Set[GateClass]:
     """Gate classes with at least one realizable member on the grid."""
-    _, table, labels = search_table(scenario, grid, tol)
-    counts = _kernels.gate_counts(table, [tt.outputs for tt in ALL_GATES], tol, labels)
+    counts = _gate_counts(scenario, ALL_GATES, grid, tol)
     return {cls for cls, count in zip(_GATE_CLASSES, counts) if count}
+
+
+def _gate_counts(scenario: Scenario, tts, grid: GridSpec, tol: float) -> List[int]:
+    """Number of realizing assignments of each truth table in `tts`,
+    counted on `search_table`'s table and labels."""
+    _, table, labels = search_table(scenario, grid, tol)
+    return _kernels.gate_counts(table, [tt.outputs for tt in tts], tol, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +395,7 @@ def capability_checks(
     def grid_tag(g: GridSpec) -> str:
         return f"grid {g.start:.6g}:{g.step:.6g}:{g.count}"
 
-    _, thermal = candidate_table(reference_single_pulse_scenario(lambda_b), grid)
-    counts = _kernels.gate_counts(thermal, [tt.outputs for tt in ALL_GATES], tol)
+    counts = _gate_counts(reference_single_pulse_scenario(lambda_b), ALL_GATES, grid, tol)
     missing = [tt.name for tt, count in zip(ALL_GATES, counts) if not count]
     results = [
         CheckResult(

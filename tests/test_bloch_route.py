@@ -85,14 +85,40 @@ def test_every_two_pulse_synthesize_row_is_checked():
     ]
 
 
-@pytest.mark.parametrize("row", TWO_PULSE_ROWS, ids=lambda row: row.id)
-def test_certified_labels_equal_the_matrix_labels(row):
-    scenario, grid, tol = pinned_search(row)
+def binding_search(inputs, initial, observable, fixed):
+    """(scenario, grid, tol) of a pi/8 x 16 search on one two-pulse binding,
+    the parameters that are not inputs fixed at their `FIXED[fixed]` values."""
+    values = zip(TWO_PULSE_PARAMS, FIXED[fixed])
+    scenario = synthesis.Scenario(
+        initial, 2, observable, inputs, tuple((p, v) for p, v in values if p not in inputs)
+    )
+    return scenario, GridSpec(0.0, PI / 8, 16), synthesis.DEFAULT_LEVEL_TOL
+
+
+# (scenario, grid, tol, certified): the pinned rows must be certified
+SEARCHES = [pytest.param(*pinned_search(row), True, id=row.id) for row in TWO_PULSE_ROWS] + [
+    pytest.param(
+        *binding_search(inputs, initial, observable, fixed), False,
+        id=f"{'-'.join(inputs)}-{initial}-{observable}-{fixed}",
+    )
+    for inputs in itertools.permutations(TWO_PULSE_PARAMS, 2)
+    for initial in ("z", "x")
+    for observable in ("mx", "my", "mxy")
+    for fixed in FIXED
+]
+
+
+@pytest.mark.parametrize("scenario, grid, tol, certified", SEARCHES)
+def test_certified_labels_equal_the_matrix_labels(scenario, grid, tol, certified):
     cand, table, labels = synthesis.search_table(scenario, grid, tol)
-    assert table is None  # certified: the matrix table is not built
     assert np.array_equal(cand, grid.values())
     _, matrix = synthesis.candidate_table(scenario, grid)
-    assert np.array_equal(labels, _kernels.level_labels(matrix, tol))
+    if certified:
+        assert table is None  # the matrix table is not built
+    if table is not None:
+        assert np.array_equal(table, matrix)
+    if labels is not None:
+        assert np.array_equal(labels, _kernels.level_labels(matrix, tol))
 
 
 TOL, SLACK = 1e-9, 1e-12

@@ -909,7 +909,7 @@ def _reference_grid(scenario, grid_a, grid_b):
     avals, bvals = grid_a.values(), grid_b.values()
     mesh_a, mesh_b = np.meshgrid(avals, bvals, indexing="ij")
     mx, my = scenario_components(
-        scenario.initial, scenario.pulses, scenario.inputs, scenario.fixed_values,
+        scenario.initial, scenario.pulses, scenario.inputs, scenario.fixed,
         mesh_a, mesh_b, scenario.lambda_b,
     )
     mxy = np.hypot(mx, my)
