@@ -26,8 +26,12 @@ table's too.  `synthesis.search_table` says which tables take which
 route.
 
 The search tests corner pairs with one comparator: equal level labels
-where the table has levels (`level_labels`), else |x - y| <= tol.  It
-counts the hits of every row pair from histograms of column label pairs
+where the table has levels, else |x - y| <= tol (the pairwise route).
+The caller labels a table once and passes its labels, or None, to
+`gate_counts` and `gate_quadruples` (`synthesis.search_table`, or
+`level_labels` for a caller that holds the table); only
+`find_gate_quadruples` labels its own table.  The search counts the hits
+of every row pair from histograms of column label pairs
 (`level_pair_counts`) a block of rows at a time, each block counting its
 own rows' labels, and streams the hits of the row pairs that hold any in
 cache-sized blocks (`gate_quadruples`), holding one n^3 boolean row
@@ -36,9 +40,9 @@ Equal labels are transitive, so on the label route a quadruple's four
 sides settle its diagonals, except for XOR and XNOR, which test both
 diagonals densely on either route; on the pairwise route the other gates
 re-test the diagonals of their hits.
-`gate_counts` counts one gate per orbit, on the table's labels: from
-the histograms, holding none, or on a table without levels by one pass
-of `_search` each.  `level_pair_counts` is the one label counter; it
+`gate_counts` counts one gate per orbit: on labels from the histograms,
+holding none, or on the pairwise route by the counting pass of
+`gate_quadruples` each.  `level_pair_counts` is the one label counter; it
 counts only the orbit sums asked for (a search its gate's
 representative, `gate_counts` the union of its gates'), each on one row
 of each class of equal rows, and its docstring says how.  `row_classes`
@@ -285,7 +289,7 @@ def _check_tol(tol: float) -> None:
 
 def level_labels(values, tol, slack=0.0):
     """Int level label per cell, or None when some level spans more than `tol`.
-    Every search labels its table first, so `tol` is checked here.
+    `tol` is checked here, as every search checks it.
 
     With a `slack`, labels come back only when every level spans at most
     `tol - 2*slack` and every gap between levels exceeds `tol + 2*slack`.
@@ -333,7 +337,7 @@ def orbit_representative(outputs):
     return 3, False
 
 
-def level_pair_counts(labels, slots=range(5)):
+def level_pair_counts(labels, slots):
     """(len(slots), nA, nA) int64 hits per row pair (i0, i1) of the
     representatives `slots` names, in its order (0-4: T, A, B, XOR, AND).
 
@@ -476,55 +480,44 @@ def _block_pair_counts(labels, start, stop, m, sums):
         sums[4][start:stop] -= sums[0][start:stop]
 
 
-# `gate_counts` and `gate_quadruples` label the table themselves unless
-# given its labels
-_UNLABELLED = object()
-
-
-def gate_counts(values, outputs_seq, tol, labels=_UNLABELLED):
+def gate_counts(values, outputs_seq, tol, labels):
     """Realizing quadruples over `values` for each truth table in `outputs_seq`.
 
-    The table is labelled once (`level_labels`), and gates of one orbit
-    have one count, so each orbit slot is counted once: on a table with
-    levels in one counting pass for all of them, on any other by one
-    pass of `_search` over the blocks of one gate per slot.  A caller that
-    holds the table's labels passes them as `labels`: `level_labels(values,
-    tol)`, or labels certified to be those of a table the caller never
-    built (`synthesis.search_table`).  When they are not None, `values` is
-    not read and may be None.
+    A caller that holds the table's labels passes them as `labels`:
+    `level_labels(values, tol)`, or labels certified to be those of a
+    table the caller never built (`synthesis.search_table`); `values` is
+    then not read and may be None.  None labels take the pairwise route.
+    Gates of one orbit have one count, so each orbit slot is counted
+    once: on labels in one counting pass for all of them, on the pairwise
+    route by the counting pass of `gate_quadruples` for one gate per slot.
     """
-    if labels is _UNLABELLED:
-        labels = level_labels(values, tol)
+    _check_tol(tol)
     slots = [orbit_representative(outputs)[0] for outputs in outputs_seq]
     if labels is None:
         by_slot = dict(zip(slots, outputs_seq))  # one gate of each orbit
-        totals = {slot: sum(map(len, _search(values, None, o, tol)[1]())) for slot, o in by_slot.items()}
+        totals = {slot: gate_quadruples(values, o, tol, None)[0] for slot, o in by_slot.items()}
     else:
         wanted = sorted(set(slots))
         totals = dict(zip(wanted, level_pair_counts(labels, wanted).sum(axis=(1, 2)).tolist()))
     return [totals[slot] for slot in slots]
 
 
-def gate_quadruples(values, outputs, tol, labels=_UNLABELLED):
+def gate_quadruples(values, outputs, tol, labels):
     """(count, blocks): the number of realizing quadruples, and an iterator
     over them in non-empty (k, 4) int64 blocks.
 
     Blocks follow lexicographic (i0, i1, j0, j1) order, and a block never
-    splits a row pair (i0, i1).  On a table with levels (`level_labels`),
-    the count is the sum of the label counts of the row pairs, which also
-    pick the row pairs the blocks search.  On any other table, counting
-    takes one pass over the blocks, and iterating them a second.  A count
-    of 0 builds no block.
+    splits a row pair (i0, i1).  With labels, the count is the sum of the
+    label counts of the row pairs, which also pick the row pairs the
+    blocks search.  On the pairwise route (None labels), counting takes
+    one pass over the blocks, and iterating them a second.  A count of 0
+    builds no block.
 
     `values` is the finite (nA, nB) table, input A on rows, as every
     scenario table is; `outputs` holds the bits for inputs (0,0), (0,1),
-    (1,0), (1,1); `tol` is the level clustering/separation tolerance.  A
-    caller that holds the table's labels passes them as `labels`, as in
-    `gate_counts`, so that it is labelled once; `values` is then read only
-    where the labels are None.
+    (1,0), (1,1); `tol` is the level clustering/separation tolerance;
+    `labels` are as in `gate_counts`.
     """
-    if labels is _UNLABELLED:
-        labels = level_labels(values, tol)
     count, search = _search(values, labels, outputs, tol)
     if count is None:
         count = sum(map(len, search()))
@@ -533,10 +526,12 @@ def gate_quadruples(values, outputs, tol, labels=_UNLABELLED):
 
 def _search(values, labels, outputs, tol):
     """(count, search) for `gate_quadruples`, given `values`' level labels
-    (`level_labels`): the count on a table with levels, else None, and a
+    (`level_labels`) or None: the count on labels, else None, and a
     function that starts a pass over the blocks.  Every pass fills one
     (nA, nB, nB) row test, allocated here unless the count is 0, so a
-    search too large for memory fails before `gate_quadruples` returns."""
+    search too large for memory fails before `gate_quadruples` returns.
+    `tol` is checked here on either route, as `level_labels` checks it."""
+    _check_tol(tol)
     if labels is None:
         values = np.asarray(values, dtype=np.float64)
 
@@ -556,12 +551,12 @@ def _search(values, labels, outputs, tol):
     return count, lambda: _blocks(table, outputs, close, rows, candidates)
 
 
-def _blocks(table, outputs, close, rows, candidates=None):
+def _blocks(table, outputs, close, rows, candidates):
     """Yield the realizing quadruples of `table` in non-empty blocks.
 
     A corner pair passes when `close` holds exactly when its two bits
     agree.  Stage 1 fills the row test `rows` a block of rows at a time;
-    without `candidates`, the row pairs that may hold hits, it also marks
+    when `candidates`, the row pairs that may hold hits, is None, it marks
     in a new (nA, nA) array the row pairs with a passing column j0 and one
     for j1.  Stage 2 takes row pairs (i0, i1) in blocks of about
     `_BLOCK_QUADRUPLES` quadruples and tests their columns from their two
@@ -632,7 +627,10 @@ def _blocks(table, outputs, close, rows, candidates=None):
 def find_gate_quadruples(values, outputs, tol):
     """All realizing quadruples, in lexicographic (i0, i1, j0, j1) order:
     the blocks of `gate_quadruples` as one (N, 4) int64 array, searched in
-    one pass on any route."""
+    one pass on any route.
+
+    The one search that labels its own table (`level_labels`): it serves
+    `synthesis.synthesize`, which holds the table but not its labels."""
     count, search = _search(values, level_labels(values, tol), outputs, tol)
     empty = np.empty((0, 4), dtype=np.int64)
     return np.concatenate([empty, *(search() if count != 0 else ())], axis=0)

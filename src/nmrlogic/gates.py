@@ -138,9 +138,7 @@ def gate_class(tt: TruthTable) -> GateClass:
         return GateClass.STRONG
     if profile == (1, 1):
         return GateClass.WEAK
-    if profile == (0, 0):
-        return GateClass.NONE
-    raise RuntimeError(f"impossible canalising profile {profile} for {tt}")
+    return GateClass.NONE  # (0, 0), the one profile left
 
 
 def swap_inputs(tt: TruthTable) -> TruthTable:

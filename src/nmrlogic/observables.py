@@ -229,7 +229,7 @@ def scenario_components(
     fixed,
     a_values,
     b_values,
-    lambda_b: float = 1.0,
+    lambda_b: float,
 ):
     """The detectable readouts (mx, my), with inputs A/B bound to
     `a_values` / `b_values`.

@@ -3,6 +3,7 @@ import io
 import math
 import os
 import resource
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -407,6 +408,43 @@ def test_verify_fails_with_wrong_scale(capsys):
     assert "FAIL" in out
 
 
+# one labelling per table -----------------------------------------------------
+
+
+MIXED_FIX = "--initial x --pulses 2 --observable mx --inputs phi2,beta1 --fix phi1=1/2pi --fix beta2=pi"
+
+
+@pytest.mark.parametrize(
+    "command,code,labellings",
+    [
+        ("synthesize XOR --grid 0:1/4pi:16", 0, 1),
+        (f'synthesize "NOT B" {pinned_runs.TWO_PULSE_X} --grid 0:1/2pi:16', 0, 1),
+        (f"synthesize AND {pinned_runs.TWO_PULSE_X} --grid 0:1/2pi:48", 3, 1),
+        (f"synthesize AND {MIXED_FIX} --grid 0:1/8pi:40", 0, 1),
+        # the Bloch labels are refused at this tol, so the matrix table is labelled
+        (f'synthesize "NOT B" {pinned_runs.TWO_PULSE_X} --grid 0:1/2pi:16 --tol 1e-17', 0, 2),
+        ('synthesize "<" --grid 0:1/8pi:24 --tol 0.02', 0, 1),
+        # the 16-gate count and the five class claims, a table each
+        ("verify", 0, 6),
+    ],
+    ids=[
+        "xor", "two-pulse-not-b", "two-pulse-empty-and", "mixed-fix-and", "tol-1e-17", "pairwise-lt",
+        "verify",
+    ],
+)
+def test_each_command_labels_each_table_once(capsys, monkeypatch, command, code, labellings):
+    calls = []
+    original = _kernels.level_labels
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(_kernels, "level_labels", counted)
+    assert run(capsys, *shlex.split(command))[::2] == (code, "")
+    assert len(calls) == labellings
+
+
 # pinned runs -----------------------------------------------------------------
 
 
@@ -448,7 +486,7 @@ def test_b_orbit_is_counted_by_the_sort_route(tmp_path, capsys, monkeypatch):
     levels = []
     original = _kernels.level_pair_counts
 
-    def counted(labels, slots=range(5)):
+    def counted(labels, slots):
         levels.append((int(labels.max()) + 1, labels.shape[1], tuple(slots)))
         return original(labels, slots)
 

@@ -166,7 +166,7 @@ def test_transforms_are_involutions():
         g.negate_input(g.T, "C")
 
 
-def test_gate_class_guards_impossible_profile(monkeypatch):
-    monkeypatch.setattr(g, "canalising_counts", lambda tt: g.CanalisingProfile(2, 1))
-    with pytest.raises(RuntimeError):
-        g.gate_class(g.T)
+def test_every_gate_has_one_of_five_canalising_profiles():
+    # gate_class names four of them and gives the fifth, (0, 0), NONE
+    profiles = {g.canalising_counts(tt) for tt in g.ALL_GATES}
+    assert profiles == {(2, 2), (2, 0), (0, 2), (1, 1), (0, 0)}

@@ -349,6 +349,11 @@ def test_jittered_table_closeness_is_not_transitive():
 
 # A budget of 2^40 holds each of these tables in one block; a budget of
 # 1 gives every (i0, i1) row pair a block of its own.
+def _labels(table, tol):
+    """The labels a caller of the search kernels passes with `table`."""
+    return _kernels.level_labels(table, tol)
+
+
 SEARCH_LIMITS = pytest.mark.parametrize(
     "limit", [1 << 40, 1], ids=["full-broadcast", "row-blocks"]
 )
@@ -363,13 +368,14 @@ def test_kernel_hits_equal_oracle_enumeration(monkeypatch, limit):
             found = _kernels.find_gate_quadruples(table, tt.outputs, tol)
             assert found.dtype == np.int64
             assert [tuple(row) for row in found.tolist()] == expected, (case, tt.name)
-            count, blocks = _kernels.gate_quadruples(table, tt.outputs, tol)
+            count, blocks = _kernels.gate_quadruples(table, tt.outputs, tol, _labels(table, tol))
             blocks = list(blocks)
             assert count == len(expected), (case, tt.name)
             assert all(len(hits) and hits.dtype == np.int64 for hits in blocks)
             streamed = [tuple(row) for hits in blocks for row in hits.tolist()]
             assert streamed == expected, (case, tt.name)
-            assert _kernels.gate_counts(table, [tt.outputs], tol) == [len(expected)], (case, tt.name)
+            counts = _kernels.gate_counts(table, [tt.outputs], tol, _labels(table, tol))
+            assert counts == [len(expected)], (case, tt.name)
 
 
 @pytest.mark.parametrize(
@@ -380,9 +386,9 @@ def test_gate_quadruples_count_equals_its_blocks_and_gate_counts(tol, labelled):
     scenario = x_scenario(ObservableKind.MX)
     _, table = syn.candidate_table(scenario, GridSpec(0.0, PI / 8, 12))
     assert (_kernels.level_labels(table, tol) is not None) == labelled
-    expected = _kernels.gate_counts(table, [tt.outputs for tt in g.ALL_GATES], tol)
+    expected = _kernels.gate_counts(table, [tt.outputs for tt in g.ALL_GATES], tol, _labels(table, tol))
     for tt, total in zip(g.ALL_GATES, expected):
-        count, blocks = _kernels.gate_quadruples(table, tt.outputs, tol)
+        count, blocks = _kernels.gate_quadruples(table, tt.outputs, tol, _labels(table, tol))
         assert type(count) is int
         blocks = list(blocks)
         assert count == sum(len(hits) for hits in blocks) == total, tt.name
@@ -403,7 +409,7 @@ def test_a_kernel_block_never_splits_a_row_pair(monkeypatch, tol, labelled, limi
     _, table = syn.candidate_table(THERMAL_MX, GridSpec(0.0, PI / 8, 24))
     assert (_kernels.level_labels(table, tol) is not None) == labelled
     for tt in (g.T, g.A, g.XOR, g.AND, g.NOR):
-        count, blocks = _kernels.gate_quadruples(table, tt.outputs, tol)
+        count, blocks = _kernels.gate_quadruples(table, tt.outputs, tol, _labels(table, tol))
         blocks = list(blocks)
         assert count == sum(map(len, blocks)) > 0, tt.name
         ends = [(tuple(before[-1, :2]), tuple(after[0, :2])) for before, after in zip(blocks, blocks[1:])]
@@ -430,34 +436,48 @@ def test_gate_counts_on_the_pairwise_route_searches_once_per_orbit(monkeypatch):
     _, table = syn.candidate_table(x_scenario(ObservableKind.MX), GridSpec(0.0, PI / 8, 24))
     assert _kernels.level_labels(table, tol) is None
     outputs = [tt.outputs for tt in g.ALL_GATES]
-    expected = [_kernels.gate_quadruples(table, gate, tol)[0] for gate in outputs]
+    expected = [_kernels.gate_quadruples(table, gate, tol, _labels(table, tol))[0] for gate in outputs]
     passes = _count_passes(monkeypatch)
-    assert _kernels.gate_counts(table, outputs, tol) == expected
+    assert _kernels.gate_counts(table, outputs, tol, _labels(table, tol)) == expected
     # one pass per orbit slot: T, A, B, XOR and AND
     assert len(passes) <= 5
 
 
-def test_gate_counts_label_a_table_without_levels_once(monkeypatch):
-    tol = 0.02
+def test_the_search_kernels_never_label_a_table(monkeypatch):
+    # the caller labels a table once and passes its labels, or None for
+    # the pairwise route; only find_gate_quadruples labels its own table
     _, table = syn.candidate_table(x_scenario(ObservableKind.MX), GridSpec(0.0, PI / 8, 24))
-    calls = []
+    labels = _labels(table, syn.DEFAULT_LEVEL_TOL)
+    assert labels is not None and _labels(table, 0.02) is None
     original = _kernels.level_labels
+
+    def refused(*args):
+        raise AssertionError("a search kernel labelled its table")
+
+    monkeypatch.setattr(_kernels, "level_labels", refused)
+    searches = [(syn.DEFAULT_LEVEL_TOL, labels), (syn.DEFAULT_LEVEL_TOL, None), (0.02, None)]
+    outputs = [tt.outputs for tt in g.ALL_GATES]
+    counts = [_kernels.gate_counts(table, outputs, tol, given) for tol, given in searches]
+    assert counts[0] == counts[1]
+    assert counts[2] == [
+        34056, 8415, 8415, 30258, 8415, 52578, 0, 8415,
+        8415, 0, 52578, 8415, 30258, 8415, 8415, 34056,
+    ]
+    for (tol, given), totals in zip(searches, counts):
+        for tt in (g.AND, g.XOR):
+            count, blocks = _kernels.gate_quadruples(table, tt.outputs, tol, given)
+            assert count == sum(map(len, blocks)) == totals[g.ALL_GATES.index(tt)], tt.name
+    calls = []
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
     monkeypatch.setattr(_kernels, "level_labels", counted)
-    counts = _kernels.gate_counts(table, [tt.outputs for tt in g.ALL_GATES], tol)
-    assert counts == [
-        34056, 8415, 8415, 30258, 8415, 52578, 0, 8415,
-        8415, 0, 52578, 8415, 30258, 8415, 8415, 34056,
-    ]
-    # one labelling finds no levels; the five orbit slots search without one
-    assert len(calls) == 1
-    _kernels.gate_quadruples(table, g.XOR.outputs, tol)
-    _kernels.find_gate_quadruples(table, g.XOR.outputs, tol)
-    assert len(calls) == 3
+    for tol, totals in ((syn.DEFAULT_LEVEL_TOL, counts[0]), (0.02, counts[2])):
+        calls.clear()
+        assert len(_kernels.find_gate_quadruples(table, g.AND.outputs, tol)) == totals[1]
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("tt", [g.AND, g.XOR], ids=["AND", "XOR"])
@@ -465,7 +485,7 @@ def test_find_gate_quadruples_searches_the_pairwise_route_once(monkeypatch, tt):
     tol = 0.01
     _, table = syn.candidate_table(THERMAL_MX, GridSpec(0.0, 0.37 * PI / 8, 16))
     assert _kernels.level_labels(table, tol) is None
-    count, blocks = _kernels.gate_quadruples(table, tt.outputs, tol)
+    count, blocks = _kernels.gate_quadruples(table, tt.outputs, tol, _labels(table, tol))
     expected = np.concatenate([np.empty((0, 4), dtype=np.int64), *blocks])
     assert count == len(expected)
     passes = _count_passes(monkeypatch)
@@ -480,7 +500,7 @@ def test_a_label_route_count_of_0_runs_no_search_pass(monkeypatch):
     _, table = syn.candidate_table(x_scenario(ObservableKind.MX), GridSpec(0.0, PI / 8, 12))
     assert _kernels.level_labels(table, tol) is not None
     passes = _count_passes(monkeypatch)
-    assert _kernels.gate_quadruples(table, g.XOR.outputs, tol)[0] == 0
+    assert _kernels.gate_quadruples(table, g.XOR.outputs, tol, _labels(table, tol))[0] == 0
     assert _kernels.find_gate_quadruples(table, g.XOR.outputs, tol).shape == (0, 4)
     assert passes == []
 
@@ -511,10 +531,10 @@ def test_gate_quadruples_allocates_its_row_test_before_it_returns(monkeypatch, l
     spacing = PI / 8 if labelled else 0.37 * PI / 8
     _, table = syn.candidate_table(THERMAL_MX, GridSpec(0.0, spacing, 16))
     assert (_kernels.level_labels(table, tol) is not None) == labelled
-    assert _kernels.gate_quadruples(table, g.AND.outputs, tol)[0] > 0
+    assert _kernels.gate_quadruples(table, g.AND.outputs, tol, _labels(table, tol))[0] > 0
     refused = _row_tests(monkeypatch)
     with pytest.raises(MemoryError):
-        _kernels.gate_quadruples(table, g.AND.outputs, tol)
+        _kernels.gate_quadruples(table, g.AND.outputs, tol, _labels(table, tol))
     assert refused == [(16, 16, 16)]
 
 
@@ -522,7 +542,7 @@ def test_a_label_route_count_of_0_allocates_no_row_test(monkeypatch):
     tol = syn.DEFAULT_LEVEL_TOL
     _, table = syn.candidate_table(x_scenario(ObservableKind.MX), GridSpec(0.0, PI / 8, 12))
     refused = _row_tests(monkeypatch)
-    count, blocks = _kernels.gate_quadruples(table, g.XOR.outputs, tol)
+    count, blocks = _kernels.gate_quadruples(table, g.XOR.outputs, tol, _labels(table, tol))
     assert (count, list(blocks), refused) == (0, [], [])
 
 
@@ -531,7 +551,7 @@ def test_a_pairwise_search_fills_one_row_test_in_both_passes(monkeypatch):
     _, table = syn.candidate_table(THERMAL_MX, GridSpec(0.0, 0.37 * PI / 8, 16))
     assert _kernels.level_labels(table, tol) is None
     shapes = _row_tests(monkeypatch, refuse=False)
-    count, blocks = _kernels.gate_quadruples(table, g.AND.outputs, tol)
+    count, blocks = _kernels.gate_quadruples(table, g.AND.outputs, tol, _labels(table, tol))
     assert count == sum(len(hits) for hits in blocks) > 0
     assert shapes == [(16, 16, 16)]
 
@@ -539,7 +559,7 @@ def test_a_pairwise_search_fills_one_row_test_in_both_passes(monkeypatch):
 def _gate_pair_counts(labels, outputs):
     """(nA, nA) label-route hits per row pair (i0, i1) for one truth table."""
     slot, transposed = _kernels.orbit_representative(outputs)
-    counts = _kernels.level_pair_counts(labels)[slot]
+    counts = _kernels.level_pair_counts(labels, range(5))[slot]
     return counts.T if transposed else counts
 
 
@@ -566,7 +586,7 @@ def _count_routes(monkeypatch):
     routes = []
     original = _kernels.level_pair_counts
 
-    def counted(labels, slots=range(5)):
+    def counted(labels, slots):
         routes.append(("level_pair_counts", tuple(slots)))
         return original(labels, slots)
 
@@ -586,11 +606,11 @@ def test_gate_quadruples_count_the_and_orbit_by_the_sort(monkeypatch, shape, lev
     assert labels.max() + 1 == levels
     # NOR is AND's representative with its rows swapped: the transposed case
     gate_set = (g.T, g.F, g.B, g.NOT_B, g.AND, g.NOR)
-    expected = _kernels.gate_counts(table, [tt.outputs for tt in gate_set], 1e-9)
+    expected = _kernels.gate_counts(table, [tt.outputs for tt in gate_set], 1e-9, _labels(table, 1e-9))
     routes = _count_routes(monkeypatch)
     for tt, total in zip(gate_set, expected):
         routes.clear()
-        count, blocks = _kernels.gate_quadruples(table, tt.outputs, 1e-9)
+        count, blocks = _kernels.gate_quadruples(table, tt.outputs, 1e-9, _labels(table, 1e-9))
         slot = _kernels.orbit_representative(tt.outputs)[0]
         # every search asks the one entry point for its own sum, whatever
         # its levels against its columns
@@ -601,7 +621,7 @@ def test_gate_quadruples_count_the_and_orbit_by_the_sort(monkeypatch, shape, lev
         assert total, tt.name
     for tt, slot in ((g.A, 1), (g.NOT_A, 1), (g.XOR, 3), (g.XNOR, 3)):
         routes.clear()
-        _kernels.gate_quadruples(table, tt.outputs, 1e-9)
+        _kernels.gate_quadruples(table, tt.outputs, 1e-9, _labels(table, 1e-9))
         assert routes == [("level_pair_counts", (slot,))], tt.name
 
 
@@ -618,7 +638,7 @@ def test_gate_quadruples_count_the_and_orbit_by_the_sort(monkeypatch, shape, lev
 def test_gate_counts_ask_for_the_union_of_their_gates_slots(monkeypatch, gate_set, slots):
     table = np.random.default_rng(6).integers(0, 5, size=(9, 7)) / 8
     routes = _count_routes(monkeypatch)
-    counts = _kernels.gate_counts(table, [tt.outputs for tt in gate_set], 1e-9)
+    counts = _kernels.gate_counts(table, [tt.outputs for tt in gate_set], 1e-9, _labels(table, 1e-9))
     assert routes == [("level_pair_counts", slots)]
     assert counts == [sum(1 for _ in oracle_quadruples(table, tt.outputs)) for tt in gate_set]
 
@@ -628,7 +648,7 @@ def test_and_orbit_counts_take_the_sort(monkeypatch):
     assert _kernels.level_labels(table, 1e-9).max() + 1 == 3
     routes = _count_routes(monkeypatch)
     sort = [("level_pair_counts", (4,))]
-    counts = _kernels.gate_counts(table, [g.AND.outputs, g.NOR.outputs], 1e-9)
+    counts = _kernels.gate_counts(table, [g.AND.outputs, g.NOR.outputs], 1e-9, _labels(table, 1e-9))
     assert routes == sort
     assert counts == [sum(1 for _ in oracle_quadruples(table, tt.outputs)) for tt in (g.AND, g.NOR)]
     # count_assignments goes through gate_counts: the thermal mx table on
@@ -642,7 +662,7 @@ def test_jittered_table_takes_the_pairwise_fallback():
     case = len(ORACLE_CASES) - 1
     table, tol = ORACLE_CASES[case]
     assert _kernels.level_labels(table, tol) is None
-    counts = _kernels.gate_counts(table, [tt.outputs for tt in g.ALL_GATES], tol)
+    counts = _kernels.gate_counts(table, [tt.outputs for tt in g.ALL_GATES], tol, _labels(table, tol))
     assert counts == [len(oracle_hits(case, tt.outputs)) for tt in g.ALL_GATES]
     assert any(counts)
 
@@ -661,7 +681,7 @@ def test_label_counts_equal_kernel_and_oracle(levels, width, scale, tol):
     table = np.array(levels, dtype=np.float64)[:, :width] * scale
     labels = _kernels.level_labels(table, tol)
     assert labels is not None
-    counts = _kernels.gate_counts(table, [tt.outputs for tt in g.ALL_GATES], tol)
+    counts = _kernels.gate_counts(table, [tt.outputs for tt in g.ALL_GATES], tol, _labels(table, tol))
     for tt, count in zip(g.ALL_GATES, counts):
         assert _gate_pair_counts(labels, tt.outputs).sum() == count, tt.name
         assert len(_kernels.find_gate_quadruples(table, tt.outputs, tol)) == count
@@ -720,7 +740,7 @@ def test_level_pair_counts_hold_one_block(monkeypatch):
     monkeypatch.setattr(_kernels, "_BLOCK_QUADRUPLES", 64 * 64)  # one row i0
     tracemalloc.start()
     try:
-        counts = _kernels.level_pair_counts(labels)
+        counts = _kernels.level_pair_counts(labels, range(5))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -760,7 +780,7 @@ def test_search_peak_is_one_row_test_and_a_few_blocks(initial, step, tol, labell
     assert (_kernels.level_labels(table, tol) is not None) == labelled
     tracemalloc.start()
     try:
-        blocks = _kernels.gate_quadruples(table, g.AND.outputs, tol)[1]
+        blocks = _kernels.gate_quadruples(table, g.AND.outputs, tol, _labels(table, tol))[1]
         hits = sum(len(block) for block in blocks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -811,7 +831,7 @@ def test_level_pair_counts_peak_is_a_few_blocks():
         assert labels.max() + 1 == levels
         tracemalloc.start()
         try:
-            counts = _kernels.level_pair_counts(labels)
+            counts = _kernels.level_pair_counts(labels, range(5))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1075,7 +1095,7 @@ def test_stage_two_holds_only_its_hits_at_each_yield(table, tol):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        blocks = _kernels.gate_quadruples(table, g.T.outputs, tol)[1]
+        blocks = _kernels.gate_quadruples(table, g.T.outputs, tol, _labels(table, tol))[1]
         live = []
         for block in blocks:
             live.append((tracemalloc.get_traced_memory()[0] - base, block.nbytes))
@@ -1169,14 +1189,14 @@ def test_scenario_rejects_non_finite_lambda(lam):
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-12])
 def test_searches_reject_bad_tolerance(tol):
-    # every search labels its table first, and the labelling checks `tol`
+    # the labelling checks `tol`, and so does every search, on either route
     _, table = syn.candidate_table(THERMAL_MX, HALF_PI_GRID)
     with pytest.raises(ValueError, match="tolerance"):
         _kernels.level_labels(table, tol)
     with pytest.raises(ValueError, match="tolerance"):
-        _kernels.gate_quadruples(table, g.XOR.outputs, tol)
+        _kernels.gate_quadruples(table, g.XOR.outputs, tol, None)
     with pytest.raises(ValueError, match="tolerance"):
-        _kernels.gate_counts(table, [g.T.outputs, g.AND.outputs], tol)
+        _kernels.gate_counts(table, [g.T.outputs, g.AND.outputs], tol, None)
     with pytest.raises(ValueError, match="tolerance"):
         _kernels.find_gate_quadruples(table, g.XOR.outputs, tol)
     with pytest.raises(ValueError, match="tolerance"):
@@ -1187,12 +1207,17 @@ def test_searches_reject_bad_tolerance(tol):
         syn.achievable_classes(THERMAL_MX, HALF_PI_GRID, tol)
     with pytest.raises(ValueError, match="tolerance"):
         syn.verify_reference_tables(tol=tol)
+    labels = _labels(table, syn.DEFAULT_LEVEL_TOL)
+    with pytest.raises(ValueError, match="tolerance"):
+        _kernels.gate_quadruples(table, g.XOR.outputs, tol, labels)
+    with pytest.raises(ValueError, match="tolerance"):
+        _kernels.gate_counts(table, [g.T.outputs, g.AND.outputs], tol, labels)
 
 
 def test_zero_tolerance_is_accepted():
     assert syn.count_assignments(THERMAL_MX, g.XOR, HALF_PI_GRID, 0.0) > 0
     _, table = syn.candidate_table(THERMAL_MX, HALF_PI_GRID)
     assert _kernels.level_labels(table, 0.0) is not None
-    count, _ = _kernels.gate_quadruples(table, g.XOR.outputs, 0.0)
-    assert _kernels.gate_counts(table, [g.XOR.outputs], 0.0) == [count]
+    count, _ = _kernels.gate_quadruples(table, g.XOR.outputs, 0.0, _labels(table, 0.0))
+    assert _kernels.gate_counts(table, [g.XOR.outputs], 0.0, _labels(table, 0.0)) == [count]
     assert len(_kernels.find_gate_quadruples(table, g.XOR.outputs, 0.0)) == count > 0
