@@ -1,20 +1,10 @@
-"""Single-spin NMR pulse simulator and boolean logic gate synthesis."""
+"""Single-spin NMR pulse simulator and boolean logic gate synthesis.
 
-from .spincore import (
-    DensityMatrix,
-    Magnetization,
-    magnetization,
-    propagate,
-    rot_phi,
-    superposition_x_state,
-    thermal_state,
-)
-from .observables import (
-    GridSpec,
-    InitialState,
-    ObservableKind,
-    two_pulse_closed_form,
-)
+The root exports the gate-search method; the independent oracles stay in
+`nmrlogic.spincore` and `nmrlogic.observables.two_pulse_closed_form`.
+"""
+
+from .observables import GridSpec, InitialState, ObservableKind
 from .gates import (
     ALL_GATES,
     CanalisingProfile,
@@ -41,12 +31,10 @@ __version__ = "0.1.0"
 __all__ = [
     "ALL_GATES",
     "CanalisingProfile",
-    "DensityMatrix",
     "GateAssignment",
     "GateClass",
     "GridSpec",
     "InitialState",
-    "Magnetization",
     "ObservableKind",
     "Scenario",
     "TruthTable",
@@ -55,15 +43,9 @@ __all__ = [
     "canalising_counts",
     "capability_checks",
     "gate_class",
-    "magnetization",
     "orbit",
     "parse_gate",
-    "propagate",
-    "rot_phi",
-    "superposition_x_state",
     "synthesize",
-    "thermal_state",
     "truth_table",
-    "two_pulse_closed_form",
     "verify_reference_tables",
 ]

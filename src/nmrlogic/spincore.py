@@ -21,6 +21,11 @@ IY = np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=np.complex128)
 IZ = np.array([[0.5, 0.0], [0.0, -0.5]], dtype=np.complex128)
 
 
+def _tolerance(m: np.ndarray) -> float:
+    """`DEFAULT_TOL` scaled to the largest entry of m, when that exceeds 1."""
+    return DEFAULT_TOL * max(1.0, float(np.max(np.abs(m))))
+
+
 def _require_finite(*values: float, name: str = "angle") -> None:
     for v in values:
         if not math.isfinite(v):
@@ -64,7 +69,11 @@ def rot_phi(phi: float, beta: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian unit-trace 2x2 state."""
+    """Hermitian unit-trace 2x2 state.
+
+    Both checks allow `DEFAULT_TOL` times the largest entry, when that
+    exceeds 1, so the round-off of a large polarization passes.
+    """
 
     matrix: np.ndarray
 
@@ -74,9 +83,10 @@ class DensityMatrix:
             raise ValueError(f"density matrix must be 2x2, got {m.shape}")
         if not np.isfinite(m).all():
             raise ValueError("density matrix entries must be finite")
-        if np.max(np.abs(m - m.conj().T)) > DEFAULT_TOL:
+        tol = _tolerance(m)
+        if np.max(np.abs(m - m.conj().T)) > tol:
             raise ValueError("density matrix must be Hermitian")
-        if abs(np.trace(m) - 1.0) > DEFAULT_TOL:
+        if abs(np.trace(m) - 1.0) > tol:
             raise ValueError("density matrix must have unit trace")
         m = m.copy()
         m.flags.writeable = False
@@ -125,19 +135,21 @@ class Magnetization:
 
     @property
     def norm(self) -> float:
-        return math.sqrt(self.mx**2 + self.my**2 + self.mz**2)
+        return math.hypot(self.mx, self.my, self.mz)
 
 
 def magnetization(rho: DensityMatrix) -> Magnetization:
     """Readout (Tr{rho I_x}, Tr{rho I_y}, Tr{rho I_z}).
 
-    The traces must be real; a residual imaginary part beyond `DEFAULT_TOL`
-    signals a corrupted state and raises.
+    The traces must be real; a residual imaginary part beyond the state's
+    tolerance (as `DensityMatrix` checks it) signals a corrupted state and
+    raises.
     """
+    tol = _tolerance(rho.matrix)
     components = []
     for op in (IX, IY, IZ):
         tr = np.trace(rho.matrix @ op)
-        if abs(tr.imag) > DEFAULT_TOL:
+        if abs(tr.imag) > tol:
             raise ArithmeticError(
                 f"magnetization trace has imaginary residue {tr.imag:.3e}"
             )

@@ -36,14 +36,13 @@ angles = st.floats(-4 * PI, 4 * PI, allow_nan=False)
 @pytest.mark.parametrize("lambda_b", LAMBDAS)
 def test_bloch_components_match_spincore(lambda_b, pulses, from_x):
     phi2, beta2, phi1, beta1 = pulses
-    # spincore checks that its states are density matrices, which lambda
-    # 1e10 is not; the readouts are linear in lambda, so it starts at 1
-    scale = lambda_b if abs(lambda_b) > 1 else 1.0
-    rho0 = (sc.superposition_x_state if from_x else sc.thermal_state)(lambda_b / scale)
+    # spincore checks Hermiticity and trace relative to the largest entry,
+    # so the oracle runs at lambda 1e10 itself
+    rho0 = (sc.superposition_x_state if from_x else sc.thermal_state)(lambda_b)
     oracle = sc.magnetization(sc.propagate(rho0, sc.rot_phi(phi2, beta2) @ sc.rot_phi(phi1, beta1)))
     mx, my = _kernels.bloch_components(*pulses, lambda_b, from_x)
-    assert abs(float(mx) - scale * oracle.mx) <= margin(lambda_b)
-    assert abs(float(my) - scale * oracle.my) <= margin(lambda_b)
+    assert abs(float(mx) - oracle.mx) <= margin(lambda_b)
+    assert abs(float(my) - oracle.my) <= margin(lambda_b)
 
 
 # multiples of pi/8, where levels coincide, and angles of no pattern

@@ -157,10 +157,37 @@ def test_density_matrix_validation():
         sc.DensityMatrix(np.array([[1.0, 0.5], [0.0, 0.0]]))  # not Hermitian
     with pytest.raises(ValueError):
         sc.DensityMatrix(np.array([[0.9, 0.0], [0.0, 0.0]]))  # trace != 1
+    # the bound is DEFAULT_TOL times the largest entry, but never below
+    # DEFAULT_TOL: 8e-10 passes beside entries of 0.5, 1e-8 does not
+    sc.DensityMatrix(np.array([[0.5, 8e-10], [0.0, 0.5]]))
+    with pytest.raises(ValueError, match="must be Hermitian"):
+        sc.DensityMatrix(np.array([[0.5, 1e-8], [0.0, 0.5]]))
+    with pytest.raises(ValueError, match="must have unit trace"):
+        sc.DensityMatrix(np.diag([0.5, 0.5 + 1e-8]))
+    # entries near 2.5e9 allow 2.5, far below an error of 1e3
+    with pytest.raises(ValueError, match="must be Hermitian"):
+        sc.DensityMatrix(np.array([[0.5 + 2.5e9, 1e3], [0.0, 0.5 - 2.5e9]]))
+    with pytest.raises(ValueError, match="must have unit trace"):
+        sc.DensityMatrix(np.diag([0.5 + 2.5e9, 0.5 - 2.5e9 + 1e3]))
     with pytest.raises(ValueError):
         sc.DensityMatrix(np.eye(3) / 3)
     with pytest.raises(ValueError, match="entries must be finite"):
         sc.DensityMatrix(np.array([[math.nan, 0.0], [0.0, 0.5]]))
+
+
+LARGE_LAMBDAS = [1e10, -1e10, 1e16, 1e300, -1e300]
+
+
+@pytest.mark.parametrize("lambda_b", LARGE_LAMBDAS)
+@pytest.mark.parametrize("state", [sc.thermal_state, sc.superposition_x_state])
+def test_large_polarization_states_are_accepted(state, lambda_b):
+    # the checks allow DEFAULT_TOL times the largest entry: entries near
+    # lambda/4 keep round-off far above the absolute 1e-9
+    rho = state(lambda_b)
+    for phi2, beta2, phi1, beta1 in [(0.0, 0.0, 0.0, 1.0), (0.3, -1.1, 2.0, PI), (6.271484375, 1.0, 1.7, 2.9)]:
+        after = sc.propagate(rho, sc.rot_phi(phi2, beta2) @ sc.rot_phi(phi1, beta1))
+        m = sc.magnetization(after)
+        assert m.norm == pytest.approx(sc.magnetization(rho).norm, rel=1e-12)
 
 
 def test_density_matrix_is_immutable():
@@ -185,10 +212,11 @@ def test_magnetization_examples():
     assert (mixed.mx, mixed.my, mixed.mz) == (0.0, 0.0, 0.0)
 
 
-def test_magnetization_rejects_corrupt_state():
-    rho = sc.thermal_state(1.0)
+@pytest.mark.parametrize("lambda_b,residue", [(1.0, 1e-3j), (1.0, 1e-8j), (1e10, 1e3j)])
+def test_magnetization_rejects_corrupt_state(lambda_b, residue):
+    rho = sc.thermal_state(lambda_b)
     corrupt = object.__new__(sc.DensityMatrix)
-    object.__setattr__(corrupt, "matrix", rho.matrix + np.array([[0, 1e-3j], [0, 0]]))
+    object.__setattr__(corrupt, "matrix", rho.matrix + np.array([[0, residue], [0, 0]]))
     with pytest.raises(ArithmeticError):
         sc.magnetization(corrupt)
 
