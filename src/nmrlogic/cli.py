@@ -268,7 +268,7 @@ _REUSE_BYTES = 1 << 21
 _LINE_BYTES = sys.getsizeof("") + 8
 
 
-def _write_hits(outputs, hits, candidates, levels, corners, classes):
+def _write_hits(outputs, hits, candidates, levels, corners, first, second):
     """Write a row for each hit of the blocks `hits` to each `(handle,
     template)` of `outputs`: the texts in `candidates` of i0, i1, j0 and
     j1, then for each (a, b) of `corners` the text in `levels` of table
@@ -276,17 +276,18 @@ def _write_hits(outputs, hits, candidates, levels, corners, classes):
     Each template ends its row with its one line break, "\n".
 
     Every template starts with i0 and i1, its prefix.  A row pair's hits,
-    and its text after the prefix, depend on rows i0 and i1 only through
-    their `classes`, so every row pair of a class pair writes the same
-    lines after its own prefix, and the last of them, in row pair order,
-    is the pair of each class's last row.  The lines of a class pair with
-    row pairs still to come are rendered once, with those of the other
-    class pairs first met in the same kernel block, held until its last
-    row pair, and written after each prefix by one join, while the held
-    lines stay within `_REUSE_BYTES`.  The other row pairs are written in
-    runs, in blocks of at most `_ROW_BLOCK` rows, so a table without
-    repeated rows is written as `_write_rows` writes it.  A kernel block
-    never splits a row pair.
+    and its text after the prefix, depend on row i0 only through its
+    class in `first` and on row i1 only through its class in `second`,
+    so every row pair of a class pair writes the same lines after its own
+    prefix, and the last of them, in row pair order, pairs the last row
+    of its `first` class with the last row of its `second` class.  The
+    lines of a class pair with row pairs still to come are rendered once,
+    with those of the other class pairs first met in the same kernel
+    block, held until its last row pair, and written after each prefix by
+    one join, while the held lines stay within `_REUSE_BYTES`.  The other
+    row pairs are written in runs, in blocks of at most `_ROW_BLOCK` rows,
+    so a table without repeated rows is written as `_write_rows` writes
+    it.  A kernel block never splits a row pair.
     """
     handles = [handle for handle, _ in outputs]
     literals = [[text.encode("ascii") for text in template.split("%s")] for _, template in outputs]
@@ -298,7 +299,12 @@ def _write_hits(outputs, hits, candidates, levels, corners, classes):
     padded = 2 * candidates.itemsize + len(corners) * levels.itemsize
     width = sum(len(b"".join(suffix)) + padded + _LINE_BYTES for suffix in suffixes)
     names = [text.decode("ascii") for text in candidates.tolist()]
-    last = {row_class: row for row, row_class in enumerate(classes)}
+
+    def finals(classes):  # whether each row is the last of its class
+        last = {row_class: row for row, row_class in enumerate(classes)}
+        return [last[row_class] == row for row, row_class in enumerate(classes)]
+
+    final0, final1 = finals(first), finals(second)
     held = {}  # class pair -> (its cost, its lines per output)
     budget = _REUSE_BYTES
 
@@ -330,9 +336,9 @@ def _write_hits(outputs, hits, candidates, levels, corners, classes):
         # row of the block is written
         new = []
         for start, stop, (a0, a1) in pairs:
-            pair = classes[a0], classes[a1]
+            pair = first[a0], second[a1]
             cost = (stop - start) * width
-            if pair in held or cost > budget or (a0, a1) == (last[pair[0]], last[pair[1]]):
+            if pair in held or cost > budget or (final0[a0] and final1[a1]):
                 continue
             held[pair] = cost, []
             budget -= cost
@@ -341,7 +347,7 @@ def _write_hits(outputs, hits, candidates, levels, corners, classes):
             hold(block, new)
         run = 0  # the first hit not yet written
         for start, stop, (a0, a1) in pairs:
-            pair = classes[a0], classes[a1]
+            pair = first[a0], second[a1]
             entry = held.get(pair)
             if entry is None:
                 continue  # written with the run
@@ -350,7 +356,7 @@ def _write_hits(outputs, hits, candidates, levels, corners, classes):
             run = stop
             for handle, prefix, lines in zip(handles, prefixes, entry[1]):
                 handle.write((prefix % (names[a0], names[a1])).join(lines))
-            if (a0, a1) == (last[pair[0]], last[pair[1]]):
+            if final0[a0] and final1[a1]:
                 del held[pair]
                 budget += entry[0]
         write(block[run:])
@@ -374,12 +380,17 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         cand, table = synthesis.candidate_table(scenario, grid)
 
     # Each candidate and table value is formatted once; rows index them.
-    # The kernel's blocks of hits are written as they come.  Rows alike in
-    # labels (in value bits on the pairwise route) and in printed levels
-    # are one class.
+    # The kernel's blocks of hits are written as they come.  A row pair's
+    # hits depend only on its rows' labels (value bits on the pairwise
+    # route), so rows alike in labels and printed levels are one class,
+    # and rows i1 alike in labels alone are one when no level is printed
+    # from row i1.
     candidates, levels = packed_12g(cand), packed_12g(table)
     corners = synthesis.level_corners(tt)
-    classes = _kernels.row_classes(table if labels is None else labels, levels)
+    hit_rows = table if labels is None else labels
+    first = _kernels.row_classes(hit_rows, levels)
+    reads_i1 = any(a for a, _ in corners.values())
+    second = first if reads_i1 else _kernels.row_classes(hit_rows)
     text_levels = " ".join(f"%s->{int(bit)}" for bit in corners)
     outputs = [(sys.stdout, "A=(%s, %s) B=(%s, %s) levels " + text_levels + "\n")]
     with _open_out(args.out) as handle:
@@ -388,7 +399,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
             csv_levels = ",".join("%s" if bit in corners else "nan" for bit in (False, True))
             outputs.insert(0, (handle, "%s,%s,%s,%s," + csv_levels + "\n"))
         print(f"{count} {tt.name} assignment(s), class {gates.gate_class(tt).value}")
-        _write_hits(outputs, hits, candidates, levels, corners, classes)
+        _write_hits(outputs, hits, candidates, levels, corners, first, second)
     return EXIT_OK
 
 

@@ -1233,7 +1233,9 @@ def test_reused_rows_equal_the_template_rows(
     cells = st.lists(st.integers(0, len(CELL_VALUES) - 1), min_size=n, max_size=n)
     kinds = [data.draw(cells, label="row") for _ in range(data.draw(st.integers(1, 3)))]
     if len(kinds) > 1 and data.draw(st.booleans(), label="twin"):
-        # row 1 has row 0's labels, but -0.0 where row 0 has 0.0, and so on
+        # row 1 has row 0's labels, but -0.0 where row 0 has 0.0, and so on;
+        # classing rows i1 by labels alone for a gate that prints a level
+        # from row i1 writes the twin's level text in its place, and fails
         kinds[1] = data.draw(st.lists(st.sampled_from(sorted(TWIN)), min_size=n, max_size=n))
         kinds[0] = [TWIN[k] for k in kinds[1]]
     if pairwise:
@@ -1265,23 +1267,64 @@ def test_reused_rows_equal_the_template_rows(
     assert written == (csv if with_out else None)
 
 
-def test_recurring_lines_are_rendered_once_per_class_pair(tmp_path, capsys, monkeypatch):
-    # the thermal table on pi/8 steps repeats its rows with period 2 pi:
-    # of the 54,756 lines of each output, 1,872 are rendered, the lines
-    # after the prefix once for each class pair
-    rendered = []
+@pytest.fixture
+def rendered(monkeypatch):
+    """The number of rows of each `_row_block` call, in every output."""
+    counts = []
     original = cli._row_block
 
     def counted(literals, fields):
-        rendered.append(len(fields[0]))
+        counts.append(len(fields[0]))
         return original(literals, fields)
 
     monkeypatch.setattr(cli, "_row_block", counted)
+    return counts
+
+
+def test_recurring_lines_are_rendered_once_per_class_pair(tmp_path, capsys, rendered):
+    # the thermal table on pi/8 steps repeats its rows with period 2 pi:
+    # of the 54,756 lines of each output, 1,872 are rendered, the lines
+    # after the prefix once for each class pair
     row = PINNED["synthesize_xnor_eighth_pi_48_out"]
     code, out, err = run(capsys, *row.argv(str(tmp_path / "out.csv")))
     assert (code, err) == (0, "")
     assert out.count("\n") == 54757
     assert sum(rendered) == 2 * 1872
+
+
+# A two-pulse table whose round-off zeros print other digits in each 2 pi
+# period: its 40 rows fall into 32 classes of labels and printed levels,
+# but into 5 classes of labels alone.
+ROUND_OFF_ZEROS = (
+    "--initial x --pulses 2 --observable mx --inputs phi2,beta1 "
+    "--fix phi1=1/2pi --fix beta2=pi --grid=12/8pi:1/8pi:40 --out OUT"
+)
+
+
+@pytest.mark.parametrize(
+    "command,hits,rows",
+    [
+        # NOR prints both its levels from row i0, so rows i1 alike in
+        # labels are one class: 7,700 of 2 x 52,500 lines are rendered
+        (f"synthesize NOR {ROUND_OFF_ZEROS}", 52500, 7700),
+        # AND prints a level from row i1, so row i1's printed levels
+        # split its classes too, and every line is rendered
+        (f"synthesize AND {ROUND_OFF_ZEROS}", 52500, 77000),
+        # NOT B prints both its levels from row i0
+        (PINNED["synthesize_not_b_x_two_pulse_half_pi_16_out"].command, 13312, 4608),
+    ],
+    ids=["nor", "and", "not-b"],
+)
+def test_rows_i1_are_classed_by_labels_when_no_level_is_printed_from_them(
+    tmp_path, capsys, rendered, command, hits, rows
+):
+    out_path = tmp_path / "out.csv"
+    argv = [str(out_path) if word == "OUT" else word for word in shlex.split(command)]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.count("\n") == hits + 1
+    assert out_path.read_text().count("\n") == hits + 1
+    assert sum(rendered) == rows
 
 
 @pytest.mark.parametrize("budget", [cli._REUSE_BYTES, cli._REUSE_BYTES // 8])
@@ -1425,3 +1468,98 @@ def test_invalid_numbers_are_usage_errors(tmp_path, capsys, argv):
     assert err.startswith(INVALID_NUMBER_MESSAGES.get(argv, "error: "))
     assert err.count("\n") == 1
     assert not out_path.exists()
+
+
+# generated command lines -----------------------------------------------------
+
+
+def _mostly(usual, odd):
+    """One of `usual` three times in four, else one of `odd`."""
+    pick = st.tuples(st.booleans(), st.booleans(), st.sampled_from(usual), st.sampled_from(odd))
+    return pick.map(lambda t: t[3] if t[0] and t[1] else t[2])
+
+
+# values that have reached the boundary before: non-finite, overflowing
+# and subnormal numbers, a zero denominator, digits outside ASCII (Python
+# reads "٣" as 3), an empty value and a word
+ODD_VALUES = ("nan", "inf", "-1", "1e400", "5e-324", "1/0pi", "٣", "٣/٨pi", "", "x")
+FLAG_VALUES = {
+    "initial": ("z", "x", "y"),
+    "pulses": ("1", "2", "3", "٢"),
+    "inputs": ("phi,beta", "beta,phi", "phi2,phi1", "phi2,beta1", "phi1,phi1", "phi"),
+    "fix": ("phi1=1/2pi", "beta1=1/2pi", "beta2=pi", "phi2=0", "beta=1", "phi1", "beta1=nan"),
+    "observable": ("mx", "my", "mxy", "mz"),
+    "lambda": ("1", "0", "-1/2pi", "1e10"),
+    "tol": ("1e-9", "0", "0.02", "0.5"),
+}
+# scenarios that bind every parameter, for the drawn flags to amend
+SCENARIOS = (
+    "",
+    "--pulses 2 --inputs phi2,phi1 --fix beta1=1/2pi --fix beta2=1/2pi",
+    "--initial x --pulses 2 --inputs phi2,beta1 --fix phi1=1/2pi --fix beta2=pi",
+)
+
+
+def _grid_values(command):
+    # synthesize T --lambda 0 writes count^4 rows; grid and verify stay small
+    counts = ("1", "3", "8", "٨") + (("64", "٦٤") if command != "synthesize" else ())
+    return st.builds(
+        "{}:{}:{}".format,
+        _mostly(("0", "-1/2pi", "١"), ("1e308", "nan", "5e-324", "1e400", "")),
+        _mostly(("1/8pi", "0.37", "٣/٨pi"), ("1e308", "5e-324", "1/0pi", "0", "nan")),
+        _mostly(counts, ("0", "-1", "nan", "2.5", "")),
+    )
+
+
+def _flag_value(flag, command, root):
+    """A value for `--flag`: its own, an odd one, or a path under `root`."""
+    if flag == "grid":
+        return _grid_values(command)
+    if flag in ("out", "config"):
+        paths = _mostly(("out.csv", "settings.cfg"), ("missing/out.csv", "", "missing.cfg"))
+        return paths.map(lambda name: str(root / name) if name else "")
+    return _mostly(FLAG_VALUES[flag], ODD_VALUES)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_generated_command_lines_keep_the_boundary_contract(data):
+    # any command line ends with an exit code of 0-4 and no traceback, and
+    # an error (exit 1 or 2) is one "error:" line; the unknown-gate
+    # message lists the valid tokens on its second line
+    command = data.draw(_mostly(list(cli._COMMANDS), ["frobnicate"]), label="command")
+    spec = cli._COMMANDS.get(command, cli._Command("", None))
+    argv = [command]
+    if spec.gate and data.draw(st.integers(0, 9), label="gate?"):
+        tokens = ("AND", "nor", "NOT B", "T", "15", "≤", "٣")
+        argv.append(data.draw(_mostly(tokens, ("16", "-1", "frobnicate", "")), label="gate"))
+    if command in ("grid", "synthesize"):
+        argv += data.draw(st.sampled_from(SCENARIOS), label="scenario").split()
+    # mostly the command's own flags, some of another command's
+    flags = _mostly(spec.flags or list(cli._FLAGS), list(cli._FLAGS))
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        if "grid" in spec.flags:  # every run draws its grid, within the bounds
+            argv.append("--grid=" + data.draw(_grid_values(command), label="grid"))
+        for flag in data.draw(st.lists(flags, max_size=3), label="flags"):
+            value = data.draw(_flag_value(flag, command, root), label=flag)
+            argv += [f"--{flag}={value}"] if data.draw(st.booleans()) else [f"--{flag}", value]
+        lines = []
+        for key in data.draw(st.lists(flags | st.just("frobnicate"), max_size=2), label="config keys"):
+            value = data.draw(_flag_value(key, command, root) if key in cli._FLAGS else st.just("1"))
+            lines.append(f"{key}={value}\n")
+        (root / "settings.cfg").write_text("".join(lines), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    err = err.getvalue()
+    assert code in range(5), (argv, code)
+    assert "Traceback" not in err
+    if code in (cli.EXIT_USAGE, cli.EXIT_IO):
+        first, *rest = err.splitlines()
+        assert first.startswith("error: "), (argv, err)
+        assert rest == [] or (
+            first.startswith("error: unknown gate") and len(rest) == 1 and rest[0].startswith("valid tokens: ")
+        ), (argv, err)
+    else:
+        assert err == "", (argv, err)
